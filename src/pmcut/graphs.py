@@ -430,6 +430,8 @@ def parse_graph(text: str) -> tuple[Graph, Optional[PlaneEmbedding]]:
         raise ValueError("graph file must start with 'graph <V> <E>'")
     _, ns, ms = lines[0].split()
     n, m = int(ns), int(ms)
+    if n < 0 or m < 0:
+        raise ValueError(f"negative count in header {lines[0]!r}")
     edges = []
     for ln in lines[1:1 + m]:
         u, v = map(int, ln.split())
@@ -447,7 +449,11 @@ def parse_graph(text: str) -> tuple[Graph, Optional[PlaneEmbedding]]:
         parts = ln.split()
         if parts[0] != "rot":
             raise ValueError(f"unexpected line {ln!r}")
+        if len(parts) < 3:
+            raise ValueError(f"rotation line {ln!r} needs 'rot <v> <degree> ...'")
         v, d = int(parts[1]), int(parts[2])
+        if not 0 <= v < n:
+            raise ValueError(f"rotation vertex {v} out of range")
         rot = tuple(int(x) for x in parts[3:])
         if len(rot) != d:
             raise ValueError(f"rotation degree mismatch at vertex {v}")

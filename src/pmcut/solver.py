@@ -37,181 +37,226 @@ class BudgetExhausted(RuntimeError):
 class _PmcSearch:
     """Backtracking with unit propagation; branches lowest edge first, In before Out.
 
-    Parity is a union-find with one bit per element.  Each component root
-    keeps the list of undecided edges touching it; a union scans the smaller
+    Parity is a union-find with one bit per element, without path compression
+    so that a union is undone by unlinking one root.  Each component root keeps
+    the list of undecided edges touching it; a union scans the smaller
     component's list so that an edge is decided the moment its endpoints land
-    in one component.  Everything is undone through a trail.
+    in one component.
+
+    The related-partner rule looks at an unmatched vertex x with two undecided
+    edges e = (x, w) and f = (x, y) whose far ends w and y are in one
+    component: if w and y are same-side, matching either would make them
+    opposite, so e and f go out; if they are opposite-side, x must match one
+    of them, so x's other undecided edges go out.  A union of root rv into ru
+    relates exactly the pairs with w in the old rv component and y in the old
+    ru component; every other related pair was related by an earlier union,
+    which fired the rule on it while e and f were already undecided and x
+    unmatched, since assignments and unions are only ever undone together.
+    So each union stamps its small side and fires the rule on the straddling
+    pairs alone, and the propagation fixpoint is that of firing it on every
+    related pair.
+
+    Edges and vertices are ints in flat tables.  The queue and the trail hold
+    ints: a queued e means e In, ~e means e Out; a trail entry e >= 0 undoes
+    the assignment of e, and ~rv (preceded by the big root's old edge-list
+    length) undoes the union of root rv.  A root's vertex list is as long as
+    its size, so the size alone restores it.
     """
 
     def __init__(self, g: Graph):
-        self.g = g
+        n = g.n
+        self.eu = [u for u, _ in g.edges]
+        self.ev = [v for _, v in g.edges]
+        self.inc = g.inc
+        self.nbrs = [tuple(zip(g.inc[v], g.adj[v])) for v in range(n)]
         self.state = bytearray(g.m)
-        self.matched = [-1] * g.n
-        self.rem = [g.degree(v) for v in range(g.n)]
-        self.parent = list(range(g.n))
-        self.size = [1] * g.n
-        self.par = [0] * g.n
-        self.comp_edges: list[list[int]] = [list(g.inc[v]) for v in range(g.n)]
-        self.comp_verts: list[list[int]] = [[v] for v in range(g.n)]
-        self.trail: list[tuple] = []
+        self.matched = [-1] * n
+        self.rem = [len(es) for es in g.inc]
+        self.parent = list(range(n))
+        self.par = [0] * n
+        self.size = [1] * n
+        self.comp_edges: list[list[int]] = [list(es) for es in g.inc]
+        self.comp_verts: list[list[int]] = [[v] for v in range(n)]
+        self.stamp = [0] * n
+        self.epoch = 0
+        self.trail: list[int] = []
         self.nodes = 0
 
-    def _find(self, v: int) -> tuple[int, int]:
-        p = 0
-        parent, par = self.parent, self.par
-        while parent[v] != v:
-            p ^= par[v]
-            v = parent[v]
-        return v, p
-
     def _union(self, u: int, v: int, parity: int, queue: list) -> bool:
-        ru, pu = self._find(u)
-        rv, pv = self._find(v)
+        parent, par = self.parent, self.par
+        ru, pu = u, 0
+        while parent[ru] != ru:
+            pu ^= par[ru]
+            ru = parent[ru]
+        rv, pv = v, 0
+        while parent[rv] != rv:
+            pv ^= par[rv]
+            rv = parent[rv]
         if ru == rv:
             return (pu ^ pv) == parity
-        if self.size[ru] < self.size[rv]:
+        size = self.size
+        if size[ru] < size[rv]:
             ru, rv = rv, ru
-            pu, pv = pv, pu
-        big, small = self.comp_edges[ru], self.comp_edges[rv]
-        self.trail.append(("u", rv, ru, len(big), len(self.comp_verts[ru])))
-        self.parent[rv] = ru
-        self.par[rv] = pu ^ pv ^ parity
-        self.size[ru] += self.size[rv]
-        state, edges, find = self.state, self.g.edges, self._find
-        for e in small:
+        big = self.comp_edges[ru]
+        trail = self.trail
+        trail.append(len(big))
+        trail.append(~rv)
+        parent[rv] = ru
+        par[rv] = pu ^ pv ^ parity
+        size[ru] += size[rv]
+        state, eu, ev = self.state, self.eu, self.ev
+        for e in self.comp_edges[rv]:
             if not state[e]:
-                a, b = edges[e]
-                ra, pa = find(a)
-                rb, pb = find(b)
+                ra, pa = eu[e], 0
+                while parent[ra] != ra:
+                    pa ^= par[ra]
+                    ra = parent[ra]
+                rb, pb = ev[e], 0
+                while parent[rb] != rb:
+                    pb ^= par[rb]
+                    rb = parent[rb]
                 if ra == rb:
-                    queue.append((e, _IN if pa ^ pb else _OUT))
+                    queue.append(~e if pa == pb else e)
                 else:
                     big.append(e)
-        small_verts = self.comp_verts[rv]
-        self.comp_verts[ru].extend(small_verts)
-        matched, adj = self.matched, self.g.adj
-        for w in small_verts:
-            for x in adj[w]:
-                if matched[x] == -1:
-                    self._related_partners(x, queue)
-        return True
-
-    def _related_partners(self, x: int, queue: list) -> None:
-        """Exclude edges of x ruled out by known relations between its partners.
-
-        If two available partners are opposite-side, x must match one of them,
-        so its remaining edges go out.  If two are same-side, matching either
-        would make them opposite, so both those edges go out.
-        """
-        avail = [e for e in self.g.inc[x] if not self.state[e]]
-        if len(avail) < 2:
-            return
-        other = self.g.other_end
-        ends = [(e, *self._find(other(e, x))) for e in avail]
-        for i in range(len(ends)):
-            ei, ri, pi = ends[i]
-            for k in range(i + 1, len(ends)):
-                ek, rk, pk = ends[k]
-                if ri != rk:
+        small = self.comp_verts[rv]
+        self.comp_verts[ru].extend(small)
+        self.epoch += 1
+        epoch, stamp = self.epoch, self.stamp
+        for w in small:
+            stamp[w] = epoch
+        matched, nbrs = self.matched, self.nbrs
+        for w in small:
+            pw = -1
+            for e, x in nbrs[w]:
+                if state[e] or matched[x] != -1:
                     continue
-                if pi ^ pk:
-                    for ej, _, _ in ends:
-                        if ej != ei and ej != ek:
-                            queue.append((ej, _OUT))
-                else:
-                    queue.append((ei, _OUT))
-                    queue.append((ek, _OUT))
-
-    def _assign(self, e: int, val: int, queue: list) -> bool:
-        st = self.state[e]
-        if st:
-            return st == val
-        self.state[e] = val
-        self.trail.append(("e", e))
-        u, v = self.g.edges[e]
-        if val == _IN:
-            if self.matched[u] != -1 or self.matched[v] != -1:
-                return False
-            if not self._union(u, v, 1, queue):
-                return False
-            for w in (u, v):
-                self.matched[w] = e
-                self.trail.append(("m", w))
-                for e2 in self.g.inc[w]:
-                    if e2 != e and not self.state[e2]:
-                        queue.append((e2, _OUT))
-        else:
-            if not self._union(u, v, 0, queue):
-                return False
-            for w in (u, v):
-                self.rem[w] -= 1
-                self.trail.append(("r", w))
-                if self.matched[w] == -1:
-                    if self.rem[w] == 0:
-                        return False
-                    if self.rem[w] == 1:
-                        for e2 in self.g.inc[w]:
-                            if self.state[e2] != _OUT:
-                                queue.append((e2, _IN))
-                                break
-                    elif self.rem[w] == 2 and not self._pair_parity(w, queue):
-                        return False
+                for f, y in nbrs[x]:
+                    if f == e or state[f] or stamp[y] == epoch:
+                        continue
+                    ry, py = y, 0
+                    while parent[ry] != ry:
+                        py ^= par[ry]
+                        ry = parent[ry]
+                    if ry != ru:
+                        continue
+                    if pw < 0:
+                        rw, pw = w, 0
+                        while parent[rw] != rw:
+                            pw ^= par[rw]
+                            rw = parent[rw]
+                    if pw != py:
+                        for h, _ in nbrs[x]:
+                            if h != e and h != f and not state[h]:
+                                queue.append(~h)
+                    else:
+                        queue.append(~e)
+                        queue.append(~f)
         return True
 
     def _pair_parity(self, w: int, queue: list) -> bool:
         """An unmatched vertex with two available edges puts its two potential
         partners on opposite sides: whichever edge is chosen, the other stays
         out and keeps its far end on w's side."""
-        ends = [self.g.other_end(e2, w) for e2 in self.g.inc[w] if not self.state[e2]]
+        state = self.state
+        ends = [x for e, x in self.nbrs[w] if not state[e]]
         if len(ends) != 2:
             return True
         return self._union(ends[0], ends[1], 1, queue)
 
     def _propagate(self, queue: list) -> bool:
+        state, eu, ev, inc = self.state, self.eu, self.ev, self.inc
+        matched, rem, trail = self.matched, self.rem, self.trail
+        union, pair_parity = self._union, self._pair_parity
         while queue:
-            e, val = queue.pop()
-            if not self._assign(e, val, queue):
-                return False
+            e = queue.pop()
+            if e >= 0:
+                val = _IN
+            else:
+                e, val = ~e, _OUT
+            if state[e]:
+                if state[e] != val:
+                    return False
+                continue
+            state[e] = val
+            trail.append(e)
+            u, v = eu[e], ev[e]
+            if val == _IN:
+                if matched[u] != -1 or matched[v] != -1:
+                    return False
+                if not union(u, v, 1, queue):
+                    return False
+                matched[u] = matched[v] = e
+                for e2 in inc[u]:
+                    if e2 != e and not state[e2]:
+                        queue.append(~e2)
+                for e2 in inc[v]:
+                    if e2 != e and not state[e2]:
+                        queue.append(~e2)
+            else:
+                rem[u] -= 1
+                rem[v] -= 1
+                if not union(u, v, 0, queue):
+                    return False
+                for w in (u, v):
+                    if matched[w] == -1:
+                        r = rem[w]
+                        if r == 0:
+                            return False
+                        if r == 1:
+                            for e2 in inc[w]:
+                                if state[e2] != _OUT:
+                                    queue.append(e2)
+                                    break
+                        elif r == 2 and not pair_parity(w, queue):
+                            return False
         return True
 
     def _undo_to(self, mark: int) -> None:
-        while len(self.trail) > mark:
-            tag = self.trail.pop()
-            kind = tag[0]
-            if kind == "e":
-                self.state[tag[1]] = _UNDEC
-            elif kind == "m":
-                self.matched[tag[1]] = -1
-            elif kind == "r":
-                self.rem[tag[1]] += 1
+        trail, state, eu, ev = self.trail, self.state, self.eu, self.ev
+        matched, rem, parent, size = self.matched, self.rem, self.parent, self.size
+        while len(trail) > mark:
+            t = trail.pop()
+            if t >= 0:
+                u, v = eu[t], ev[t]
+                if state[t] == _IN:
+                    if matched[u] == t:
+                        matched[u] = -1
+                    if matched[v] == t:
+                        matched[v] = -1
+                else:
+                    rem[u] += 1
+                    rem[v] += 1
+                state[t] = _UNDEC
             else:
-                _, rv, ru, old_len, old_vlen = tag
-                self.parent[rv] = rv
-                self.size[ru] -= self.size[rv]
-                del self.comp_edges[ru][old_len:]
-                del self.comp_verts[ru][old_vlen:]
+                rv = ~t
+                ru = parent[rv]
+                parent[rv] = rv
+                size[ru] -= size[rv]
+                del self.comp_edges[ru][trail.pop():]
+                del self.comp_verts[ru][size[ru]:]
 
     def run(self, on_solution: Callable[[EdgeSet], bool], budget: Optional[int]) -> None:
         """DFS over the decision tree; on_solution returns True to stop early."""
-        g = self.g
-        if g.n == 0 or any(d == 0 for d in self.rem):
+        state, rem, m = self.state, self.rem, len(self.state)
+        if not rem or 0 in rem:
             return
-        queue: list = []
-        for v in range(g.n):
-            if self.rem[v] == 1:
-                queue.append((g.inc[v][0], _IN))
-            elif self.rem[v] == 2 and not self._pair_parity(v, queue):
+        queue: list[int] = []
+        for v, r in enumerate(rem):
+            if r == 1:
+                queue.append(self.inc[v][0])
+            elif r == 2 and not self._pair_parity(v, queue):
                 return
         if not self._propagate(queue):
             return
         stack: list[list[int]] = []  # frames [edge, next value, trail mark]
-        scan_from = 0
+        scan = 0
         advance = True
         while True:
             if advance:
-                e = next((i for i in range(scan_from, g.m) if not self.state[i]), None)
-                if e is None:
-                    if on_solution(frozenset(i for i in range(g.m) if self.state[i] == _IN)):
+                e = state.find(_UNDEC, scan)
+                if e < 0:
+                    if on_solution(frozenset(i for i in range(m) if state[i] == _IN)):
                         return
                     advance = False
                     continue
@@ -223,14 +268,14 @@ class _PmcSearch:
                     self._undo_to(frame[2])
                     stack.pop()
                     continue
-                val = frame[1]
+                e, val = frame[0], frame[1]
                 frame[1] += 1
                 self._undo_to(frame[2])
                 self.nodes += 1
                 if budget is not None and self.nodes > budget:
                     raise BudgetExhausted(f"node budget {budget} exhausted")
-                if self._propagate([(frame[0], val)]):
-                    scan_from = frame[0] + 1
+                if self._propagate([e if val == _IN else ~e]):
+                    scan = e + 1
                     advance = True
                     break
             if not advance:

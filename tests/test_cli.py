@@ -83,6 +83,20 @@ def test_solve_pmc_negative_and_budget(tmp_path, capsys):
     assert "budget" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("text", [
+    "graph -1 0\n",
+    "graph 2 1\n0 1\nembedding\nrot 0\n",
+    "graph 2 1\n0 1\nembedding\nrot 5 1 0\n",
+], ids=["negative-count", "short-rot", "rot-vertex-out-of-range"])
+def test_solve_pmc_malformed_graph_is_data_error(tmp_path, capsys, text):
+    p = tmp_path / "bad.graph"
+    p.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main(["solve-pmc", str(p)])
+    assert exc.value.code == 65
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_verify_gadgets(capsys):
     assert main(["verify-gadgets"]) == 0
     out = capsys.readouterr().out

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from pmcut.formula import (
 )
 from pmcut.gadgets import enumerate_local_pmcs
 from pmcut.graphs import (
+    Graph,
     complete_bipartite_graph,
     complete_graph,
     cube_graph,
@@ -23,6 +25,7 @@ from pmcut.graphs import (
 from pmcut.reduction import reduce_formula
 from pmcut.solver import (
     BudgetExhausted,
+    _PmcSearch,
     assignment_from_pmc,
     enumerate_pmcs,
     find_pmc,
@@ -34,8 +37,25 @@ from pmcut.solver import (
 )
 
 
+# sha256 of the comma-joined sorted edge ids of find_pmc's canonical n=3 witness
+CANONICAL_N3_WITNESS_SHA256 = "cbb3dac0569fd98bc2948b9cf8a64e902da59be92bf22d0b74d3f754843d2466"
+
+
 def verified(g, m):
     return m is not None and is_perfect_matching(g, m) and cut_from_edge_set(g, m) is not None
+
+
+def first_witness(g):
+    """Node count and first witness (or None) of one complete search."""
+    found = []
+
+    def take(m):
+        found.append(m)
+        return True
+
+    search = _PmcSearch(g)
+    search.run(take, None)
+    return search.nodes, (found[0] if found else None)
 
 
 def test_fixed_fixtures():
@@ -92,6 +112,98 @@ def test_random_agreement_small():
         assert (m1 is None) == (m2 is None)
         if m1 is not None:
             assert verified(g, m1) and verified(g, m2)
+
+
+def random_bounded_graph(n, max_deg, planted, rng):
+    """Connected graph on n (even) vertices with maximum degree <= max_deg.
+
+    When planted, the sides are the even and the odd vertices, 2i is matched
+    to 2i+1, and every other edge joins two vertices of one side, so that
+    matching is a perfect matching cut.  Labels are shuffled at the end so the
+    planted matching has no index pattern.
+    """
+    deg = [0] * n
+    edges = set()
+
+    def add(u, v):
+        if u != v and deg[u] < max_deg and deg[v] < max_deg and (min(u, v), max(u, v)) not in edges:
+            edges.add((min(u, v), max(u, v)))
+            deg[u] += 1
+            deg[v] += 1
+            return True
+        return False
+
+    if planted:
+        for i in range(0, n, 2):
+            add(i, i + 1)
+        for i in range(2, n, 2):  # tie each pair to an earlier one inside a side
+            side = rng.randrange(2)
+            while not add(i + side, rng.randrange(0, i, 2) + side):
+                side = rng.randrange(2)
+        for _ in range(rng.randint(n, 4 * n)):
+            u, v = rng.randrange(n), rng.randrange(n)
+            if u % 2 == v % 2:
+                add(u, v)
+    else:
+        for v in range(1, n):
+            while not add(v, rng.randrange(v)):
+                pass
+        for _ in range(rng.randint(n, 4 * n)):
+            add(rng.randrange(n), rng.randrange(n))
+    label = list(range(n))
+    rng.shuffle(label)
+    return Graph(n, [(label[u], label[v]) for u, v in sorted(edges)])
+
+
+def pmcs_bruteforce(g):
+    """Every perfect matching of g, matching the lowest free vertex first, that is a cutset."""
+    out = set()
+    matched = [False] * g.n
+    chosen = []
+
+    def extend(v):
+        while v < g.n and matched[v]:
+            v += 1
+        if v == g.n:
+            if cut_from_edge_set(g, chosen) is not None:
+                out.add(frozenset(chosen))
+            return
+        matched[v] = True
+        for e, w in zip(g.inc[v], g.adj[v]):
+            if not matched[w]:
+                matched[w] = True
+                chosen.append(e)
+                extend(v + 1)
+                chosen.pop()
+                matched[w] = False
+        matched[v] = False
+
+    extend(0)
+    return out
+
+
+def test_enumeration_agrees_with_bruteforce_beyond_degree_3():
+    rng = random.Random(2302)
+    witnessed_high_degree = 0
+    for k in range(600):
+        g = random_bounded_graph(rng.randrange(4, 13, 2), rng.choice([3, 4, 5]), k % 2 == 0, rng)
+        assert g.is_connected()
+        pmcs = enumerate_pmcs(g)
+        assert len(set(pmcs)) == len(pmcs)
+        assert set(pmcs) == pmcs_bruteforce(g)
+        if pmcs:
+            assert find_pmc(g) == pmcs[0]
+            witnessed_high_degree += max(map(len, g.adj)) > 3
+        else:
+            assert find_pmc(g) is None
+    assert witnessed_high_degree >= 100
+
+
+def test_canonical_search_pinned():
+    nodes, m = first_witness(reduce_formula(canonical_n3_formula()).graph)
+    assert nodes == 33
+    digest = hashlib.sha256(",".join(map(str, sorted(m))).encode()).hexdigest()
+    assert digest == CANONICAL_N3_WITNESS_SHA256
 
 
 def test_solver_witness_deterministic():
@@ -168,8 +280,9 @@ def test_anchor_sides_under_witness():
 def test_unsat_instance_refuted():
     ag = ag23_formula()
     assert solve_nae_bruteforce(ag) is None
-    art = reduce_formula(ag)
-    assert find_pmc(art.graph) is None  # complete refutation, no budget excuse
+    nodes, m = first_witness(reduce_formula(ag).graph)
+    assert m is None  # complete refutation, no budget excuse
+    assert nodes == 1292
 
 
 # --- lemma oracles -------------------------------------------------------------
