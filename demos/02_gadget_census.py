@@ -9,7 +9,7 @@ from pmcut import (
     build_clause_gadget,
     build_crossing_gadget,
     build_variable_gadget,
-    clause_type_sets,
+    clause_type,
     crossing_type_sets,
     enumerate_local_pmcs,
     side_relations,
@@ -27,14 +27,9 @@ print("  all anchors same side:", len(set(table.sides.values())) == 1)
 clause = build_clause_gadget()
 print(f"\nclause gadget: {clause.graph.n} vertices, {len(clause.ports)} anchors")
 census = enumerate_local_pmcs(clause)
-ts = clause_type_sets(clause)
-uv = set(clause.marks["U"]) | set(clause.marks["V"])
-uv_edges = {e for e, (a, b) in enumerate(clause.graph.edges) if a in uv and b in uv}
 print("  admissible restrictions:", len(census))
 for c in census:
-    trace = frozenset(c) & frozenset(uv_edges)
-    t = next(i + 1 for i in range(3) if trace == ts.l_sets[i] | ts.r_sets[i])
-    print(f"  restriction of type {t}: {len(c)} edges, D-block reds inside:",
+    print(f"  restriction of type {clause_type(clause, c)}: {len(c)} edges, D-block reds inside:",
           clause.red_edges <= c)
 
 cross = build_crossing_gadget()

@@ -21,6 +21,7 @@ from .gadgets import (
     build_clause_gadget,
     build_crossing_gadget,
     build_variable_gadget,
+    clause_type,
     clause_type_sets,
     crossing_type_sets,
     enumerate_local_pmcs,

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (for solve commands: answer found / verification
 passed), 1 negative answer or failed verification, 2 node budget exhausted,
-64 usage error, 65 bad input data, 74 I/O error.
+64 usage error, 65 bad input data, 70 internal error (a size guard or a
+bug; one line on stderr, no traceback), 74 I/O error.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .reduction import reduce_formula, serialize_provenance
 
 EX_USAGE = 64
 EX_DATAERR = 65
+EX_SOFTWARE = 70
 EX_IOERR = 74
 
 
@@ -62,6 +64,14 @@ def _load_graph(path: str):
         sys.exit(EX_DATAERR)
 
 
+def _reduce(f: fm.NaeFormula):
+    try:
+        return reduce_formula(f)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(EX_DATAERR)
+
+
 def cmd_validate_formula(args) -> int:
     f = _load_formula(args.formula)
     print(f"valid nae3sat-e4 instance: n={f.n} m={f.m}")
@@ -79,12 +89,7 @@ def cmd_solve_nae(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    f = _load_formula(args.formula)
-    try:
-        art = reduce_formula(f)
-    except (fm.FormulaError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EX_DATAERR
+    art = _reduce(_load_formula(args.formula))
     stem = Path(args.formula).stem
     out = Path(args.out)
     _write(out / f"{stem}.graph", gr.serialize_graph(art.graph, art.embedding))
@@ -146,16 +151,10 @@ def cmd_verify_gadgets(args) -> int:
         good = len(census) == expected
         extra = ""
         if kind == "clause":
-            ts = gd.clause_type_sets(gadget)
-            uv = set(gadget.marks["U"]) | set(gadget.marks["V"])
-            uv_edges = frozenset(
-                e for e, (a, b) in enumerate(gadget.graph.edges) if a in uv and b in uv
-            )
-            want = {ts.l_sets[i] | ts.r_sets[i] for i in range(3)}
-            got = {frozenset(c) & uv_edges for c in census}
-            if want != got:
+            types = [gd.clause_type(gadget, c) for c in census]
+            if set(types) != {1, 2, 3}:
                 good = False
-                extra = f" type-trace diff: missing={len(want - got)} surplus={len(got - want)}"
+                extra = f" type trace {types}"
         if kind == "crossing":
             p1, p2 = gd.crossing_type_sets(gadget)
             members = {frozenset(c) for c in census}
@@ -171,7 +170,7 @@ def cmd_verify_gadgets(args) -> int:
 def cmd_roundtrip(args) -> int:
     f = _load_formula(args.formula)
     a = fm.solve_nae_bruteforce(f)
-    art = reduce_formula(f)
+    art = _reduce(f)
     try:
         m = sv.find_pmc(art.graph, budget=args.budget)
     except sv.BudgetExhausted:
@@ -195,8 +194,7 @@ def cmd_roundtrip(args) -> int:
 
 
 def cmd_render(args) -> int:
-    f = _load_formula(args.formula)
-    art = reduce_formula(f)
+    art = _reduce(_load_formula(args.formula))
     stem = Path(args.formula).stem
     out = Path(args.out)
     if args.format == "svg":
@@ -211,11 +209,6 @@ def cmd_render(args) -> int:
 def main(argv=None) -> int:
     parser = _Parser(prog="pmcut", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--seed", type=int, default=None,
-                        help="seed reserved for harnesses generating random instances")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker cap for module-level parallelism (modules are "
-                             "sequential and deterministic; accepted for interface stability)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate-formula", help="parse and validate a formula file")
@@ -258,7 +251,11 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_render)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except Exception as exc:  # the exit-code contract: a crash must not read as "no"
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EX_SOFTWARE
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -49,12 +49,6 @@ class NaeFormula:
             counts.update(c)
         return counts
 
-    def is_e4(self) -> bool:
-        if self.n % 3 or self.m * 3 != self.n * 4:
-            return False
-        counts = self.occurrence_counts()
-        return all(counts[i] == 4 for i in range(1, self.n + 1))
-
     def validate_e4(self) -> None:
         if self.n % 3:
             raise FormulaError(f"n={self.n} is not a multiple of 3")
@@ -212,8 +206,11 @@ def _renumber(n: int, clauses: list[tuple[int, int, int]]) -> NaeFormula:
     return NaeFormula(len(used), tuple(tuple(remap[x] for x in c) for c in clauses))
 
 
-def _connected_components(g: Graph) -> list[list[int]]:
+def _connected_components(g: Graph, skip: int = -1) -> list[list[int]]:
+    """Sorted vertex lists of the components of g minus vertex ``skip``."""
     comp_of = [-1] * g.n
+    if skip >= 0:
+        comp_of[skip] = -2
     comps: list[list[int]] = []
     for s in range(g.n):
         if comp_of[s] != -1:
@@ -257,26 +254,7 @@ def split_variable_cutvertices(f: NaeFormula) -> list[NaeFormula]:
     cuts = variable_cutvertices(f)
     if not cuts:
         return [f]
-    v = cuts[0]
-    g = incidence_graph(f)
-    banned = v - 1
-    comp_of = [-1] * g.n
-    comps: list[list[int]] = []
-    for s in range(g.n):
-        if s == banned or comp_of[s] != -1:
-            continue
-        comp = []
-        stack = [s]
-        comp_of[s] = len(comps)
-        while stack:
-            a = stack.pop()
-            comp.append(a)
-            for b in g.adj[a]:
-                if b != banned and comp_of[b] == -1:
-                    comp_of[b] = len(comps)
-                    stack.append(b)
-        comps.append(sorted(comp))
-    comps.sort()
+    comps = sorted(_connected_components(g0, cuts[0] - 1))
     x_nodes = set(comps[0])
     part1 = [c for j, c in enumerate(f.clauses) if f.n + j in x_nodes]
     part2 = [c for j, c in enumerate(f.clauses) if f.n + j not in x_nodes]

@@ -17,7 +17,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .graphs import STUB, EdgeSet, Graph, PlaneEmbedding, is_bipartite
+from .graphs import (STUB, EdgeSet, Graph, PlaneEmbedding, cut_from_edge_set, face_darts,
+                     is_bipartite, is_perfect_matching)
 
 CENSUS_NODE_CAP = 10 ** 6
 MAX_CENSUS_VERTICES = 120
@@ -175,8 +176,8 @@ def _outer_face_port_order(
     emb = PlaneEmbedding(tuple(tuple(e for e in rot if e != STUB) for rot in rotations))
     port_set = set(ports)
     hits = []
-    for walk in _face_vertex_walks(g, emb):
-        seen = [v for v in walk if v in port_set]
+    for walk in face_darts(g, emb):
+        seen = [v for v, _ in walk if v in port_set]
         if set(seen) == port_set:
             ordered = list(dict.fromkeys(seen))
             if len(ordered) == len(ports):
@@ -184,26 +185,6 @@ def _outer_face_port_order(
     if len(hits) != 1:
         raise FigureError(f"expected a unique outer face with all ports, got {len(hits)}")
     return hits[0]
-
-
-def _face_vertex_walks(g: Graph, emb: PlaneEmbedding) -> list[list[int]]:
-    pos = [{e: k for k, e in enumerate(rot)} for rot in emb.rotations]
-    seen: set[tuple[int, int]] = set()
-    walks = []
-    for v0 in range(g.n):
-        for e0 in emb.rotations[v0]:
-            if (v0, e0) in seen:
-                continue
-            walk = []
-            v, e = v0, e0
-            while (v, e) not in seen:
-                seen.add((v, e))
-                walk.append(v)
-                w = g.other_end(e, v)
-                rot = emb.rotations[w]
-                v, e = w, rot[(pos[w][e] + 1) % len(rot)]
-            walks.append(walk)
-    return walks
 
 
 def _check_gadget(gadget: Gadget) -> None:
@@ -215,8 +196,7 @@ def _check_gadget(gadget: Gadget) -> None:
             raise FigureError(f"{gadget.kind}: vertex {v} has degree {g.degree(v)}, wanted {want}")
     if is_bipartite(g) is None:
         raise FigureError(f"{gadget.kind}: fragment is not bipartite")
-    emb = gadget.local_embedding()
-    faces = len(_face_vertex_walks(g, emb))
+    faces = len(face_darts(g, gadget.local_embedding()))
     if g.n - g.m + faces != 2:
         raise FigureError(f"{gadget.kind}: local embedding fails the Euler check")
 
@@ -260,13 +240,10 @@ _VAR_RED_CHAINS = [
 ]
 
 
-def build_variable_gadget(index: Optional[int] = None,
-                          occurrences: Optional[tuple[int, int, int, int]] = None) -> Gadget:
+def build_variable_gadget() -> Gadget:
     """36 vertices: rings S1..S5 plus four anchor pairs; the red set is forced.
 
-    Anchor slots 1..4 hold the four occurrences in ascending clause order;
-    passing the variable index and its clauses also registers the anchors
-    under names like ``t_{i,j}``.
+    Anchor slots 1..4 hold the four occurrences in ascending clause order.
     """
     b = _FigureBuilder("variable")
     for k, ring in enumerate(_S_RINGS, 1):
@@ -283,12 +260,6 @@ def build_variable_gadget(index: Optional[int] = None,
         b.path(chain, red=True)
     for name, _ in _VAR_ANCHORS:
         b.stub(name, (0, -1))
-    if occurrences is not None:
-        if len(occurrences) != 4 or sorted(set(occurrences)) != list(occurrences):
-            raise ValueError("occurrences must be four distinct ascending clause indices")
-        for slot, j in enumerate(occurrences, 1):
-            for kind in "tb":
-                b.names[f"{kind}_{index},{j}"] = b.names[f"{kind}{slot}"]
     return b.build()
 
 
@@ -324,13 +295,10 @@ def _square(center: Coord) -> dict[str, Coord]:
     return {"b": (x, y - 0.5), "r": (x + 0.5, y), "t": (x, y + 0.5), "l": (x - 0.5, y)}
 
 
-def build_clause_gadget(index: Optional[int] = None,
-                        variables: Optional[tuple[int, int, int]] = None) -> Gadget:
+def build_clause_gadget() -> Gadget:
     """112 vertices; the three admissible restrictions encode the clause types.
 
-    Anchor slots a < b < c follow the drawing (u1 is t'b); passing the clause
-    index and its variables also registers anchors under names like
-    ``t'_{i,j}``.
+    Anchor slots a < b < c follow the drawing (u1 is t'b).
     """
     b = _FigureBuilder("clause")
     for k, xy in enumerate(_U_COORDS, 1):
@@ -421,12 +389,6 @@ def build_clause_gadget(index: Optional[int] = None,
     b.stub("b'c", (0, -1))
     b.stub("b'a", (0, 1))
     b.stub("t'a", (0, 1))
-    if variables is not None:
-        if len(variables) != 3 or sorted(set(variables)) != list(variables):
-            raise ValueError("variables must be three distinct ascending indices")
-        for slot, i in zip("abc", variables):
-            b.names[f"t'_{i},{index}"] = b.names[f"t'{slot}"]
-            b.names[f"b'_{i},{index}"] = b.names[f"b'{slot}"]
     return b.build()
 
 
@@ -519,6 +481,18 @@ def clause_type_sets(gadget: Gadget) -> ClauseTypeSets:
     return ClauseTypeSets(tuple(ls), tuple(rs))
 
 
+def clause_type(gadget: Gadget, restriction: EdgeSet) -> Optional[int]:
+    """Type 1..3 whose L/R sets equal the restriction's trace on the U/V edges, else None."""
+    ts = clause_type_sets(gadget)
+    uv = set(gadget.marks["U"]) | set(gadget.marks["V"])
+    edges = gadget.graph.edges
+    trace = frozenset(e for e in restriction if edges[e][0] in uv and edges[e][1] in uv)
+    for i in range(3):
+        if trace == ts.l_sets[i] | ts.r_sets[i]:
+            return i + 1
+    return None
+
+
 # --- census and side relations ----------------------------------------------------
 
 def enumerate_local_pmcs(gadget: Gadget) -> list[EdgeSet]:
@@ -541,35 +515,16 @@ class SideTable:
 
     sides: dict
 
-    def same_side(self, p: str, q: str) -> bool:
-        return self.sides[p] == self.sides[q]
-
 
 def restriction_sides(gadget: Gadget, restriction: EdgeSet) -> tuple[int, ...]:
     """Side bit of every fragment vertex under an admissible restriction."""
     g = gadget.graph
-    in_m = set(restriction)
-    hits = [0] * g.n
-    for e in in_m:
-        u, v = g.edges[e]
-        hits[u] += 1
-        hits[v] += 1
-    if any(h != 1 for h in hits):
+    if not is_perfect_matching(g, restriction):
         raise ValueError("restriction is not a perfect matching of the fragment")
-    side = [-1] * g.n
-    side[0] = 0
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for e in g.inc[v]:
-            w = g.other_end(e, v)
-            s = side[v] ^ (1 if e in in_m else 0)
-            if side[w] == -1:
-                side[w] = s
-                stack.append(w)
-            elif side[w] != s:
-                raise ValueError("restriction is not parity-consistent")
-    return tuple(side)
+    cut = cut_from_edge_set(g, restriction)
+    if cut is None:
+        raise ValueError("restriction is not parity-consistent")
+    return cut.sides
 
 
 def side_relations(gadget: Gadget, restriction: EdgeSet) -> SideTable:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 EdgeSet = frozenset  # of edge indices
 
@@ -20,7 +20,6 @@ STUB = -1
 # 3-connectivity ceiling covers the largest instances the acceptance set can
 # produce (a random 9-variable reduction can pass 11k vertices).
 MAX_3CONN_VERTICES = 20000
-_PAIR_REMOVAL_LIMIT = 64
 
 
 class Graph:
@@ -160,40 +159,45 @@ def is_bipartite(g: Graph) -> Optional[Cut]:
     return Cut(tuple(sides))
 
 
-def faces_from_embedding(g: Graph, emb: PlaneEmbedding) -> list[list[int]]:
-    """Face walks of the rotation system, each as a list of edge indices.
+def face_darts(g: Graph, emb: PlaneEmbedding) -> list[list[tuple[int, int]]]:
+    """Face walks of the rotation system, each as a list of darts (vertex, edge).
 
-    Every directed edge is used by exactly one walk, so the walk lengths sum
-    to 2*E.
+    A dart is an edge leaving a vertex; every dart is used by exactly one
+    walk, so the walk lengths sum to 2*E.
     """
     emb.check(g)
     pos: list[dict[int, int]] = [
         {e: k for k, e in enumerate(rot)} for rot in emb.rotations
     ]
-    seen: set[tuple[int, int]] = set()  # darts as (vertex, outgoing edge)
-    faces: list[list[int]] = []
+    seen: set[tuple[int, int]] = set()
+    faces: list[list[tuple[int, int]]] = []
     for v0 in range(g.n):
         for e0 in emb.rotations[v0]:
             if (v0, e0) in seen:
                 continue
-            walk: list[int] = []
-            v, e = v0, e0
-            while (v, e) not in seen:
-                seen.add((v, e))
-                walk.append(e)
+            walk: list[tuple[int, int]] = []
+            dart = (v0, e0)
+            while dart not in seen:
+                seen.add(dart)
+                walk.append(dart)
+                v, e = dart
                 w = g.other_end(e, v)
                 rot = emb.rotations[w]
-                k = pos[w][e]
-                v, e = w, rot[(k + 1) % len(rot)]
+                dart = (w, rot[(pos[w][e] + 1) % len(rot)])
             faces.append(walk)
     return faces
+
+
+def faces_from_embedding(g: Graph, emb: PlaneEmbedding) -> list[list[int]]:
+    """Face walks of the rotation system, each as a list of edge indices."""
+    return [[e for _, e in walk] for walk in face_darts(g, emb)]
 
 
 def is_planar_embedding(g: Graph, emb: PlaneEmbedding) -> bool:
     """Euler check V - E + F = 2. Requires a connected graph."""
     if not g.is_connected():
         raise ValueError("is_planar_embedding requires a connected graph")
-    f = len(faces_from_embedding(g, emb))
+    f = len(face_darts(g, emb))
     return g.n - g.m + f == 2
 
 
@@ -249,19 +253,14 @@ def is_cutset_via_cycle_basis(g: Graph, emb: PlaneEmbedding, m: Iterable[int]) -
     return True
 
 
-def same_side(g: Graph, cut: Cut, u: int, v: int) -> bool:
-    return cut.same_side(u, v)
-
-
 # --- 3-connectivity -----------------------------------------------------------
 
 def is_3_connected(g: Graph) -> bool:
     """True iff V >= 4 and no pair of vertices disconnects g.
 
-    Small graphs are checked by exhaustive pair removal.  Larger cubic graphs
-    use the fact that vertex and edge connectivity coincide in cubic graphs,
-    with 3-edge-connectivity decided by the bridge/2-cut label trick.  Larger
-    non-cubic graphs fall back to three rounds of unit-capacity max-flow.
+    Cubic graphs use the fact that vertex and edge connectivity coincide in
+    cubic graphs, with 3-edge-connectivity decided by the bridge/2-cut label
+    trick.  Other graphs fall back to three rounds of unit-capacity max-flow.
     """
     if g.n > MAX_3CONN_VERTICES:
         raise ValueError(f"is_3_connected guard: {g.n} > {MAX_3CONN_VERTICES} vertices")
@@ -271,38 +270,9 @@ def is_3_connected(g: Graph) -> bool:
         return False
     if min(len(a) for a in g.adj) < 3:
         return False
-    if g.n <= _PAIR_REMOVAL_LIMIT:
-        return _three_connected_by_pair_removal(g)
     if is_cubic(g):
         return _is_3_edge_connected(g)
     return _three_connected_by_flow(g)
-
-
-def _connected_without(g: Graph, banned: tuple[int, ...]) -> bool:
-    skip = set(banned)
-    start = next((v for v in range(g.n) if v not in skip), None)
-    if start is None:
-        return True
-    seen = [False] * g.n
-    seen[start] = True
-    stack = [start]
-    count = 1
-    while stack:
-        v = stack.pop()
-        for w in g.adj[v]:
-            if not seen[w] and w not in skip:
-                seen[w] = True
-                count += 1
-                stack.append(w)
-    return count == g.n - len(skip)
-
-
-def _three_connected_by_pair_removal(g: Graph) -> bool:
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if not _connected_without(g, (u, v)):
-                return False
-    return True
 
 
 def _is_3_edge_connected(g: Graph) -> bool:

@@ -26,7 +26,7 @@ from .gadgets import (
     build_clause_gadget,
     build_crossing_gadget,
     build_variable_gadget,
-    clause_type_sets,
+    clause_type,
     crossing_type_sets,
     enumerate_local_pmcs,
 )
@@ -106,7 +106,6 @@ class ReductionArtifact:
     s2: dict
     variable_red: dict
     clause_restrictions: dict
-    clause_names: dict
     crossings: tuple[CrossingRecord, ...]
     wire_routes: dict
     drawing: Drawing
@@ -117,22 +116,43 @@ def _templates() -> tuple[Gadget, Gadget, Gadget]:
     return build_variable_gadget(), build_clause_gadget(), build_crossing_gadget()
 
 
+def _placements(n: int, m: int, q: int) -> dict[tuple[str, int], tuple[Gadget, int]]:
+    """(kind, 1-based index) -> (template, base vertex id) for every gadget.
+
+    Vertex ids run through the variable gadgets, then the clause gadgets,
+    then the crossing gadgets, each in index order.
+    """
+    placed = {}
+    base = 0
+    for template, count in zip(_templates(), (n, m, q)):
+        for k in range(1, count + 1):
+            placed[(template.kind, k)] = (template, base)
+            base += template.graph.n
+    return placed
+
+
+@lru_cache(maxsize=1)
+def _local_names() -> dict[str, tuple[str, ...]]:
+    return {t.kind: tuple(t.vertex_name(lv) for lv in range(t.graph.n)) for t in _templates()}
+
+
+def _vertex_info(placed: dict) -> list[tuple[str, int, str]]:
+    names = _local_names()
+    return [(kind, k, name) for kind, k in placed for name in names[kind]]
+
+
+def _gadget_edges(placed: dict) -> list[tuple[int, int]]:
+    return [(base + u, base + v) for t, base in placed.values() for u, v in t.graph.edges]
+
+
 @lru_cache(maxsize=1)
 def _clause_local_types() -> tuple[frozenset, frozenset, frozenset]:
     """The clause census in type order (local edge ids of the template)."""
     cg = _templates()[1]
-    ts = clause_type_sets(cg)
-    uv = set(cg.marks["U"]) | set(cg.marks["V"])
-    uv_edges = {e for e, (a, b) in enumerate(cg.graph.edges) if a in uv and b in uv}
-    by_type: dict[int, frozenset] = {}
-    for c in enumerate_local_pmcs(cg):
-        trace = frozenset(c) & frozenset(uv_edges)
-        for i in range(3):
-            if trace == ts.l_sets[i] | ts.r_sets[i]:
-                by_type[i] = c
-    if sorted(by_type) != [0, 1, 2]:
+    by_type = {clause_type(cg, c): c for c in enumerate_local_pmcs(cg)}
+    if set(by_type) != {1, 2, 3}:
         raise ReductionError("clause census does not split into the three types")
-    return by_type[0], by_type[1], by_type[2]
+    return by_type[1], by_type[2], by_type[3]
 
 
 def _validate(f: NaeFormula) -> None:
@@ -169,35 +189,20 @@ def build_h(f: NaeFormula) -> HBuild:
     vg, cg, _ = _templates()
     n, m = f.n, f.m
     slots = _occurrence_slots(f)
-    vertex_info: list[tuple[str, int, str]] = []
-    for i in range(1, n + 1):
-        vertex_info += [("variable", i, vg.vertex_name(lv)) for lv in range(VARIABLE_SIZE)]
-    for j in range(1, m + 1):
-        vertex_info += [("clause", j, cg.vertex_name(lv)) for lv in range(CLAUSE_SIZE)]
+    placed = _placements(n, m, 0)
+    vertex_info = _vertex_info(placed)
 
     anchors = {}
-    for i in range(1, n + 1):
-        base = (i - 1) * VARIABLE_SIZE
-        for (vv, jj), (r, _) in slots.items():
-            if vv != i:
-                continue
-            anchors[("t", i, jj)] = base + vg.names[f"t{r}"]
-            anchors[("b", i, jj)] = base + vg.names[f"b{r}"]
-    for j in range(1, m + 1):
-        base = n * VARIABLE_SIZE + (j - 1) * CLAUSE_SIZE
-        for i in sorted(f.clauses[j - 1]):
-            _, s = slots[(i, j)]
-            tname, bname = _CLAUSE_PORT_BY_SLOT[s]
-            anchors[("t'", i, j)] = base + cg.names[tname]
-            anchors[("b'", i, j)] = base + cg.names[bname]
+    for (i, j), (r, s) in slots.items():
+        vbase = placed[("variable", i)][1]
+        anchors[("t", i, j)] = vbase + vg.names[f"t{r}"]
+        anchors[("b", i, j)] = vbase + vg.names[f"b{r}"]
+        cbase = placed[("clause", j)][1]
+        tname, bname = _CLAUSE_PORT_BY_SLOT[s]
+        anchors[("t'", i, j)] = cbase + cg.names[tname]
+        anchors[("b'", i, j)] = cbase + cg.names[bname]
 
-    pairs: list[tuple[int, int]] = []
-    for i in range(1, n + 1):
-        base = (i - 1) * VARIABLE_SIZE
-        pairs += [(base + u, base + v) for u, v in vg.graph.edges]
-    for j in range(1, m + 1):
-        base = n * VARIABLE_SIZE + (j - 1) * CLAUSE_SIZE
-        pairs += [(base + u, base + v) for u, v in cg.graph.edges]
+    pairs = _gadget_edges(placed)
     connectors = []
     for (i, j) in sorted(slots):
         for role in ("t", "b"):
@@ -268,11 +273,8 @@ def planarize(hb: HBuild, drawing: Drawing) -> ReductionArtifact:
     vg, cg, xg = _templates()
     n, m = f.n, f.m
     q = len(drawing.events)
-    cross_base0 = VARIABLE_SIZE * n + CLAUSE_SIZE * m
-
-    vertex_info = list(hb.vertex_info)
-    for k in range(q):
-        vertex_info += [("crossing", k + 1, xg.vertex_name(lv)) for lv in range(CROSSING_SIZE)]
+    placed = _placements(n, m, q)
+    vertex_info = _vertex_info(placed)
 
     # wire routes through the spliced gadgets
     events_of: dict[int, list[tuple[int, int]]] = {k: [] for k in range(len(drawing.bundles))}
@@ -284,14 +286,14 @@ def planarize(hb: HBuild, drawing: Drawing) -> ReductionArtifact:
         (1, "b"): ("u1'", "v1'"), (1, "t"): ("u2'", "v2'"),
     }
     wire_routes: dict[tuple[int, int, str], tuple[int, ...]] = {}
-    pairs: list[tuple[int, int]] = []
+    pairs = _gadget_edges(placed)
     connectors: list[tuple[int, int, int]] = []
     for b_idx, bundle in enumerate(drawing.bundles):
         i, j = bundle.var, bundle.clause
         for sub in ("b", "t"):
             route = [hb.anchors[(sub, i, j)]]
             for e_idx, role in events_of[b_idx]:
-                base = cross_base0 + e_idx * CROSSING_SIZE
+                base = placed[("crossing", e_idx + 1)][1]
                 pin, pout = port_of[(role, sub)]
                 route += [base + xg.names[pin], base + xg.names[pout]]
             route.append(hb.anchors[(sub + "'", i, j)])
@@ -300,16 +302,6 @@ def planarize(hb: HBuild, drawing: Drawing) -> ReductionArtifact:
                 u, v = route[k], route[k + 1]
                 pairs.append((min(u, v), max(u, v)))
                 connectors.append((min(u, v), max(u, v), i))
-
-    for i in range(1, n + 1):
-        base = (i - 1) * VARIABLE_SIZE
-        pairs += [(base + u, base + v) for u, v in vg.graph.edges]
-    for j in range(1, m + 1):
-        base = n * VARIABLE_SIZE + (j - 1) * CLAUSE_SIZE
-        pairs += [(base + u, base + v) for u, v in cg.graph.edges]
-    for k in range(q):
-        base = cross_base0 + k * CROSSING_SIZE
-        pairs += [(base + u, base + v) for u, v in xg.graph.edges]
 
     g = Graph(len(vertex_info), sorted(pairs))
     if not is_cubic(g):
@@ -324,8 +316,7 @@ def planarize(hb: HBuild, drawing: Drawing) -> ReductionArtifact:
         connector_at[v] = e
 
     rotations: list[tuple[int, ...]] = [()] * g.n
-
-    def place(template: Gadget, base: int) -> None:
+    for template, base in placed.values():
         tg = template.graph
         for lv in range(tg.n):
             gv = base + lv
@@ -337,13 +328,6 @@ def planarize(hb: HBuild, drawing: Drawing) -> ReductionArtifact:
                     lu, lw = tg.edges[le]
                     rot.append(g.edge_id(base + lu, base + lw))
             rotations[gv] = tuple(rot)
-
-    for i in range(1, n + 1):
-        place(vg, (i - 1) * VARIABLE_SIZE)
-    for j in range(1, m + 1):
-        place(cg, n * VARIABLE_SIZE + (j - 1) * CLAUSE_SIZE)
-    for k in range(q):
-        place(xg, cross_base0 + k * CROSSING_SIZE)
     embedding = PlaneEmbedding(tuple(rotations))
     if not is_planar_embedding(g, embedding):
         raise ReductionError("rotation system failed the Euler certification")
@@ -356,20 +340,18 @@ def planarize(hb: HBuild, drawing: Drawing) -> ReductionArtifact:
     s2 = {}
     variable_red = {}
     for i in range(1, n + 1):
-        base = (i - 1) * VARIABLE_SIZE
+        base = placed[("variable", i)][1]
         s2[i] = tuple(base + lv for lv in vg.marks["S2"])
         variable_red[i] = edges_to_global(vg, vg.red_edges, base)
     t1, t2, t3 = _clause_local_types()
     clause_restrictions = {}
-    clause_names = {}
     for j in range(1, m + 1):
-        base = n * VARIABLE_SIZE + (j - 1) * CLAUSE_SIZE
+        base = placed[("clause", j)][1]
         clause_restrictions[j] = tuple(edges_to_global(cg, t, base) for t in (t1, t2, t3))
-        clause_names[j] = {name: base + lv for name, lv in cg.names.items()}
     p1_local, p2_local = crossing_type_sets(xg)
     crossings = []
     for k, (lo, hi) in enumerate(drawing.events):
-        base = cross_base0 + k * CROSSING_SIZE
+        base = placed[("crossing", k + 1)][1]
         bl, bh = drawing.bundles[lo], drawing.bundles[hi]
         crossings.append(CrossingRecord(
             index=k + 1,
@@ -394,7 +376,6 @@ def planarize(hb: HBuild, drawing: Drawing) -> ReductionArtifact:
         s2=s2,
         variable_red=variable_red,
         clause_restrictions=clause_restrictions,
-        clause_names=clause_names,
         crossings=tuple(crossings),
         wire_routes=wire_routes,
         drawing=drawing,

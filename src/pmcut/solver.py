@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, TYPE_CHECKING
 
-from .graphs import Cut, EdgeSet, Graph, cut_from_edge_set, is_cubic, is_perfect_matching
+from .graphs import EdgeSet, Graph, cut_from_edge_set, is_perfect_matching
 
 if TYPE_CHECKING:  # pragma: no cover
     from .reduction import ReductionArtifact

@@ -15,7 +15,7 @@ from pmcut.gadgets import (
     build_clause_gadget,
     build_crossing_gadget,
     build_variable_gadget,
-    clause_type_sets,
+    clause_type,
     crossing_type_sets,
     enumerate_local_pmcs,
     restriction_sides,
@@ -148,13 +148,8 @@ def test_criterion_2_census_theorems(gadget_censuses):
     gadgets, censuses, elapsed = gadget_censuses
     ok = censuses["variable"] == [gadgets["variable"].red_edges]
     clause = gadgets["clause"]
-    ts = clause_type_sets(clause)
-    uv = set(clause.marks["U"]) | set(clause.marks["V"])
-    uv_edges = frozenset(e for e, (a, b) in enumerate(clause.graph.edges)
-                         if a in uv and b in uv)
     ok &= len(censuses["clause"]) == 3
-    ok &= ({frozenset(c) & uv_edges for c in censuses["clause"]}
-           == {ts.l_sets[i] | ts.r_sets[i] for i in range(3)})
+    ok &= {clause_type(clause, c) for c in censuses["clause"]} == {1, 2, 3}
     p1, p2 = crossing_type_sets(gadgets["crossing"])
     ok &= p1 in censuses["crossing"] and p2 in censuses["crossing"]
     ok &= elapsed < 60.0  # clause census bound
@@ -168,14 +163,9 @@ def test_criterion_3_side_relations(gadget_censuses):
     ok = len({table.sides[f"{k}{s}"] for k in "tb" for s in "1234"}) == 1
 
     clause = gadgets["clause"]
-    ts = clause_type_sets(clause)
-    uv = set(clause.marks["U"]) | set(clause.marks["V"])
-    uv_edges = frozenset(e for e, (a, b) in enumerate(clause.graph.edges)
-                         if a in uv and b in uv)
     separated = {}
     for c in censuses["clause"]:
-        trace = frozenset(c) & uv_edges
-        t = next(i + 1 for i in range(3) if trace == ts.l_sets[i] | ts.r_sets[i])
+        t = clause_type(clause, c)
         side = restriction_sides(clause, c)
         u1, u8, u14 = (side[clause.names[x]] for x in ("u1", "u8", "u14"))
         lone = [x for x, s in (("u1", u1), ("u8", u8), ("u14", u14))

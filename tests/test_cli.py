@@ -1,3 +1,4 @@
+import random
 import re
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -5,7 +6,13 @@ from pathlib import Path
 import pytest
 
 from pmcut.cli import main
-from pmcut.formula import ag23_formula, canonical_n3_formula, serialize_formula
+from pmcut.formula import (
+    NaeFormula,
+    ag23_formula,
+    canonical_n3_formula,
+    random_e4_formula,
+    serialize_formula,
+)
 
 
 @pytest.fixture()
@@ -95,6 +102,36 @@ def test_solve_pmc_malformed_graph_is_data_error(tmp_path, capsys, text):
         main(["solve-pmc", str(p)])
     assert exc.value.code == 65
     assert capsys.readouterr().err.startswith("error: ")
+
+
+# A valid E4 formula whose incidence graph is disconnected, which the
+# reduction rejects, and one too large for the brute-force guard.
+_REJECTED = NaeFormula(6, ((1, 2, 3),) * 4 + ((4, 5, 6),) * 4)
+_TOO_LARGE = random_e4_formula(27, random.Random(1), require_reducible=False)
+
+
+@pytest.mark.parametrize("command,formula,code", [
+    ("reduce", _REJECTED, 65),
+    ("roundtrip", _REJECTED, 65),
+    ("render", _REJECTED, 65),
+    ("solve-nae", _TOO_LARGE, 70),
+    ("roundtrip", _TOO_LARGE, 70),
+], ids=["reduce-rejected", "roundtrip-rejected", "render-rejected",
+        "solve-nae-too-large", "roundtrip-too-large"])
+def test_exit_contract_without_traceback(tmp_path, capsys, command, formula, code):
+    p = tmp_path / "f.nae"
+    p.write_text(serialize_formula(formula))
+    argv = [command, str(p)]
+    if command in ("reduce", "render"):
+        argv += ["--out", str(tmp_path / "out")]
+    try:
+        got = main(argv)
+    except SystemExit as exc:
+        got = exc.code
+    assert got == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_verify_gadgets(capsys):

@@ -27,7 +27,7 @@ N3_TEXT = "nae3sat-e4 3 4\n1 2 3\n1 2 3\n1 2 3\n1 2 3\n"
 def test_parse_smallest_legal_instance():
     f = parse_formula(N3_TEXT)
     assert f == NaeFormula(3, ((1, 2, 3),) * 4)
-    assert f.is_e4()
+    f.validate_e4()
 
 
 def test_parse_rejects_repeated_literal():
@@ -154,7 +154,7 @@ def test_canonical_is_the_only_n3_instance():
     triples = [(x, y, z) for x in range(1, 4) for y in range(1, 4) for z in range(1, 4)
                if len({x, y, z}) == 3]
     assert {tuple(sorted(t)) for t in triples} == {(1, 2, 3)}
-    assert canonical_n3_formula().is_e4()
+    canonical_n3_formula().validate_e4()
 
 
 def test_incidence_graph_shape():

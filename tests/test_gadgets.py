@@ -3,29 +3,14 @@ from collections import Counter
 import pytest
 
 from pmcut.gadgets import (
+    clause_type,
     clause_type_sets,
     crossing_type_sets,
     enumerate_local_pmcs,
     restriction_sides,
     side_relations,
 )
-from pmcut.gadgets import _face_vertex_walks
-from pmcut.graphs import is_bipartite
-
-
-def uv_edge_set(clause_gadget):
-    uv = set(clause_gadget.marks["U"]) | set(clause_gadget.marks["V"])
-    return frozenset(e for e, (a, b) in enumerate(clause_gadget.graph.edges)
-                     if a in uv and b in uv)
-
-
-def census_type(clause_gadget, restriction):
-    ts = clause_type_sets(clause_gadget)
-    trace = frozenset(restriction) & uv_edge_set(clause_gadget)
-    for i in range(3):
-        if trace == ts.l_sets[i] | ts.r_sets[i]:
-            return i + 1
-    return None
+from pmcut.graphs import face_darts, is_bipartite, is_perfect_matching
 
 
 # --- shape ---------------------------------------------------------------------
@@ -58,7 +43,7 @@ def test_gadgets_bipartite(variable_gadget, clause_gadget, crossing_gadget):
 def test_local_embeddings_and_exposed_paths(variable_gadget, clause_gadget, crossing_gadget):
     for gadget in (variable_gadget, clause_gadget, crossing_gadget):
         g = gadget.graph
-        walks = _face_vertex_walks(g, gadget.local_embedding())
+        walks = [[v for v, _ in walk] for walk in face_darts(g, gadget.local_embedding())]
         assert sum(len(w) for w in walks) == 2 * g.m
         assert g.n - g.m + len(walks) == 2
         ports = set(gadget.ports)
@@ -118,7 +103,7 @@ def test_clause_type_sets(clause_gadget):
 def test_clause_census_three_types(clause_gadget):
     census = enumerate_local_pmcs(clause_gadget)
     assert len(census) == 3
-    types = {census_type(clause_gadget, c) for c in census}
+    types = {clause_type(clause_gadget, c) for c in census}
     assert types == {1, 2, 3}
     for c in census:
         assert clause_gadget.red_edges <= c  # D block red edges always selected
@@ -130,7 +115,7 @@ def test_type1_square_orientations_match_drawing(clause_gadget):
     mirrored on the primed side."""
     g = clause_gadget.graph
     census = enumerate_local_pmcs(clause_gadget)
-    type1 = next(c for c in census if census_type(clause_gadget, c) == 1)
+    type1 = next(c for c in census if clause_type(clause_gadget, c) == 1)
     drawn = {"F1": ("rt", "lb"), "F2": ("br", "tl"), "F3": ("br", "tl"),
              "F4": ("rt", "lb"), "F5": ("br", "tl"), "F6": ("rt", "lb")}
     for sq, pairs in drawn.items():
@@ -235,7 +220,7 @@ def test_clause_side_relations(clause_gadget):
     census = enumerate_local_pmcs(clause_gadget)
     seen = {}
     for c in census:
-        t = census_type(clause_gadget, c)
+        t = clause_type(clause_gadget, c)
         side = restriction_sides(clause_gadget, c)
         u1, u8, u14 = (side[clause_gadget.names[n]] for n in ("u1", "u8", "u14"))
         # exactly one of the three is separated, depending on the type
@@ -249,19 +234,16 @@ def test_clause_side_relations(clause_gadget):
     assert seen[3][1] != seen[3][0] and seen[3][0] == seen[3][2]
 
 
-def test_side_relations_rejects_bad_restriction(variable_gadget):
+def test_side_relations_rejects_bad_restriction(variable_gadget, crossing_gadget):
     with pytest.raises(ValueError, match="matching"):
         side_relations(variable_gadget, frozenset())
-
-
-def test_bound_builders_register_instance_names():
-    from pmcut.gadgets import build_clause_gadget, build_variable_gadget
-
-    vg = build_variable_gadget(2, (1, 3, 5, 8))
-    assert vg.names["t_2,3"] == vg.names["t2"]
-    assert vg.names["b_2,8"] == vg.names["b4"]
-    cg = build_clause_gadget(4, (2, 5, 7))
-    assert cg.names["t'_5,4"] == cg.names["t'b"] == cg.names["u1"]
-    assert cg.names["b'_2,4"] == cg.names["b'a"]
-    with pytest.raises(ValueError, match="ascending"):
-        build_variable_gadget(1, (4, 3, 2, 1))
+    # flipping one diamond of P1 to its other opposite pair keeps a perfect
+    # matching but puts an odd number of its edges on the central face
+    g = crossing_gadget.graph
+    bl = set(crossing_gadget.marks["BL"])
+    ring = frozenset(e for e, (a, b) in enumerate(g.edges) if a in bl and b in bl)
+    p1, _ = crossing_type_sets(crossing_gadget)
+    flipped = p1 ^ ring
+    assert len(ring) == 4 and is_perfect_matching(g, flipped)
+    with pytest.raises(ValueError, match="parity"):
+        side_relations(crossing_gadget, flipped)

@@ -25,7 +25,6 @@ from pmcut.graphs import (
     parse_graph,
     parse_matching,
     random_cubic_graph,
-    same_side,
     serialize_cut,
     serialize_graph,
     serialize_matching,
@@ -245,8 +244,8 @@ def test_cycle_basis_agrees_with_parity_bfs():
 def test_same_side():
     c4 = cycle_graph(4)
     cut = cut_from_edge_set(c4, [0, 2])
-    assert same_side(c4, cut, 1, 1)
-    assert not same_side(c4, cut, 0, 1)
+    assert cut.same_side(1, 1)
+    assert not cut.same_side(0, 1)
 
 
 @given(st.data())

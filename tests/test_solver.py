@@ -20,7 +20,6 @@ from pmcut.graphs import (
     cycle_graph,
     is_perfect_matching,
     random_cubic_graph,
-    same_side,
 )
 from pmcut.reduction import reduce_formula
 from pmcut.solver import (
@@ -274,7 +273,7 @@ def test_anchor_sides_under_witness():
     for i in range(1, 4):
         anchors = [art.anchors[(role, i, j)]
                    for role in ("t", "b", "t'", "b'") for j in f.occurrences(i)]
-        assert all(same_side(art.graph, cut, anchors[0], v) for v in anchors)
+        assert all(cut.same_side(anchors[0], v) for v in anchors)
 
 
 def test_unsat_instance_refuted():
