@@ -16,9 +16,8 @@ EdgeSet = frozenset  # of edge indices
 #: exist yet.  Never appears in a finished PlaneEmbedding.
 STUB = -1
 
-# Guards keeping accidental huge inputs out of the exact algorithms.  The
-# 3-connectivity ceiling covers the largest instances the acceptance set can
-# produce (a random 9-variable reduction can pass 11k vertices).
+# Guard keeping huge inputs off the max-flow path of is_3_connected, which
+# is superlinear; cubic graphs take the linear label path at any size.
 MAX_3CONN_VERTICES = 20000
 
 
@@ -260,17 +259,16 @@ def is_3_connected(g: Graph) -> bool:
 
     Cubic graphs use the fact that vertex and edge connectivity coincide in
     cubic graphs, with 3-edge-connectivity decided by the bridge/2-cut label
-    trick.  Other graphs fall back to three rounds of unit-capacity max-flow.
+    trick, which is linear.  Other graphs fall back to three rounds of
+    unit-capacity max-flow, refused above MAX_3CONN_VERTICES vertices.
     """
-    if g.n > MAX_3CONN_VERTICES:
-        raise ValueError(f"is_3_connected guard: {g.n} > {MAX_3CONN_VERTICES} vertices")
-    if g.n < 4:
+    cubic = is_cubic(g)
+    if g.n > MAX_3CONN_VERTICES and not cubic:
+        raise ValueError(f"is_3_connected guard: {g.n} > {MAX_3CONN_VERTICES} vertices "
+                         "on the max-flow path (non-cubic graph)")
+    if g.n < 4 or not g.is_connected() or min(len(a) for a in g.adj) < 3:
         return False
-    if not g.is_connected():
-        return False
-    if min(len(a) for a in g.adj) < 3:
-        return False
-    if is_cubic(g):
+    if cubic:
         return _is_3_edge_connected(g)
     return _three_connected_by_flow(g)
 

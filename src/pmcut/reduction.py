@@ -8,15 +8,23 @@ crossing gadget into each swap and assembles the final graph together with a
 rotation system stitched from the gadget-local embeddings.  The rotation
 system is certified by the Euler formula before an artifact is returned.
 
-Slot orders make same-variable and same-clause bundle pairs crossing-free:
-exits run bottom-to-top through variables in descending index (clause index
-ascending inside a gadget), entries bottom-to-top through clauses in
-ascending index (variable index descending inside a gadget, which is the
-clause figure's own anchor stacking).
+The gadget columns follow a layout order chosen by barycenter sweeps
+(``_layout_order``), and the gadget slots follow the layout: exits run
+bottom-to-top through the variables in layout order, each variable's slots
+1..4 in clause layout order; entries run bottom-to-top through the clauses in
+layout order, each clause's ports c, b, a in variable layout order, which is
+the clause figure's own anchor stacking.  Bundles of one gadget therefore
+never cross, and the crossings are exactly the two-layer crossings of the
+incidence graph under the layout order.  Any order is sound: the variable
+gadget puts all its anchors on one side, and the three clause types are
+symmetric under relabelling the ports.  ``ReductionArtifact.slots`` records
+the (slot, port) of every occurrence; vertex ids, ``vertex_info`` and
+provenance keep index order.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -42,6 +50,7 @@ from .graphs import (
 VARIABLE_SIZE = 36
 CLAUSE_SIZE = 112
 CROSSING_SIZE = 16
+BARYCENTER_SWEEPS = 16
 
 
 class ReductionError(ValueError):
@@ -92,6 +101,9 @@ class HBuild:
     vertex_info: tuple[tuple[str, int, str], ...]
     connectors: tuple[tuple[int, int, int], ...]
     anchors: dict
+    var_order: tuple[int, ...]     # bottom to top
+    clause_order: tuple[int, ...]  # bottom to top
+    slots: dict                    # (var, clause) -> (variable slot 1..4, clause port a/b/c)
 
 
 @dataclass(frozen=True)
@@ -103,6 +115,7 @@ class ReductionArtifact:
     vertex_info: tuple[tuple[str, int, str], ...]
     connectors: tuple[tuple[int, int, int], ...]
     anchors: dict
+    slots: dict
     s2: dict
     variable_red: dict
     clause_restrictions: dict
@@ -164,23 +177,77 @@ def _validate(f: NaeFormula) -> None:
         raise ReductionError(f"variable cutvertices present: {cuts}; split first")
 
 
-def _occurrence_slots(f: NaeFormula) -> dict[tuple[int, int], tuple[int, int]]:
-    """(var, clause) -> (variable-gadget slot 1..4, clause-gadget slot 0..2)."""
-    out = {}
-    for i in range(1, f.n + 1):
-        occ = f.occurrences(i)
-        if len(occ) != 4:
-            raise ReductionError(f"variable {i} occurs in {len(occ)} clauses")
-        for r, j in enumerate(occ):
-            out[(i, j)] = (r + 1, -1)
-    for j, clause in enumerate(f.clauses, 1):
-        for s, i in enumerate(sorted(clause)):
-            r, _ = out[(i, j)]
-            out[(i, j)] = (r, s)
-    return out
+def _positions(order) -> dict:
+    return {x: k for k, x in enumerate(order)}
 
 
-_CLAUSE_PORT_BY_SLOT = [("t'a", "b'a"), ("t'b", "b'b"), ("t'c", "b'c")]
+def _channel_orders(f: NaeFormula, var_order, clause_order) -> tuple[list, list]:
+    """Occurrences (var, clause) bottom to top at the variable column (exits)
+    and at the clause column (entries): grouped by gadget in layout order, and
+    inside a gadget in the other column's layout order."""
+    pv, pc = _positions(var_order), _positions(clause_order)
+    occ = [(i, j) for j, clause in enumerate(f.clauses, 1) for i in clause]
+    exit_order = sorted(occ, key=lambda ij: (pv[ij[0]], pc[ij[1]]))
+    entry_order = sorted(occ, key=lambda ij: (pc[ij[1]], pv[ij[0]]))
+    return exit_order, entry_order
+
+
+def _inversions(seq: list[int]) -> int:
+    """Pairs k < l with seq[k] > seq[l]."""
+    seen: list[int] = []
+    count = 0
+    for x in seq:
+        k = bisect(seen, x)
+        count += len(seen) - k
+        seen.insert(k, x)
+    return count
+
+
+def _crossing_count(f: NaeFormula, var_order, clause_order) -> int:
+    """The number of events ``wiring_events`` emits for this layout order."""
+    exit_order, entry_order = _channel_orders(f, var_order, clause_order)
+    entry_slot = _positions(entry_order)
+    return _inversions([entry_slot[ij] for ij in exit_order])
+
+
+def _layout_order(f: NaeFormula) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Variable and clause orders, bottom to top, by barycenter sweeps.
+
+    Starting from the index order (variables descending, clauses ascending),
+    each sweep stably sorts the clauses by the mean position of their
+    variables, then the variables by the mean position of their clauses
+    (every clause has 3 variables and every variable 4 clauses, so sums order
+    like means; ties keep the current position).  The candidate with the
+    fewest crossings wins, and the index order is kept unless beaten
+    strictly (Sugiyama, Tagawa & Toda 1981; Eades & Wormald 1994).
+    """
+    var_order = list(range(f.n, 0, -1))
+    clause_order = list(range(1, f.m + 1))
+    clause_vars = dict(enumerate(f.clauses, 1))
+    var_clauses = {i: f.occurrences(i) for i in var_order}
+    best = (tuple(var_order), tuple(clause_order))
+    best_q = _crossing_count(f, *best)
+    for _ in range(BARYCENTER_SWEEPS):
+        for layer, other, members in ((clause_order, var_order, clause_vars),
+                                      (var_order, clause_order, var_clauses)):
+            pos = _positions(other)
+            layer.sort(key=lambda x: sum(pos[y] for y in members[x]))
+            q = _crossing_count(f, var_order, clause_order)
+            if q < best_q:
+                best_q, best = q, (tuple(var_order), tuple(clause_order))
+    return best
+
+
+def _slot_table(f: NaeFormula, var_order, clause_order) -> dict:
+    """(var, clause) -> (variable-gadget slot 1..4, clause-gadget port a/b/c).
+
+    Slots count a variable's four exits bottom to top, so they follow the
+    clause layout order; a clause's three entries take ports c, b, a bottom
+    to top, so the ports follow the variable layout order.
+    """
+    exit_order, entry_order = _channel_orders(f, var_order, clause_order)
+    port = {ij: "cba"[k % 3] for k, ij in enumerate(entry_order)}
+    return {ij: (k % 4 + 1, port[ij]) for k, ij in enumerate(exit_order)}
 
 
 def build_h(f: NaeFormula) -> HBuild:
@@ -188,19 +255,19 @@ def build_h(f: NaeFormula) -> HBuild:
     _validate(f)
     vg, cg, _ = _templates()
     n, m = f.n, f.m
-    slots = _occurrence_slots(f)
+    var_order, clause_order = _layout_order(f)
+    slots = _slot_table(f, var_order, clause_order)
     placed = _placements(n, m, 0)
     vertex_info = _vertex_info(placed)
 
     anchors = {}
-    for (i, j), (r, s) in slots.items():
+    for (i, j), (r, p) in slots.items():
         vbase = placed[("variable", i)][1]
         anchors[("t", i, j)] = vbase + vg.names[f"t{r}"]
         anchors[("b", i, j)] = vbase + vg.names[f"b{r}"]
         cbase = placed[("clause", j)][1]
-        tname, bname = _CLAUSE_PORT_BY_SLOT[s]
-        anchors[("t'", i, j)] = cbase + cg.names[tname]
-        anchors[("b'", i, j)] = cbase + cg.names[bname]
+        anchors[("t'", i, j)] = cbase + cg.names[f"t'{p}"]
+        anchors[("b'", i, j)] = cbase + cg.names[f"b'{p}"]
 
     pairs = _gadget_edges(placed)
     connectors = []
@@ -213,7 +280,8 @@ def build_h(f: NaeFormula) -> HBuild:
     g = Graph(len(vertex_info), sorted((min(a, b), max(a, b)) for a, b in pairs))
     if g.n != VARIABLE_SIZE * n + CLAUSE_SIZE * m or not is_cubic(g):
         raise ReductionError("intermediate graph failed its size or degree audit")
-    return HBuild(f, g, tuple(vertex_info), tuple(connectors), anchors)
+    return HBuild(f, g, tuple(vertex_info), tuple(connectors), anchors,
+                  var_order, clause_order, slots)
 
 
 def wiring_events(tracks: list[int], target: dict | list) -> list[tuple[int, int]]:
@@ -239,13 +307,10 @@ def wiring_events(tracks: list[int], target: dict | list) -> list[tuple[int, int
 
 def layout(hb: HBuild) -> Drawing:
     """Route bundles as a wiring diagram; swaps are the crossing quadruples."""
-    f = hb.formula
-    occ = sorted((i, j) for i in range(1, f.n + 1) for j in f.occurrences(i))
-    exit_order = sorted(occ, key=lambda ij: (-ij[0], ij[1]))
-    entry_order = sorted(occ, key=lambda ij: (ij[1], -ij[0]))
-    exit_slot = {ij: k for k, ij in enumerate(exit_order)}
-    entry_slot = {ij: k for k, ij in enumerate(entry_order)}
-    bundles = tuple(Bundle(i, j, exit_slot[(i, j)], entry_slot[(i, j)]) for i, j in occ)
+    exit_order, entry_order = _channel_orders(hb.formula, hb.var_order, hb.clause_order)
+    exit_slot, entry_slot = _positions(exit_order), _positions(entry_order)
+    bundles = tuple(Bundle(i, j, exit_slot[(i, j)], entry_slot[(i, j)])
+                    for i, j in sorted(exit_order))
     index = {(b.var, b.clause): k for k, b in enumerate(bundles)}
 
     events = wiring_events([index[ij] for ij in exit_order],
@@ -262,8 +327,8 @@ def layout(hb: HBuild) -> Drawing:
     return Drawing(
         bundles=bundles,
         events=tuple(events),
-        var_order=tuple(dict.fromkeys(i for i, _ in exit_order)),
-        clause_order=tuple(dict.fromkeys(j for _, j in entry_order)),
+        var_order=hb.var_order,
+        clause_order=hb.clause_order,
     )
 
 
@@ -373,6 +438,7 @@ def planarize(hb: HBuild, drawing: Drawing) -> ReductionArtifact:
         vertex_info=tuple(vertex_info),
         connectors=tuple(sorted(connectors)),
         anchors=anchors,
+        slots=hb.slots,
         s2=s2,
         variable_red=variable_red,
         clause_restrictions=clause_restrictions,

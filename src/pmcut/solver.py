@@ -375,7 +375,8 @@ def pmc_from_assignment(artifact: "ReductionArtifact", a: tuple) -> EdgeSet:
 
     Variable gadgets contribute their forced red sets; a crossing gadget takes
     its side-preserving restriction iff its two variables agree under a; a
-    clause gadget takes the type separating its minority variable.
+    clause gadget takes the type separating its minority variable, read
+    through the ports a/b/c of the artifact's slot table.
     """
     f = artifact.formula
     if len(a) != f.n:
@@ -386,8 +387,9 @@ def pmc_from_assignment(artifact: "ReductionArtifact", a: tuple) -> EdgeSet:
     for rec in artifact.crossings:
         (i1, _), (i2, _) = rec.lower, rec.upper
         chosen |= rec.p1_edges if a[i1 - 1] == a[i2 - 1] else rec.p2_edges
-    for j, clause in enumerate(f.clauses, 1):
-        va, vb, vc = sorted(clause)
+    port_var = {(j, p): i for (i, j), (_, p) in artifact.slots.items()}
+    for j in range(1, f.m + 1):
+        va, vb, vc = (port_var[(j, p)] for p in "abc")
         sides = (a[va - 1], a[vb - 1], a[vc - 1])
         if sides[0] == sides[1] == sides[2]:
             raise ValueError(f"clause {j} is not NAE-satisfied")

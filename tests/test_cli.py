@@ -1,7 +1,6 @@
 import random
 import re
 import xml.etree.ElementTree as ET
-from pathlib import Path
 
 import pytest
 

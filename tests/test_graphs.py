@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pmcut.graphs import (
+    MAX_3CONN_VERTICES,
     Cut,
     Graph,
     PlaneEmbedding,
-    complete_bipartite_graph,
     complete_graph,
     cube_graph,
     cut_from_edge_set,
@@ -32,7 +32,6 @@ from pmcut.graphs import (
 from pmcut.graphs import _is_3_edge_connected, _three_connected_by_flow
 
 from _oracles import (
-    all_simple_cycles,
     cutset_by_cycle_enumeration,
     nx_three_connected,
     planar_rotation_from_coords,
@@ -150,6 +149,30 @@ def test_three_connected_basics():
 def test_three_connected_guard():
     with pytest.raises(ValueError, match="guard"):
         is_3_connected(Graph(20001, []))
+
+
+def _ladder_edges(k: int, base: int) -> list[tuple[int, int]]:
+    """Circular ladder on 2k vertices: rails base..base+k-1 and base+k..base+2k-1."""
+    edges = []
+    for i in range(k):
+        a, b = base + i, base + k + i
+        edges += [(a, base + (i + 1) % k), (b, base + k + (i + 1) % k), (a, b)]
+    return edges
+
+
+def test_three_connected_cubic_beyond_guard():
+    k = 10_002
+    assert 2 * k > MAX_3CONN_VERTICES
+    ladder = Graph(2 * k, _ladder_edges(k, 0))
+    assert is_cubic(ladder) and is_3_connected(ladder)
+    # two ladders with one rung each rewired across: cubic, with a 2-edge-cut
+    half = k // 2
+    edges = [e for e in _ladder_edges(half, 0) + _ladder_edges(half, 2 * half)
+             if e not in ((0, half), (2 * half, 3 * half))]
+    edges += [(0, 2 * half), (half, 3 * half)]
+    two = Graph(4 * half, edges)
+    assert two.n > MAX_3CONN_VERTICES and is_cubic(two) and two.is_connected()
+    assert not is_3_connected(two)
 
 
 def test_three_connected_agrees_with_flow_oracle():

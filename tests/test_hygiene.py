@@ -1,0 +1,49 @@
+"""Every imported name in the package and the tests is used.
+
+A standard-library AST scan stands in for a linter: an import binds a name,
+and the module must read that name somewhere (string annotations included).
+Package ``__init__.py`` files are exempt, because their imports are the
+public re-exports.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SCANNED = sorted((ROOT / "src" / "pmcut").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+
+
+def _imported(tree: ast.Module) -> dict[str, int]:
+    """Bound name -> line of every import outside ``from __future__``."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                out[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                out[alias.asname or alias.name] = node.lineno
+    return out
+
+
+def _used(tree: ast.Module) -> set[str]:
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        for ann in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+            if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+                used |= _used(ast.parse(ann.value, mode="eval"))
+    return used
+
+
+def test_no_unused_imports():
+    unused = []
+    for path in SCANNED:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = _used(tree)
+        unused += [f"{path.relative_to(ROOT)}:{line}: {name}"
+                   for name, line in _imported(tree).items() if name not in used]
+    assert not unused, "imported but never used:\n" + "\n".join(unused)

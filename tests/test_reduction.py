@@ -16,7 +16,6 @@ from pmcut.reduction import (
     ReductionError,
     build_h,
     layout,
-    planarize,
     reduce_formula,
     serialize_provenance,
     wiring_events,
@@ -99,6 +98,26 @@ def test_same_gadget_bundles_never_invert():
                 a, b = bundles[x], bundles[y]
                 if a.var == b.var or a.clause == b.clause:
                     assert (a.exit_slot < b.exit_slot) == (a.entry_slot < b.entry_slot)
+
+
+def _index_order_crossings(f):
+    """Two-layer crossings under the index order (variables descending and
+    clauses ascending, bottom to top): occurrence pairs larger in both."""
+    occ = [(i, j) for j, clause in enumerate(f.clauses, 1) for i in clause]
+    return sum(1 for i, j in occ for k, l in occ if i > k and j > l)
+
+
+def test_barycenter_never_adds_crossings(canonical_artifact):
+    assert canonical_artifact.q == _index_order_crossings(canonical_artifact.formula) == 18
+    rng = random.Random(50)
+    before = after = 0
+    for k in range(50):
+        f = random_e4_formula((6, 9, 12)[k % 3], rng)
+        q, q0 = len(layout(build_h(f)).events), _index_order_crossings(f)
+        assert q <= q0
+        before += q0
+        after += q
+    assert after < before
 
 
 def test_size_law_and_edge_delta(canonical_artifact):

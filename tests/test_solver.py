@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from pmcut.formula import (
     canonical_n3_formula,
     complement,
     nae_satisfies,
+    random_e4_formula,
     solve_nae_bruteforce,
 )
 from pmcut.gadgets import enumerate_local_pmcs
@@ -265,6 +267,26 @@ def test_assignment_from_non_pmc_rejected():
         assignment_from_pmc(art, corrupted)
 
 
+@pytest.mark.parametrize("n,seed", [(6, 0), (6, 1), (9, 1)])
+def test_witness_maps_under_reordered_layout(n, seed):
+    """Clause ports follow the layout order, not the clause's index order."""
+    f = random_e4_formula(n, random.Random(seed))
+    art = reduce_formula(f)
+    index_ports = {(i, j): "abc"[k] for j, clause in enumerate(f.clauses, 1)
+                   for k, i in enumerate(sorted(clause))}
+    assert art.drawing.var_order != tuple(range(n, 0, -1))
+    assert any(art.slots[ij][1] != p for ij, p in index_ports.items())
+    for a in itertools.product((0, 1), repeat=n):
+        if not nae_satisfies(f, a):
+            continue
+        m = pmc_from_assignment(art, a)
+        assert verified(art.graph, m)
+        assert assignment_from_pmc(art, m) in (a, complement(a))
+    m = find_pmc(art.graph)
+    assert verified(art.graph, m)
+    assert nae_satisfies(f, assignment_from_pmc(art, m))
+
+
 def test_anchor_sides_under_witness():
     f = canonical_n3_formula()
     art = reduce_formula(f)
@@ -279,7 +301,9 @@ def test_anchor_sides_under_witness():
 def test_unsat_instance_refuted():
     ag = ag23_formula()
     assert solve_nae_bruteforce(ag) is None
-    nodes, m = first_witness(reduce_formula(ag).graph)
+    art = reduce_formula(ag)
+    assert art.q == 168  # barycenter layout; 305 under the index order
+    nodes, m = first_witness(art.graph)
     assert m is None  # complete refutation, no budget excuse
     assert nodes == 1292
 
