@@ -14,9 +14,11 @@ from pmcut import (
 
 f = canonical_n3_formula()
 
-# Step 1: gadgets wired by parallel connector pairs; cubic but not planar.
+# Step 1: plan H, in which each occurrence is a pair of parallel connector
+# wires from a variable gadget to a clause gadget; no graph is built yet.
 hb = build_h(f)
-print(f"H: {hb.graph.n} vertices = 36*{f.n} + 112*{f.m}, cubic: {is_cubic(hb.graph)}")
+print("occurrences (var, clause), bottom to top at the variables:", hb.exit_order)
+print("layout order, bottom to top: variables", hb.var_order, "clauses", hb.clause_order)
 
 # Step 2: route the twelve wire bundles; swaps in the wiring diagram are
 # exactly the bundle crossings.

@@ -128,7 +128,7 @@ def cmd_verify_graph(args) -> int:
     g, emb = _load_graph(args.graph)
     checks = [("cubic", gr.is_cubic(g)), ("bipartite", gr.is_bipartite(g) is not None)]
     if emb is not None:
-        checks.append(("planar", gr.is_planar_embedding(g, emb)))
+        checks.append(("planar", g.is_connected() and gr.is_planar_embedding(g, emb)))
     checks.append(("3-connected", gr.is_3_connected(g)))
     ok = all(v for _, v in checks)
     names = " ".join(name for name, _ in checks)

@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
-from .graphs import Graph
+from .graphs import Graph, connected_components
 
 Assignment = tuple  # of 0/1 per variable, index i-1 for variable i
 
@@ -206,29 +206,6 @@ def _renumber(n: int, clauses: list[tuple[int, int, int]]) -> NaeFormula:
     return NaeFormula(len(used), tuple(tuple(remap[x] for x in c) for c in clauses))
 
 
-def _connected_components(g: Graph, skip: int = -1) -> list[list[int]]:
-    """Sorted vertex lists of the components of g minus vertex ``skip``."""
-    comp_of = [-1] * g.n
-    if skip >= 0:
-        comp_of[skip] = -2
-    comps: list[list[int]] = []
-    for s in range(g.n):
-        if comp_of[s] != -1:
-            continue
-        comp = []
-        stack = [s]
-        comp_of[s] = len(comps)
-        while stack:
-            a = stack.pop()
-            comp.append(a)
-            for b in g.adj[a]:
-                if comp_of[b] == -1:
-                    comp_of[b] = len(comps)
-                    stack.append(b)
-        comps.append(sorted(comp))
-    return comps
-
-
 def split_variable_cutvertices(f: NaeFormula) -> list[NaeFormula]:
     """Split at variable cutvertices of the incidence graph until none remain.
 
@@ -242,10 +219,10 @@ def split_variable_cutvertices(f: NaeFormula) -> list[NaeFormula]:
     if f.m == 0:
         return [f]
     g0 = incidence_graph(f)
-    comps = _connected_components(g0)
+    comps = connected_components(g0)
     if len(comps) > 1:
         out: list[NaeFormula] = []
-        for comp in sorted(comps):
+        for comp in comps:
             nodes = set(comp)
             part = [c for j, c in enumerate(f.clauses) if f.n + j in nodes]
             if part:
@@ -254,8 +231,7 @@ def split_variable_cutvertices(f: NaeFormula) -> list[NaeFormula]:
     cuts = variable_cutvertices(f)
     if not cuts:
         return [f]
-    comps = sorted(_connected_components(g0, cuts[0] - 1))
-    x_nodes = set(comps[0])
+    x_nodes = set(connected_components(g0, cuts[0] - 1)[0])
     part1 = [c for j, c in enumerate(f.clauses) if f.n + j in x_nodes]
     part2 = [c for j, c in enumerate(f.clauses) if f.n + j not in x_nodes]
     out: list[NaeFormula] = []

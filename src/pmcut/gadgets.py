@@ -33,30 +33,25 @@ class Gadget:
     ``rotations`` contains a STUB sentinel at each port marking where the
     future connector edge sits in the clockwise order.  ``ports`` lists the
     port vertices in the cyclic order they appear on the outer face.
+    ``vertex_names`` holds each vertex's primary name, the first registered;
+    aliases (like u1 = t'b) come later and are found only in ``names``.
     """
 
     kind: str
     graph: Graph
     ports: tuple[int, ...]
     names: dict
+    vertex_names: tuple[str, ...]
     marks: dict
     red_edges: EdgeSet
     rotations: tuple[tuple[int, ...], ...]
     coords: tuple[Coord, ...]
 
     def vertex_name(self, v: int) -> str:
-        return self._primary_names()[v]
-
-    def _primary_names(self) -> dict:
-        # first registered name wins; aliases (like u1 = t'b) come later
-        primary: dict[int, str] = {}
-        for name, v in self.names.items():
-            primary.setdefault(v, name)
-        return primary
+        return self.vertex_names[v]
 
     def port_names(self) -> tuple[str, ...]:
-        primary = self._primary_names()
-        return tuple(primary[p] for p in self.ports)
+        return tuple(self.vertex_names[p] for p in self.ports)
 
     def local_embedding(self) -> PlaneEmbedding:
         """The fragment's embedding with connector stubs dropped."""
@@ -156,11 +151,15 @@ class _FigureBuilder:
                 raise FigureError(f"coincident edge directions at vertex {v}")
             rotations.append(tuple(e for _, e in items))
         ports = tuple(sorted(self.stubs))
+        primary: dict[int, str] = {}
+        for name, v in self.names.items():
+            primary.setdefault(v, name)
         gadget = Gadget(
             kind=self.kind,
             graph=g,
             ports=_outer_face_port_order(g, rotations, ports),
             names=dict(self.names),
+            vertex_names=tuple(primary[v] for v in range(g.n)),
             marks=dict(self.marks),
             red_edges=frozenset(self.red),
             rotations=tuple(rotations),

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Container, Iterable, Optional
 
 EdgeSet = frozenset  # of edge indices
 
@@ -79,20 +79,7 @@ class Graph:
         return b if v == a else a
 
     def is_connected(self) -> bool:
-        if self.n == 0:
-            return True
-        seen = [False] * self.n
-        seen[0] = True
-        stack = [0]
-        count = 1
-        while stack:
-            v = stack.pop()
-            for w in self.adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    count += 1
-                    stack.append(w)
-        return count == self.n
+        return len(connected_components(self)) <= 1
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Graph(n={self.n}, m={self.m})"
@@ -139,8 +126,31 @@ def is_cubic(g: Graph) -> bool:
     return all(len(a) == 3 for a in g.adj)
 
 
-def is_bipartite(g: Graph) -> Optional[Cut]:
-    """2-coloring of g as a Cut, or None if an odd cycle exists."""
+def connected_components(g: Graph, skip: int = -1) -> list[list[int]]:
+    """Vertex lists of the components of g minus vertex ``skip``, ordered by
+    their smallest vertex, each list in search order."""
+    seen = [False] * g.n
+    if skip >= 0:
+        seen[skip] = True
+    comps: list[list[int]] = []
+    for s in range(g.n):
+        if seen[s]:
+            continue
+        seen[s] = True
+        comp = [s]
+        for a in comp:
+            for b in g.adj[a]:
+                if not seen[b]:
+                    seen[b] = True
+                    comp.append(b)
+        comps.append(comp)
+    return comps
+
+
+def _parity_sides(g: Graph, flip: Container[int]) -> Optional[Cut]:
+    """Sides from a walk over every component, each started on side 0: an
+    edge in ``flip`` changes side and any other edge keeps it.  None when
+    some edge contradicts the sides already given."""
     sides = [-1] * g.n
     for s in range(g.n):
         if sides[s] != -1:
@@ -149,13 +159,19 @@ def is_bipartite(g: Graph) -> Optional[Cut]:
         stack = [s]
         while stack:
             v = stack.pop()
-            for w in g.adj[v]:
+            for w, e in zip(g.adj[v], g.inc[v]):
+                want = sides[v] ^ (e in flip)
                 if sides[w] == -1:
-                    sides[w] = sides[v] ^ 1
+                    sides[w] = want
                     stack.append(w)
-                elif sides[w] == sides[v]:
+                elif sides[w] != want:
                     return None
     return Cut(tuple(sides))
+
+
+def is_bipartite(g: Graph) -> Optional[Cut]:
+    """2-coloring of g as a Cut, or None if an odd cycle exists."""
+    return _parity_sides(g, range(g.m))
 
 
 def face_darts(g: Graph, emb: PlaneEmbedding) -> list[list[tuple[int, int]]]:
@@ -220,20 +236,7 @@ def cut_from_edge_set(g: Graph, m: Iterable[int]) -> Optional[Cut]:
     mset = set(m)
     if not mset:
         return None
-    sides = [-1] * g.n
-    sides[0] = 0
-    queue = [0]
-    while queue:
-        v = queue.pop()
-        for e in g.inc[v]:
-            w = g.other_end(e, v)
-            s = sides[v] ^ (1 if e in mset else 0)
-            if sides[w] == -1:
-                sides[w] = s
-                queue.append(w)
-            elif sides[w] != s:
-                return None
-    return Cut(tuple(sides))
+    return _parity_sides(g, mset)
 
 
 def is_cutset_via_cycle_basis(g: Graph, emb: PlaneEmbedding, m: Iterable[int]) -> bool:

@@ -1,12 +1,16 @@
 """Compile a formula into a perfect-matching-cut instance on a Barnette graph.
 
-Pipeline: ``build_h`` wires variable gadgets to clause gadgets (one bundle of
-two parallel connector edges per occurrence), ``layout`` routes the bundles
-through the channel between the two gadget columns as a wiring diagram whose
-adjacent swaps are exactly the bundle crossings, and ``planarize`` splices a
-crossing gadget into each swap and assembles the final graph together with a
-rotation system stitched from the gadget-local embeddings.  The rotation
-system is certified by the Euler formula before an artifact is returned.
+Pipeline: ``build_h`` plans the intermediate graph H, in which variable
+gadgets are wired to clause gadgets by one bundle of two parallel connector
+edges per occurrence; it fixes the layout order, the channel orders, the
+gadget slots and the anchor vertex of every wire end, but assembles no graph.
+``layout`` routes the bundles through the channel between the two gadget
+columns as a wiring diagram whose adjacent swaps are exactly the bundle
+crossings, and ``planarize`` splices a crossing gadget into each swap and
+assembles the final graph, the only graph the reduction builds, together with
+a rotation system stitched from the gadget-local embeddings.  The graph is
+checked for cubicity and the size law, and the rotation system is certified
+by the Euler formula, before an artifact is returned.
 
 The gadget columns follow a layout order chosen by barycenter sweeps
 (``_layout_order``), and the gadget slots follow the layout: exits run
@@ -76,12 +80,6 @@ class Drawing:
     var_order: tuple[int, ...]           # bottom to top
     clause_order: tuple[int, ...]        # bottom to top
 
-    @property
-    def crossing_quadruples(self) -> tuple[tuple[tuple[int, int], tuple[int, int]], ...]:
-        bs = self.bundles
-        return tuple(((bs[a].var, bs[a].clause), (bs[b].var, bs[b].clause))
-                     for a, b in self.events)
-
 
 @dataclass(frozen=True)
 class CrossingRecord:
@@ -96,14 +94,15 @@ class CrossingRecord:
 
 @dataclass(frozen=True)
 class HBuild:
+    """The plan of H that ``layout`` and ``planarize`` read; no graph is built."""
+
     formula: NaeFormula
-    graph: Graph
-    vertex_info: tuple[tuple[str, int, str], ...]
-    connectors: tuple[tuple[int, int, int], ...]
-    anchors: dict
     var_order: tuple[int, ...]     # bottom to top
     clause_order: tuple[int, ...]  # bottom to top
+    exit_order: list               # occurrences (var, clause) bottom to top at the variables
+    entry_order: list              # the same at the clauses
     slots: dict                    # (var, clause) -> (variable slot 1..4, clause port a/b/c)
+    anchors: dict                  # (t/b/t'/b', var, clause) -> vertex id of that wire end
 
 
 @dataclass(frozen=True)
@@ -142,20 +141,6 @@ def _placements(n: int, m: int, q: int) -> dict[tuple[str, int], tuple[Gadget, i
             placed[(template.kind, k)] = (template, base)
             base += template.graph.n
     return placed
-
-
-@lru_cache(maxsize=1)
-def _local_names() -> dict[str, tuple[str, ...]]:
-    return {t.kind: tuple(t.vertex_name(lv) for lv in range(t.graph.n)) for t in _templates()}
-
-
-def _vertex_info(placed: dict) -> list[tuple[str, int, str]]:
-    names = _local_names()
-    return [(kind, k, name) for kind, k in placed for name in names[kind]]
-
-
-def _gadget_edges(placed: dict) -> list[tuple[int, int]]:
-    return [(base + u, base + v) for t, base in placed.values() for u, v in t.graph.edges]
 
 
 @lru_cache(maxsize=1)
@@ -238,28 +223,29 @@ def _layout_order(f: NaeFormula) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return best
 
 
-def _slot_table(f: NaeFormula, var_order, clause_order) -> dict:
+def _slot_table(exit_order: list, entry_order: list) -> dict:
     """(var, clause) -> (variable-gadget slot 1..4, clause-gadget port a/b/c).
 
     Slots count a variable's four exits bottom to top, so they follow the
     clause layout order; a clause's three entries take ports c, b, a bottom
     to top, so the ports follow the variable layout order.
     """
-    exit_order, entry_order = _channel_orders(f, var_order, clause_order)
     port = {ij: "cba"[k % 3] for k, ij in enumerate(entry_order)}
     return {ij: (k % 4 + 1, port[ij]) for k, ij in enumerate(exit_order)}
 
 
 def build_h(f: NaeFormula) -> HBuild:
-    """The cubic intermediate graph: gadgets plus direct connector bundles."""
+    """Plan H: layout and channel orders, gadget slots and wire-end anchors.
+
+    Gadget vertex ids are those of the final graph, where the crossing
+    gadgets come after every variable and clause gadget.
+    """
     _validate(f)
     vg, cg, _ = _templates()
-    n, m = f.n, f.m
     var_order, clause_order = _layout_order(f)
-    slots = _slot_table(f, var_order, clause_order)
-    placed = _placements(n, m, 0)
-    vertex_info = _vertex_info(placed)
-
+    exit_order, entry_order = _channel_orders(f, var_order, clause_order)
+    slots = _slot_table(exit_order, entry_order)
+    placed = _placements(f.n, f.m, 0)
     anchors = {}
     for (i, j), (r, p) in slots.items():
         vbase = placed[("variable", i)][1]
@@ -268,20 +254,7 @@ def build_h(f: NaeFormula) -> HBuild:
         cbase = placed[("clause", j)][1]
         anchors[("t'", i, j)] = cbase + cg.names[f"t'{p}"]
         anchors[("b'", i, j)] = cbase + cg.names[f"b'{p}"]
-
-    pairs = _gadget_edges(placed)
-    connectors = []
-    for (i, j) in sorted(slots):
-        for role in ("t", "b"):
-            u = anchors[(role, i, j)]
-            v = anchors[(role + "'", i, j)]
-            pairs.append((u, v))
-            connectors.append((min(u, v), max(u, v), i))
-    g = Graph(len(vertex_info), sorted((min(a, b), max(a, b)) for a, b in pairs))
-    if g.n != VARIABLE_SIZE * n + CLAUSE_SIZE * m or not is_cubic(g):
-        raise ReductionError("intermediate graph failed its size or degree audit")
-    return HBuild(f, g, tuple(vertex_info), tuple(connectors), anchors,
-                  var_order, clause_order, slots)
+    return HBuild(f, var_order, clause_order, exit_order, entry_order, slots, anchors)
 
 
 def wiring_events(tracks: list[int], target: dict | list) -> list[tuple[int, int]]:
@@ -307,13 +280,12 @@ def wiring_events(tracks: list[int], target: dict | list) -> list[tuple[int, int
 
 def layout(hb: HBuild) -> Drawing:
     """Route bundles as a wiring diagram; swaps are the crossing quadruples."""
-    exit_order, entry_order = _channel_orders(hb.formula, hb.var_order, hb.clause_order)
-    exit_slot, entry_slot = _positions(exit_order), _positions(entry_order)
+    exit_slot, entry_slot = _positions(hb.exit_order), _positions(hb.entry_order)
     bundles = tuple(Bundle(i, j, exit_slot[(i, j)], entry_slot[(i, j)])
-                    for i, j in sorted(exit_order))
+                    for i, j in sorted(hb.exit_order))
     index = {(b.var, b.clause): k for k, b in enumerate(bundles)}
 
-    events = wiring_events([index[ij] for ij in exit_order],
+    events = wiring_events([index[ij] for ij in hb.exit_order],
                            [b.entry_slot for b in bundles])
     seen_pairs = set()
     for a, b in events:
@@ -339,7 +311,8 @@ def planarize(hb: HBuild, drawing: Drawing) -> ReductionArtifact:
     n, m = f.n, f.m
     q = len(drawing.events)
     placed = _placements(n, m, q)
-    vertex_info = _vertex_info(placed)
+    vertex_info = tuple((kind, k, name) for (kind, k), (t, _) in placed.items()
+                        for name in t.vertex_names)
 
     # wire routes through the spliced gadgets
     events_of: dict[int, list[tuple[int, int]]] = {k: [] for k in range(len(drawing.bundles))}
@@ -351,7 +324,7 @@ def planarize(hb: HBuild, drawing: Drawing) -> ReductionArtifact:
         (1, "b"): ("u1'", "v1'"), (1, "t"): ("u2'", "v2'"),
     }
     wire_routes: dict[tuple[int, int, str], tuple[int, ...]] = {}
-    pairs = _gadget_edges(placed)
+    pairs = [(base + u, base + v) for t, base in placed.values() for u, v in t.graph.edges]
     connectors: list[tuple[int, int, int]] = []
     for b_idx, bundle in enumerate(drawing.bundles):
         i, j = bundle.var, bundle.clause
@@ -429,15 +402,14 @@ def planarize(hb: HBuild, drawing: Drawing) -> ReductionArtifact:
                      for sq in ("BL", "BR", "TL", "TR")},
         ))
 
-    anchors = dict(hb.anchors)
     return ReductionArtifact(
         formula=f,
         graph=g,
         embedding=embedding,
         q=q,
-        vertex_info=tuple(vertex_info),
+        vertex_info=vertex_info,
         connectors=tuple(sorted(connectors)),
-        anchors=anchors,
+        anchors=hb.anchors,
         slots=hb.slots,
         s2=s2,
         variable_red=variable_red,

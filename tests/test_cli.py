@@ -89,6 +89,23 @@ def test_solve_pmc_negative_and_budget(tmp_path, capsys):
     assert "budget" in capsys.readouterr().out
 
 
+_TWO_TRIANGLES = "graph 6 6\n0 1\n0 2\n1 2\n3 4\n3 5\n4 5\n"
+_TWO_TRIANGLES_EMBEDDED = _TWO_TRIANGLES + (
+    "embedding\nrot 0 2 0 1\nrot 1 2 0 2\nrot 2 2 1 2\n"
+    "rot 3 2 3 4\nrot 4 2 3 5\nrot 5 2 4 5\n")
+
+
+@pytest.mark.parametrize("text", [_TWO_TRIANGLES, _TWO_TRIANGLES_EMBEDDED],
+                         ids=["plain", "embedded"])
+def test_verify_graph_disconnected_is_fail(tmp_path, capsys, text):
+    p = tmp_path / "two.graph"
+    p.write_text(text)
+    assert main(["verify-graph", str(p)]) == 1
+    out = capsys.readouterr().out
+    assert out.splitlines()[0].endswith(": FAIL")
+    assert "3-connected: FAILED" in out
+
+
 @pytest.mark.parametrize("text", [
     "graph -1 0\n",
     "graph 2 1\n0 1\nembedding\nrot 0\n",

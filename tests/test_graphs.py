@@ -81,6 +81,16 @@ def test_is_bipartite():
     assert cut is not None and len(cut.side_a()) == 3
 
 
+def test_is_bipartite_disconnected():
+    two_even = Graph(10, [(0, 1), (1, 2), (2, 3), (0, 3),
+                          (4, 5), (5, 6), (6, 7), (7, 8), (8, 9), (4, 9)])
+    cut = is_bipartite(two_even)
+    assert cut is not None
+    assert all(cut.sides[u] != cut.sides[v] for u, v in two_even.edges)
+    even_and_triangle = Graph(7, [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (5, 6), (4, 6)])
+    assert is_bipartite(even_and_triangle) is None
+
+
 def test_faces_c4():
     g, emb = c4_embedded()
     faces = faces_from_embedding(g, emb)

@@ -22,22 +22,14 @@ from pmcut.reduction import (
 )
 
 
-def test_h_size_and_degree(canonical_artifact):
-    f = canonical_n3_formula()
-    hb = build_h(f)
-    assert hb.graph.n == 36 * 3 + 112 * 4 == 556
-    assert is_cubic(hb.graph)
-
-
-def test_h_bundles_have_two_edges():
-    hb = build_h(canonical_n3_formula())
-    by_pair = {}
-    for u, v, var in hb.connectors:
-        ku = hb.vertex_info[u][1]
-        kv = hb.vertex_info[v][1]
-        by_pair.setdefault((ku, kv, var), []).append((u, v))
-    assert all(len(es) == 2 for es in by_pair.values())
-    assert len(hb.connectors) == 2 * 12
+def test_h_bundles_have_two_edges(canonical_artifact):
+    art = canonical_artifact
+    occurrences = {(i, j) for j, clause in enumerate(art.formula.clauses, 1) for i in clause}
+    assert set(art.wire_routes) == {(i, j, sub) for i, j in occurrences for sub in "tb"}
+    assert len(art.wire_routes) == 24
+    for (i, j, _), route in art.wire_routes.items():
+        assert art.vertex_info[route[0]][:2] == ("variable", i)
+        assert art.vertex_info[route[-1]][:2] == ("clause", j)
 
 
 def test_h_rejects_bad_formulas():
@@ -84,7 +76,6 @@ def test_layout_invariants(canonical_artifact):
         assert a.var != b.var and a.clause != b.clause
         pairs.add(frozenset((lo, hi)))
     assert len(pairs) == len(d.events)
-    assert len(d.crossing_quadruples) == len(d.events)
 
 
 def test_same_gadget_bundles_never_invert():
@@ -123,10 +114,10 @@ def test_barycenter_never_adds_crossings(canonical_artifact):
 def test_size_law_and_edge_delta(canonical_artifact):
     art = canonical_artifact
     f = art.formula
-    hb = build_h(f)
     assert art.graph.n == 36 * f.n + 112 * f.m + 16 * art.q
-    # each splice adds 16 vertices and 24 edges (8 half-wires + 20 internal - 4 wires)
-    assert art.graph.m == hb.graph.m + 24 * art.q
+    # H is cubic on 36n + 112m vertices; each splice adds 16 vertices and
+    # 24 edges (8 half-wires + 20 internal - 4 wires)
+    assert art.graph.m == 3 * (36 * f.n + 112 * f.m) // 2 + 24 * art.q
     assert 2 * art.graph.m == 3 * art.graph.n
 
 
