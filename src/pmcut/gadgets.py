@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .graphs import (STUB, EdgeSet, Graph, PlaneEmbedding, cut_from_edge_set, face_darts,
-                     is_bipartite, is_perfect_matching)
+                     is_bipartite, is_perfect_matching, is_planar_embedding)
 
 CENSUS_NODE_CAP = 10 ** 6
 MAX_CENSUS_VERTICES = 120
@@ -195,8 +195,7 @@ def _check_gadget(gadget: Gadget) -> None:
             raise FigureError(f"{gadget.kind}: vertex {v} has degree {g.degree(v)}, wanted {want}")
     if is_bipartite(g) is None:
         raise FigureError(f"{gadget.kind}: fragment is not bipartite")
-    faces = len(face_darts(g, gadget.local_embedding()))
-    if g.n - g.m + faces != 2:
+    if not is_planar_embedding(g, gadget.local_embedding()):
         raise FigureError(f"{gadget.kind}: local embedding fails the Euler check")
 
 

@@ -1,7 +1,18 @@
 """Undirected graphs with indexed edges, rotation-system embeddings, and cut machinery.
 
 Everything here is immutable after construction and safe to share between
-threads.  Edge indices are stable: edge ``i`` is ``graph.edges[i]``.
+threads.  A ``Graph`` memoises its connectivity in a slot on first use; the
+graph never changes, so the cached answer cannot go stale, and two threads
+racing on the first call store the same value.  Edge indices are stable:
+edge ``i`` is ``graph.edges[i]``.
+
+Darts.  Edge ``e`` carries two darts: dart ``2e`` leaves ``edges[e][0]`` and
+dart ``2e + 1`` leaves ``edges[e][1]``, so dart ``d`` leaves
+``edges[d >> 1][d & 1]`` and ``d ^ 1`` is its reverse.  A rotation system is
+read as one permutation ``succ`` of the darts (Mohar & Thomassen, *Graphs on
+Surfaces*, §3.2): for the dart ``d`` arriving at ``w`` along ``e``,
+``succ[d]`` is the dart leaving ``w`` along the edge after ``e`` in
+``rotations[w]``.  The cycles of ``succ`` are the face walks.
 """
 
 from __future__ import annotations
@@ -24,14 +35,11 @@ MAX_3CONN_VERTICES = 20000
 class Graph:
     """Simple undirected graph; vertices 0..n-1, edges indexed in list order."""
 
-    __slots__ = ("n", "edges", "adj", "inc", "_eid")
+    __slots__ = ("n", "edges", "adj", "inc", "_eid", "_connected")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         self.n = n
-        norm: list[tuple[int, int]] = []
         eid: dict[tuple[int, int], int] = {}
-        adj: list[list[int]] = [[] for _ in range(n)]
-        inc: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
@@ -41,21 +49,25 @@ class Graph:
                 u, v = v, u
             if (u, v) in eid:
                 raise ValueError(f"parallel edge ({u},{v})")
-            eid[(u, v)] = len(norm)
-            norm.append((u, v))
-        self.edges: tuple[tuple[int, int], ...] = tuple(norm)
+            eid[(u, v)] = len(eid)
+        self.edges: tuple[tuple[int, int], ...] = tuple(eid)
         self._eid = eid
-        for i, (u, v) in enumerate(self.edges):
+        self._connected: Optional[bool] = None
+        # Walking the edges in lexicographic order lists each vertex's smaller
+        # neighbours and then its larger ones, each ascending, so adj comes
+        # out sorted.  One global sort gives that order; on input already in
+        # it (planarize and parse_graph) the sort is a single linear pass.
+        order = sorted(range(len(eid)), key=self.edges.__getitem__)
+        adj: list[list[int]] = [[] for _ in range(n)]
+        inc: list[list[int]] = [[] for _ in range(n)]
+        for i in order:
+            u, v = self.edges[i]
             adj[u].append(v)
             adj[v].append(u)
             inc[u].append(i)
             inc[v].append(i)
-        for v in range(n):
-            order = sorted(range(len(adj[v])), key=lambda k: adj[v][k])
-            adj[v] = [adj[v][k] for k in order]
-            inc[v] = [inc[v][k] for k in order]
-        self.adj: tuple[tuple[int, ...], ...] = tuple(tuple(a) for a in adj)
-        self.inc: tuple[tuple[int, ...], ...] = tuple(tuple(a) for a in inc)
+        self.adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, adj))
+        self.inc: tuple[tuple[int, ...], ...] = tuple(map(tuple, inc))
 
     @property
     def m(self) -> int:
@@ -79,7 +91,9 @@ class Graph:
         return b if v == a else a
 
     def is_connected(self) -> bool:
-        return len(connected_components(self)) <= 1
+        if self._connected is None:
+            self._connected = len(connected_components(self)) <= 1
+        return self._connected
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Graph(n={self.n}, m={self.m})"
@@ -114,12 +128,52 @@ class PlaneEmbedding:
 
     def check(self, g: Graph) -> None:
         """Raise ValueError unless each rotation permutes that vertex's edges."""
-        if len(self.rotations) != g.n:
-            raise ValueError("rotation count differs from vertex count")
-        for v in range(g.n):
-            if sorted(self.rotations[v]) != sorted(g.inc[v]):
-                raise ValueError(f"rotation at vertex {v} is not a permutation "
-                                 f"of its incident edges")
+        _dart_successors(g, self)
+
+
+def _dart_successors(g: Graph, emb: PlaneEmbedding) -> tuple[list[int], list[int]]:
+    """The dart permutation ``succ`` of the rotation system (see the module
+    docstring), and every dart in rotation order: vertex by vertex, the darts
+    leaving it along its rotation.
+
+    One pass builds and validates it: each rotation has deg(v) entries, each
+    entry is an edge at v, and no dart is filled twice, so each rotation
+    permutes its vertex's edges.  Raises ValueError otherwise.
+    """
+    rotations = emb.rotations
+    if len(rotations) != g.n:
+        raise ValueError("rotation count differs from vertex count")
+    edges, inc = g.edges, g.inc
+    m = len(edges)
+    succ = [-1] * (2 * m)
+    order: list[int] = []
+    for w, rot in enumerate(rotations):
+        if len(rot) != len(inc[w]):
+            raise _not_a_permutation(w)
+        out = []
+        for e in rot:
+            if not 0 <= e < m:
+                raise _not_a_permutation(w)
+            a, b = edges[e]
+            if a == w:
+                out.append(2 * e)
+            elif b == w:
+                out.append(2 * e + 1)
+            else:
+                raise _not_a_permutation(w)
+        if out:
+            prev = out[-1]
+            for d in out:
+                if succ[prev ^ 1] != -1:
+                    raise _not_a_permutation(w)
+                succ[prev ^ 1] = d
+                prev = d
+            order += out
+    return succ, order
+
+
+def _not_a_permutation(v: int) -> ValueError:
+    return ValueError(f"rotation at vertex {v} is not a permutation of its incident edges")
 
 
 def is_cubic(g: Graph) -> bool:
@@ -178,28 +232,25 @@ def face_darts(g: Graph, emb: PlaneEmbedding) -> list[list[tuple[int, int]]]:
     """Face walks of the rotation system, each as a list of darts (vertex, edge).
 
     A dart is an edge leaving a vertex; every dart is used by exactly one
-    walk, so the walk lengths sum to 2*E.
+    walk, so the walk lengths sum to 2*E.  Each walk follows the dart
+    successor table of the module docstring: from a dart into w along e, the
+    next dart leaves w along the edge after e in w's rotation.  Walks start
+    at the first unused dart in rotation order (vertex 0's rotation first).
     """
-    emb.check(g)
-    pos: list[dict[int, int]] = [
-        {e: k for k, e in enumerate(rot)} for rot in emb.rotations
-    ]
-    seen: set[tuple[int, int]] = set()
+    succ, order = _dart_successors(g, emb)
+    edges = g.edges
+    seen = bytearray(len(succ))
     faces: list[list[tuple[int, int]]] = []
-    for v0 in range(g.n):
-        for e0 in emb.rotations[v0]:
-            if (v0, e0) in seen:
-                continue
-            walk: list[tuple[int, int]] = []
-            dart = (v0, e0)
-            while dart not in seen:
-                seen.add(dart)
-                walk.append(dart)
-                v, e = dart
-                w = g.other_end(e, v)
-                rot = emb.rotations[w]
-                dart = (w, rot[(pos[w][e] + 1) % len(rot)])
-            faces.append(walk)
+    for d in order:
+        if seen[d]:
+            continue
+        walk: list[tuple[int, int]] = []
+        while not seen[d]:
+            seen[d] = 1
+            e = d >> 1
+            walk.append((edges[e][d & 1], e))
+            d = succ[d]
+        faces.append(walk)
     return faces
 
 
@@ -209,11 +260,22 @@ def faces_from_embedding(g: Graph, emb: PlaneEmbedding) -> list[list[int]]:
 
 
 def is_planar_embedding(g: Graph, emb: PlaneEmbedding) -> bool:
-    """Euler check V - E + F = 2. Requires a connected graph."""
+    """Euler check V - E + F = 2. Requires a connected graph.
+
+    F counts the cycles of the dart permutation; a lone vertex has no darts
+    and one face.
+    """
     if not g.is_connected():
         raise ValueError("is_planar_embedding requires a connected graph")
-    f = len(face_darts(g, emb))
-    return g.n - g.m + f == 2
+    succ, _ = _dart_successors(g, emb)
+    f = 0
+    for d in range(len(succ)):
+        if succ[d] < 0:
+            continue
+        f += 1
+        while succ[d] >= 0:  # walk the cycle, clearing each dart behind us
+            succ[d], d = -1, succ[d]
+    return g.n - g.m + max(f, 1) == 2
 
 
 def is_perfect_matching(g: Graph, m: Iterable[int]) -> bool:
@@ -285,25 +347,24 @@ def _is_3_edge_connected(g: Graph) -> bool:
     equal.  The RNG is seeded deterministically.
     """
     rng = random.Random(0x3EC0 ^ (g.n << 16) ^ g.m)
+    parent = [-1] * g.n
     parent_edge = [-1] * g.n
-    order = [-1] * g.n
+    seen = bytearray(g.n)
     acc = [0] * g.n
     label = [0] * g.m
-    t = 0
-    stack: list[tuple[int, int]] = [(0, -1)]
+    stack: list[tuple[int, int, int]] = [(0, -1, -1)]
     visited_order: list[int] = []
     while stack:
-        v, pe = stack.pop()
-        if order[v] != -1:
+        v, pe, p = stack.pop()
+        if seen[v]:
             continue
-        order[v] = t
-        t += 1
+        seen[v] = 1
+        parent[v] = p
         parent_edge[v] = pe
         visited_order.append(v)
-        for e in g.inc[v]:
-            w = g.other_end(e, v)
-            if order[w] == -1:
-                stack.append((w, e))
+        for e, w in zip(g.inc[v], g.adj[v]):
+            if not seen[w]:
+                stack.append((w, e, v))
     for e, (u, v) in enumerate(g.edges):
         if parent_edge[u] == e or parent_edge[v] == e:
             continue  # tree edge
@@ -316,8 +377,7 @@ def _is_3_edge_connected(g: Graph) -> bool:
         if pe == -1:
             continue
         label[pe] = acc[v]
-        p = g.other_end(pe, v)
-        acc[p] ^= acc[v]
+        acc[parent[v]] ^= acc[v]
     if 0 in label:
         return False
     return len(set(label)) == g.m
@@ -381,32 +441,29 @@ def serialize_graph(g: Graph, emb: Optional[PlaneEmbedding] = None) -> str:
 
     Edge indices in the embedding block refer to the (sorted) file order.
     """
-    order = sorted(range(g.m), key=lambda e: g.edges[e])
-    remap = {old: new for new, old in enumerate(order)}
+    order = sorted(range(g.m), key=g.edges.__getitem__)
     lines = [f"graph {g.n} {g.m}"]
-    lines += [f"{u} {v}" for u, v in sorted(g.edges)]
+    lines += [f"{u} {v}" for u, v in map(g.edges.__getitem__, order)]
     if emb is not None:
         emb.check(g)
         lines.append("embedding")
-        for v in range(g.n):
-            rot = [remap[e] for e in emb.rotations[v]]
-            lines.append(f"rot {v} {len(rot)} " + " ".join(map(str, rot)))
+        label = [""] * g.m  # edge index -> its index in the file, as text
+        for new, old in enumerate(order):
+            label[old] = str(new)
+        lines += [f"rot {v} {len(rot)} " + " ".join(map(label.__getitem__, rot))
+                  for v, rot in enumerate(emb.rotations)]
     return "\n".join(lines) + "\n"
 
 
 def parse_graph(text: str) -> tuple[Graph, Optional[PlaneEmbedding]]:
-    lines = [ln.strip() for ln in text.splitlines()
-             if ln.strip() and not ln.startswith("#")]
+    lines = [s for ln in text.splitlines() if (s := ln.strip()) and not ln.startswith("#")]
     if not lines or not lines[0].startswith("graph "):
         raise ValueError("graph file must start with 'graph <V> <E>'")
     _, ns, ms = lines[0].split()
     n, m = int(ns), int(ms)
     if n < 0 or m < 0:
         raise ValueError(f"negative count in header {lines[0]!r}")
-    edges = []
-    for ln in lines[1:1 + m]:
-        u, v = map(int, ln.split())
-        edges.append((u, v))
+    edges = [(int(u), int(v)) for u, v in map(str.split, lines[1:1 + m])]
     if len(edges) != m:
         raise ValueError("graph file truncated")
     g = Graph(n, edges)
@@ -425,7 +482,7 @@ def parse_graph(text: str) -> tuple[Graph, Optional[PlaneEmbedding]]:
         v, d = int(parts[1]), int(parts[2])
         if not 0 <= v < n:
             raise ValueError(f"rotation vertex {v} out of range")
-        rot = tuple(int(x) for x in parts[3:])
+        rot = tuple(map(int, parts[3:]))
         if len(rot) != d:
             raise ValueError(f"rotation degree mismatch at vertex {v}")
         rotations[v] = rot

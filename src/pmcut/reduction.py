@@ -347,45 +347,39 @@ def planarize(hb: HBuild, drawing: Drawing) -> ReductionArtifact:
     if g.n != VARIABLE_SIZE * n + CLAUSE_SIZE * m + CROSSING_SIZE * q:
         raise ReductionError("assembled graph failed the size law")
 
+    eid = g._eid  # (u, v) with u < v -> edge index
     connector_at: dict[int, int] = {}
     for u, v, _ in connectors:
-        e = g.edge_id(u, v)
-        connector_at[u] = e
-        connector_at[v] = e
+        connector_at[u] = connector_at[v] = eid[(u, v)]
 
+    # global index of each template edge, per placed gadget; a template's
+    # edges are (u, v) with u < v, so their shifted copies are too
+    global_edges = {key: [eid[(base + u, base + v)] for u, v in t.graph.edges]
+                    for key, (t, base) in placed.items()}
     rotations: list[tuple[int, ...]] = [()] * g.n
-    for template, base in placed.values():
-        tg = template.graph
-        for lv in range(tg.n):
+    for key, (template, base) in placed.items():
+        ge = global_edges[key]
+        for lv, local_rot in enumerate(template.rotations):
             gv = base + lv
-            rot = []
-            for le in template.rotations[lv]:
-                if le == STUB:
-                    rot.append(connector_at[gv])
-                else:
-                    lu, lw = tg.edges[le]
-                    rot.append(g.edge_id(base + lu, base + lw))
-            rotations[gv] = tuple(rot)
+            rotations[gv] = tuple(connector_at[gv] if le == STUB else ge[le]
+                                  for le in local_rot)
     embedding = PlaneEmbedding(tuple(rotations))
     if not is_planar_embedding(g, embedding):
         raise ReductionError("rotation system failed the Euler certification")
 
-    def edges_to_global(template: Gadget, local: frozenset, base: int) -> frozenset:
-        tg = template.graph
-        return frozenset(g.edge_id(base + tg.edges[e][0], base + tg.edges[e][1])
-                         for e in local)
+    def edges_to_global(key: tuple[str, int], local: frozenset) -> frozenset:
+        return frozenset(map(global_edges[key].__getitem__, local))
 
     s2 = {}
     variable_red = {}
     for i in range(1, n + 1):
         base = placed[("variable", i)][1]
         s2[i] = tuple(base + lv for lv in vg.marks["S2"])
-        variable_red[i] = edges_to_global(vg, vg.red_edges, base)
+        variable_red[i] = edges_to_global(("variable", i), vg.red_edges)
     t1, t2, t3 = _clause_local_types()
     clause_restrictions = {}
     for j in range(1, m + 1):
-        base = placed[("clause", j)][1]
-        clause_restrictions[j] = tuple(edges_to_global(cg, t, base) for t in (t1, t2, t3))
+        clause_restrictions[j] = tuple(edges_to_global(("clause", j), t) for t in (t1, t2, t3))
     p1_local, p2_local = crossing_type_sets(xg)
     crossings = []
     for k, (lo, hi) in enumerate(drawing.events):
@@ -396,8 +390,8 @@ def planarize(hb: HBuild, drawing: Drawing) -> ReductionArtifact:
             lower=(bl.var, bl.clause),
             upper=(bh.var, bh.clause),
             base=base,
-            p1_edges=edges_to_global(xg, p1_local, base),
-            p2_edges=edges_to_global(xg, p2_local, base),
+            p1_edges=edges_to_global(("crossing", k + 1), p1_local),
+            p2_edges=edges_to_global(("crossing", k + 1), p2_local),
             squares={sq: tuple(base + lv for lv in xg.marks[sq])
                      for sq in ("BL", "BR", "TL", "TR")},
         ))

@@ -422,37 +422,38 @@ class LemmaReport:
 
 
 def induced_four_cycles(g: Graph) -> list[tuple[int, int, int, int]]:
-    """Induced 4-cycles as vertex tuples (a, u, b, w); linear-time on cubic graphs."""
+    """Induced 4-cycles as vertex tuples (a, u, b, w), each found once from its
+    least vertex a, with u < w; linear-time on cubic graphs."""
     out = []
-    seen = set()
     for a in range(g.n):
-        nbrs = g.adj[a]
+        nbrs = [x for x in g.adj[a] if x > a]
         for i in range(len(nbrs)):
             for k in range(i + 1, len(nbrs)):
                 u, w = nbrs[i], nbrs[k]
                 if g.has_edge(u, w):
                     continue
                 for b in g.adj[u]:
-                    if b != a and b in g.adj[w] and not g.has_edge(a, b):
-                        key = frozenset((a, u, b, w))
-                        if key not in seen:
-                            seen.add(key)
-                            out.append((a, u, b, w))
+                    if b > a and b in g.adj[w] and not g.has_edge(a, b):
+                        out.append((a, u, b, w))
     return out
 
 
 def six_cycles(g: Graph) -> list[tuple[int, ...]]:
     """All 6-vertex cycles, one orientation each (min vertex first)."""
+    adj = g.adj
     out = []
     for s in range(g.n):
         stack = [(s, (s,))]
         while stack:
             v, path = stack.pop()
-            if len(path) == 6:
-                if s in g.adj[v] and path[1] < path[-1]:
-                    out.append(path)
+            if len(path) == 5:
+                # close the cycle here, in the order the stack would pop
+                # these last vertices
+                for w in reversed(adj[v]):
+                    if w > s and w not in path and path[1] < w and s in adj[w]:
+                        out.append(path + (w,))
                 continue
-            for w in g.adj[v]:
+            for w in adj[v]:
                 if w > s and w not in path:
                     stack.append((w, path + (w,)))
     return out
@@ -466,8 +467,8 @@ def _outgoing(g: Graph, verts: Iterable[int]) -> list[int]:
     vs = set(verts)
     out = []
     for v in vs:
-        for e in g.inc[v]:
-            if g.other_end(e, v) not in vs:
+        for e, w in zip(g.inc[v], g.adj[v]):
+            if w not in vs:
                 out.append(e)
     return out
 
@@ -533,9 +534,6 @@ def lemma_oracles(g: Graph, m: EdgeSet, parity_samples: int = 64) -> LemmaReport
         for e in _cycle_edges(g, cyc):
             squares_by_edge.setdefault(e, []).append(key)
 
-    def edge_in_square_avoiding(e: int, banned: set[int]) -> bool:
-        return any(not (sq & banned) for sq in squares_by_edge.get(e, ()))
-
     for cyc in six_cycles(g):
         es = _cycle_edges(g, cyc)
         outgoing = _outgoing(g, cyc)
@@ -544,24 +542,16 @@ def lemma_oracles(g: Graph, m: EdgeSet, parity_samples: int = 64) -> LemmaReport
             inside = [e for e in es if e in m]
             if inside or len(out_in) != len(outgoing):
                 report.hex_three_out.append(cyc)
-        # hexagon-with-squares: edges at positions 1,2,4,5 each sit in an
-        # induced 4-cycle avoiding their neighbours on the hexagon, which is
-        # what the outgoing-edge argument needs
-        matches = False
-        for r in range(6):
-            if matches:
-                break
-            for direction in (1, -1):
-                rot = tuple(cyc[(r + direction * k) % 6] for k in range(6))
-                checks = (
-                    (g.edge_id(rot[1], rot[2]), {rot[0], rot[3]}),
-                    (g.edge_id(rot[2], rot[3]), {rot[1], rot[4]}),
-                    (g.edge_id(rot[4], rot[5]), {rot[3], rot[0]}),
-                    (g.edge_id(rot[5], rot[0]), {rot[4], rot[1]}),
-                )
-                if all(edge_in_square_avoiding(e, b) for e, b in checks):
-                    matches = True
-                    break
+        # hexagon-with-squares: every hexagon edge but one opposite pair sits
+        # in an induced 4-cycle that avoids the two hexagon vertices next to
+        # the edge's ends, which is what the outgoing-edge argument needs.
+        # Edge k joins cyc[k] and cyc[k + 1], so those vertices are cyc[k - 1]
+        # and cyc[k + 2], and the edge opposite edge k is edge k + 3.
+        in_square = [
+            any(not (sq & {cyc[k - 1], cyc[(k + 2) % 6]}) for sq in squares_by_edge.get(e, ()))
+            for k, e in enumerate(es)
+        ]
+        matches = any(all(in_square[k] for k in range(6) if k % 3 != skip) for skip in range(3))
         if matches and any(e in m for e in es):
             report.hex_square_pattern.append(cyc)
 
@@ -571,8 +561,7 @@ def lemma_oracles(g: Graph, m: EdgeSet, parity_samples: int = 64) -> LemmaReport
     order = [0]
     parent[0] = 0
     for v in order:
-        for e in g.inc[v]:
-            w = g.other_end(e, v)
+        for e, w in zip(g.inc[v], g.adj[v]):
             if parent[w] == -1:
                 parent[w] = v
                 parent_edge[w] = e

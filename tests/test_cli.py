@@ -120,6 +120,30 @@ def test_solve_pmc_malformed_graph_is_data_error(tmp_path, capsys, text):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+# The path 0-1-2 (edge 0 is 0-1, edge 1 is 1-2) with one bad rotation each.
+_PATH = "graph 3 2\n0 1\n1 2\nembedding\n"
+_BAD_ROTATIONS = {
+    "duplicate-edge": "rot 0 1 0\nrot 1 2 0 0\nrot 2 1 1\n",
+    "edge-not-at-vertex": "rot 0 1 1\nrot 1 2 0 1\nrot 2 1 1\n",
+    "empty-rotation": "rot 0 0\nrot 1 2 0 1\nrot 2 1 1\n",
+    "negative-edge": "rot 0 1 -1\nrot 1 2 0 1\nrot 2 1 1\n",
+    "edge-past-end": "rot 0 1 2\nrot 1 2 0 1\nrot 2 1 1\n",
+}
+
+
+@pytest.mark.parametrize("command", ["verify-graph", "solve-pmc"])
+@pytest.mark.parametrize("case", sorted(_BAD_ROTATIONS))
+def test_bad_rotation_file_is_data_error(tmp_path, capsys, command, case):
+    p = tmp_path / "bad.graph"
+    p.write_text(_PATH + _BAD_ROTATIONS[case])
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(p)])
+    assert exc.value.code == 65
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "permutation" in err and "Traceback" not in err
+
+
 # A valid E4 formula whose incidence graph is disconnected, which the
 # reduction rejects, and one too large for the brute-force guard.
 _REJECTED = NaeFormula(6, ((1, 2, 3),) * 4 + ((4, 5, 6),) * 4)

@@ -14,6 +14,7 @@ from pmcut.graphs import (
     cube_graph,
     cut_from_edge_set,
     cycle_graph,
+    face_darts,
     faces_from_embedding,
     is_3_connected,
     is_bipartite,
@@ -67,6 +68,31 @@ def test_adjacency_sorted():
     assert g.adj[0] == (1, 3)
     assert g.adj[3] == (0, 2)
     assert g.edges[0] == (2, 3)  # stable indices follow construction order
+
+
+def test_shuffled_edges_give_the_same_graph_and_faces():
+    # Sorted input takes the build's linear path, any other order its global
+    # sort; both must give the same adjacency, the same incidences up to the
+    # edge relabelling, and the same face walks.
+    rng = random.Random(47)
+    for trial in range(60):
+        if trial % 2:
+            g = random_connected_graph(rng.randrange(2, 30), rng.randrange(0, 40), rng)
+            emb = None
+        else:
+            g, emb = random_planar_embedded(rng.randrange(4, 14), rng)
+        perm = list(range(g.m))
+        rng.shuffle(perm)  # new edge k is old edge perm[k], in either direction
+        g2 = Graph(g.n, [g.edges[e][::rng.choice((1, -1))] for e in perm])
+        new_of = {old: new for new, old in enumerate(perm)}
+        assert g2.edges == tuple(g.edges[e] for e in perm)
+        assert g2.adj == g.adj
+        assert g2.inc == tuple(tuple(new_of[e] for e in inc) for inc in g.inc)
+        if emb is not None:
+            emb2 = PlaneEmbedding(tuple(tuple(new_of[e] for e in rot) for rot in emb.rotations))
+            walks2 = [[(v, perm[e]) for v, e in walk] for walk in face_darts(g2, emb2)]
+            assert walks2 == face_darts(g, emb)
+            assert serialize_graph(g2, emb2) == serialize_graph(g, emb)
 
 
 def test_is_cubic():
@@ -136,9 +162,33 @@ def test_k5_never_embeds():
 
 def test_embedding_check_rejects_bad_rotation():
     g, emb = c4_embedded()
-    bad = PlaneEmbedding((emb.rotations[0][:1],) + emb.rotations[1:])
-    with pytest.raises(ValueError, match="permutation"):
-        faces_from_embedding(g, bad)
+    rots = emb.rotations
+    rot0 = rots[0]
+    foreign = next(e for e in range(g.m) if e not in rot0)
+    bad_systems = [(bad_rot,) + rots[1:] for bad_rot in [
+        rot0[:1],  # too short
+        (rot0[0], rot0[0]),  # an edge twice
+        (rot0[0], foreign),  # an edge not at vertex 0
+        (),  # empty at a vertex of degree 2
+        (rot0[0], -1),  # not an edge index
+        (rot0[0], g.m),
+    ]]
+    # vertices 2 and 3 trade edges 1-2 and 0-3: every count is right and no
+    # dart comes up twice, but each of those rotations holds a foreign edge
+    e12, e03 = g.edge_id(1, 2), g.edge_id(0, 3)
+    swap = {e12: e03, e03: e12}
+    bad_systems.append(rots[:2] + tuple(tuple(swap.get(e, e) for e in rots[v]) for v in (2, 3)))
+    for rotations in bad_systems:
+        bad = PlaneEmbedding(rotations)
+        for use in (faces_from_embedding, is_planar_embedding, serialize_graph,
+                    lambda g, emb: emb.check(g)):
+            with pytest.raises(ValueError, match="permutation"):
+                use(g, bad)
+
+
+def test_lone_vertex_is_planar():
+    # no darts, one face: V - E + F = 1 - 0 + 1
+    assert is_planar_embedding(Graph(1, []), PlaneEmbedding(((),)))
 
 
 def test_is_planar_embedding_requires_connected():

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import random
 
+import networkx as nx
 import pytest
 
 from pmcut.formula import (
@@ -314,6 +315,30 @@ def test_cycle_enumerators():
     q3 = cube_graph()
     assert len(induced_four_cycles(q3)) == 6
     assert len(six_cycles(q3)) == 16
+
+
+def _canonical_cycle(cyc: list[int]) -> tuple[int, ...]:
+    """Least vertex first, then its smaller cycle neighbour."""
+    k = cyc.index(min(cyc))
+    c = cyc[k:] + cyc[:k]
+    return tuple(c) if c[1] < c[-1] else (c[0],) + tuple(reversed(c[1:]))
+
+
+def test_cycle_enumerators_agree_with_networkx(variable_gadget, clause_gadget, crossing_gadget):
+    rng = random.Random(53)
+    graphs = [cube_graph(), variable_gadget.graph, clause_gadget.graph, crossing_gadget.graph]
+    graphs += [random_cubic_graph(rng.choice([8, 10, 12, 16, 20, 24]), rng) for _ in range(40)]
+    for g in graphs:
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges)
+        cycles = [_canonical_cycle(c) for c in nx.simple_cycles(h, length_bound=6)]
+        hexagons = sorted(c for c in cycles if len(c) == 6)
+        squares = sorted(c for c in cycles if len(c) == 4
+                         and not g.has_edge(c[0], c[2]) and not g.has_edge(c[1], c[3]))
+        assert sorted(six_cycles(g)) == hexagons
+        assert sorted(induced_four_cycles(g)) == squares
+    assert sum(len(induced_four_cycles(g)) for g in graphs) > 20
 
 
 def test_oracles_on_q3():
