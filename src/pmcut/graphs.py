@@ -436,6 +436,12 @@ def _vertex_disjoint_paths(g: Graph, s: int, t: int, need: int) -> int:
 
 # --- file formats -------------------------------------------------------------
 
+def _data_lines(text: str) -> list[str]:
+    """Stripped lines of a graph, matching or cut file, without blank lines
+    and '#' comments (which may be indented)."""
+    return [s for ln in text.splitlines() if (s := ln.strip()) and s[0] != "#"]
+
+
 def serialize_graph(g: Graph, emb: Optional[PlaneEmbedding] = None) -> str:
     """Graph file: header, lex-sorted edge lines, optional embedding block.
 
@@ -456,7 +462,7 @@ def serialize_graph(g: Graph, emb: Optional[PlaneEmbedding] = None) -> str:
 
 
 def parse_graph(text: str) -> tuple[Graph, Optional[PlaneEmbedding]]:
-    lines = [s for ln in text.splitlines() if (s := ln.strip()) and not ln.startswith("#")]
+    lines = _data_lines(text)
     if not lines or not lines[0].startswith("graph "):
         raise ValueError("graph file must start with 'graph <V> <E>'")
     _, ns, ms = lines[0].split()
@@ -498,8 +504,7 @@ def serialize_matching(g: Graph, m: Iterable[int]) -> str:
 
 
 def parse_matching(text: str, g: Graph) -> EdgeSet:
-    lines = [ln.strip() for ln in text.splitlines()
-             if ln.strip() and not ln.startswith("#")]
+    lines = _data_lines(text)
     if not lines or not lines[0].startswith("matching "):
         raise ValueError("matching file must start with 'matching <k>'")
     k = int(lines[0].split()[1])
@@ -519,8 +524,7 @@ def serialize_cut(cut: Cut) -> str:
 
 
 def parse_cut(text: str, n: int) -> Cut:
-    lines = [ln.strip() for ln in text.splitlines()
-             if ln.strip() and not ln.startswith("#")]
+    lines = _data_lines(text)
     if not lines or not lines[0].startswith("cut "):
         raise ValueError("cut file must start with 'cut <|A|>'")
     k = int(lines[0].split()[1])

@@ -37,30 +37,48 @@ class BudgetExhausted(RuntimeError):
 class _PmcSearch:
     """Backtracking with unit propagation; branches lowest edge first, In before Out.
 
-    Parity is a union-find with one bit per element, without path compression
-    so that a union is undone by unlinking one root.  Each component root keeps
-    the list of undecided edges touching it; a union scans the smaller
-    component's list so that an edge is decided the moment its endpoints land
-    in one component.
+    Parity is a weighted quick-find.  Every vertex v holds root[v], the root
+    of its component, and par[v], its side relative to that root, so a find is
+    one list index.  A union of roots ru and rv with size[rv] <= size[ru]
+    relabels rv's side, the vertex list comp_verts[rv], into ru, XOR-ing each
+    par with the union's flip bit; the flip bit stays readable as par[rv],
+    since rv is on its own list with side 0.  ru's vertex list grows by rv's
+    list, which no later union touches while rv is not a root, so undoing the
+    union relabels the tail slice comp_verts[ru][size[ru]:] back to rv, flips
+    it again and cuts it off.  Each vertex is relabelled O(log n) times along
+    one branch.
 
-    The related-partner rule looks at an unmatched vertex x with two undecided
-    edges e = (x, w) and f = (x, y) whose far ends w and y are in one
-    component: if w and y are same-side, matching either would make them
-    opposite, so e and f go out; if they are opposite-side, x must match one
-    of them, so x's other undecided edges go out.  A union of root rv into ru
-    relates exactly the pairs with w in the old rv component and y in the old
-    ru component; every other related pair was related by an earlier union,
-    which fired the rule on it while e and f were already undecided and x
-    unmatched, since assignments and unions are only ever undone together.
-    So each union stamps its small side and fires the rule on the straddling
-    pairs alone, and the propagation fixpoint is that of firing it on every
-    related pair.
+    A union fires two rules, both from one scan over the small side's
+    incidences, run before the relabel so that root[y] == ru means exactly
+    "y was on the old big side":
+
+    * closing edges: an undecided edge (w, x) with w on the small side is
+      decided (In if its ends end up opposite-side, Out if same-side) when x
+      is on the big side.  Every edge that the union puts inside one
+      component joins the two old sides, so it is seen from its small-side
+      end; edges already inside a component were decided or queued when they
+      got there.
+    * related partners: an unmatched vertex x with two undecided edges
+      e = (x, w) and f = (x, y) whose far ends w and y are in one component:
+      if w and y are same-side, matching either would make them opposite, so
+      e and f go out; if they are opposite-side, x must match one of them, so
+      x's other undecided edges go out.  A union relates exactly the pairs
+      with w on the small side and y on the big side; every other related
+      pair was related by an earlier union, which fired the rule on it while
+      e and f were already undecided and x unmatched, since assignments and
+      unions are only ever undone together.
+
+    Both rules only queue assignments, and the propagation loop applies the
+    queue until it is empty or a conflict shows, so the order of the pushes
+    changes neither the fixpoint nor whether there is a conflict; the node
+    counts and witnesses pinned in the tests check that.  The loop tests
+    roots itself and calls _union only to join two components.
 
     Edges and vertices are ints in flat tables.  The queue and the trail hold
     ints: a queued e means e In, ~e means e Out; a trail entry e >= 0 undoes
-    the assignment of e, and ~rv (preceded by the big root's old edge-list
-    length) undoes the union of root rv.  A root's vertex list is as long as
-    its size, so the size alone restores it.
+    the assignment of e, and ~rv undoes the union of root rv, whose big root
+    is root[rv] and whose flip bit is par[rv].  A root's vertex list is as
+    long as its size, so the sizes alone restore the lists.
     """
 
     def __init__(self, g: Graph):
@@ -72,86 +90,49 @@ class _PmcSearch:
         self.state = bytearray(g.m)
         self.matched = [-1] * n
         self.rem = [len(es) for es in g.inc]
-        self.parent = list(range(n))
+        self.root = list(range(n))
         self.par = [0] * n
         self.size = [1] * n
-        self.comp_edges: list[list[int]] = [list(es) for es in g.inc]
         self.comp_verts: list[list[int]] = [[v] for v in range(n)]
-        self.stamp = [0] * n
-        self.epoch = 0
         self.trail: list[int] = []
         self.nodes = 0
 
     def _union(self, u: int, v: int, parity: int, queue: list) -> bool:
-        parent, par = self.parent, self.par
-        ru, pu = u, 0
-        while parent[ru] != ru:
-            pu ^= par[ru]
-            ru = parent[ru]
-        rv, pv = v, 0
-        while parent[rv] != rv:
-            pv ^= par[rv]
-            rv = parent[rv]
+        root, par = self.root, self.par
+        ru, rv = root[u], root[v]
+        flip = par[u] ^ par[v] ^ parity
         if ru == rv:
-            return (pu ^ pv) == parity
+            return not flip
         size = self.size
         if size[ru] < size[rv]:
             ru, rv = rv, ru
-        big = self.comp_edges[ru]
-        trail = self.trail
-        trail.append(len(big))
-        trail.append(~rv)
-        parent[rv] = ru
-        par[rv] = pu ^ pv ^ parity
-        size[ru] += size[rv]
-        state, eu, ev = self.state, self.eu, self.ev
-        for e in self.comp_edges[rv]:
-            if not state[e]:
-                ra, pa = eu[e], 0
-                while parent[ra] != ra:
-                    pa ^= par[ra]
-                    ra = parent[ra]
-                rb, pb = ev[e], 0
-                while parent[rb] != rb:
-                    pb ^= par[rb]
-                    rb = parent[rb]
-                if ra == rb:
-                    queue.append(~e if pa == pb else e)
-                else:
-                    big.append(e)
+        state, matched, nbrs = self.state, self.matched, self.nbrs
         small = self.comp_verts[rv]
-        self.comp_verts[ru].extend(small)
-        self.epoch += 1
-        epoch, stamp = self.epoch, self.stamp
         for w in small:
-            stamp[w] = epoch
-        matched, nbrs = self.matched, self.nbrs
-        for w in small:
-            pw = -1
+            pw = par[w] ^ flip
             for e, x in nbrs[w]:
-                if state[e] or matched[x] != -1:
+                if state[e]:
+                    continue
+                if root[x] == ru:
+                    queue.append(e if pw != par[x] else ~e)
+                if matched[x] != -1:
                     continue
                 for f, y in nbrs[x]:
-                    if f == e or state[f] or stamp[y] == epoch:
+                    if f == e or state[f] or root[y] != ru:
                         continue
-                    ry, py = y, 0
-                    while parent[ry] != ry:
-                        py ^= par[ry]
-                        ry = parent[ry]
-                    if ry != ru:
-                        continue
-                    if pw < 0:
-                        rw, pw = w, 0
-                        while parent[rw] != rw:
-                            pw ^= par[rw]
-                            rw = parent[rw]
-                    if pw != py:
+                    if pw != par[y]:
                         for h, _ in nbrs[x]:
                             if h != e and h != f and not state[h]:
                                 queue.append(~h)
                     else:
                         queue.append(~e)
                         queue.append(~f)
+        for w in small:
+            root[w] = ru
+            par[w] ^= flip
+        self.comp_verts[ru] += small
+        size[ru] += size[rv]
+        self.trail.append(~rv)
         return True
 
     def _pair_parity(self, w: int, queue: list) -> bool:
@@ -167,6 +148,7 @@ class _PmcSearch:
     def _propagate(self, queue: list) -> bool:
         state, eu, ev, inc = self.state, self.eu, self.ev, self.inc
         matched, rem, trail = self.matched, self.rem, self.trail
+        root, par = self.root, self.par
         union, pair_parity = self._union, self._pair_parity
         while queue:
             e = queue.pop()
@@ -184,7 +166,9 @@ class _PmcSearch:
             if val == _IN:
                 if matched[u] != -1 or matched[v] != -1:
                     return False
-                if not union(u, v, 1, queue):
+                if root[u] != root[v]:
+                    union(u, v, 1, queue)
+                elif par[u] == par[v]:
                     return False
                 matched[u] = matched[v] = e
                 for e2 in inc[u]:
@@ -196,7 +180,9 @@ class _PmcSearch:
             else:
                 rem[u] -= 1
                 rem[v] -= 1
-                if not union(u, v, 0, queue):
+                if root[u] != root[v]:
+                    union(u, v, 0, queue)
+                elif par[u] != par[v]:
                     return False
                 for w in (u, v):
                     if matched[w] == -1:
@@ -214,7 +200,7 @@ class _PmcSearch:
 
     def _undo_to(self, mark: int) -> None:
         trail, state, eu, ev = self.trail, self.state, self.eu, self.ev
-        matched, rem, parent, size = self.matched, self.rem, self.parent, self.size
+        matched, rem, root, par, size = self.matched, self.rem, self.root, self.par, self.size
         while len(trail) > mark:
             t = trail.pop()
             if t >= 0:
@@ -230,11 +216,14 @@ class _PmcSearch:
                 state[t] = _UNDEC
             else:
                 rv = ~t
-                ru = parent[rv]
-                parent[rv] = rv
+                ru, flip = root[rv], par[rv]
                 size[ru] -= size[rv]
-                del self.comp_edges[ru][trail.pop():]
-                del self.comp_verts[ru][size[ru]:]
+                verts = self.comp_verts[ru]
+                k = size[ru]
+                for w in verts[k:]:
+                    root[w] = rv
+                    par[w] ^= flip
+                del verts[k:]
 
     def run(self, on_solution: Callable[[EdgeSet], bool], budget: Optional[int]) -> None:
         """DFS over the decision tree; on_solution returns True to stop early."""

@@ -95,6 +95,20 @@ _TWO_TRIANGLES_EMBEDDED = _TWO_TRIANGLES + (
     "rot 3 2 3 4\nrot 4 2 3 5\nrot 5 2 4 5\n")
 
 
+def test_verify_graph_indented_comments_match_plain(n3_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["reduce", str(n3_file), "--out", str(out)]) == 0
+    plain = out / "n3.graph"
+    commented = tmp_path / "commented.graph"
+    commented.write_text("".join(f"{ln}\n    # indented note\n" for ln in plain.read_text().splitlines()))
+    capsys.readouterr()
+    results = []
+    for p in (plain, commented):
+        results.append((main(["verify-graph", str(p)]), capsys.readouterr()))
+    assert results[0] == results[1]
+    assert results[0][0] == 0
+
+
 @pytest.mark.parametrize("text", [_TWO_TRIANGLES, _TWO_TRIANGLES_EMBEDDED],
                          ids=["plain", "embedded"])
 def test_verify_graph_disconnected_is_fail(tmp_path, capsys, text):

@@ -374,6 +374,24 @@ def test_matching_and_cut_files():
     assert parse_cut(serialize_cut(cut), q3.n) in (cut, Cut(tuple(1 - s for s in cut.sides)))
 
 
+def _with_indented_comments(text):
+    """Every line of text followed by an indented comment, a tabbed bare '#'
+    and a blank line."""
+    return "".join(f"{ln}\n  # note\n\t#\n\n" for ln in text.splitlines())
+
+
+def test_parsers_skip_indented_comments():
+    assert parse_graph("graph 2 1\n  # note\n0 1\n")[0].edges == ((0, 1),)
+    g, emb = q3_embedded()
+    text = serialize_graph(g, emb)
+    g2, emb2 = parse_graph(_with_indented_comments(text))
+    assert serialize_graph(g2, emb2) == text
+    vertical = frozenset(g.edge_id(i, i + 4) for i in range(4))
+    assert parse_matching(_with_indented_comments(serialize_matching(g, vertical)), g) == vertical
+    cut = cut_from_edge_set(g, vertical)
+    assert parse_cut(_with_indented_comments(serialize_cut(cut)), g.n) == parse_cut(serialize_cut(cut), g.n)
+
+
 def test_parse_errors():
     with pytest.raises(ValueError):
         parse_graph("nope")

@@ -15,6 +15,7 @@ from pmcut.formula import (
 )
 from pmcut.gadgets import enumerate_local_pmcs
 from pmcut.graphs import (
+    Cut,
     Graph,
     complete_bipartite_graph,
     complete_graph,
@@ -42,6 +43,14 @@ from pmcut.solver import (
 # sha256 of the comma-joined sorted edge ids of find_pmc's canonical n=3 witness
 CANONICAL_N3_WITNESS_SHA256 = "cbb3dac0569fd98bc2948b9cf8a64e902da59be92bf22d0b74d3f754843d2466"
 
+# (n, seed) of random_e4_formula(n, Random(seed)) -> node count and witness
+# sha256 of one search of its reduction, stopping at the first witness
+SEEDED_SEARCH_PINS = {
+    (6, 0): (129, "187b56def130d3c83f39e6a3c892944ef860e2340f3bfbd860cfe8c63c62e814"),
+    (9, 9): (210, "f25d0d083ec0819e68b6f062f64a2bb2271b33882cd5fd1b7d67100fb20d23d2"),
+    (12, 12): (180, "964579c46fbf790b689a01b22d448aeea002e615bd87cff9e325e5b6a3b593a8"),
+}
+
 
 def verified(g, m):
     return m is not None and is_perfect_matching(g, m) and cut_from_edge_set(g, m) is not None
@@ -58,6 +67,10 @@ def first_witness(g):
     search = _PmcSearch(g)
     search.run(take, None)
     return search.nodes, (found[0] if found else None)
+
+
+def witness_sha256(m):
+    return hashlib.sha256(",".join(map(str, sorted(m))).encode()).hexdigest()
 
 
 def test_fixed_fixtures():
@@ -201,11 +214,40 @@ def test_enumeration_agrees_with_bruteforce_beyond_degree_3():
     assert witnessed_high_degree >= 100
 
 
+def test_undo_restores_fresh_tables():
+    """An exhaustive search undone to the empty trail leaves every table as a
+    fresh search has it: labels, sides, sizes, vertex lists and assignments."""
+    rng = random.Random(7079)
+    tables = ("root", "par", "size", "comp_verts", "state", "matched", "rem")
+    nodes = 0
+    for k in range(200):
+        if k % 2:
+            g = random_cubic_graph(rng.choice([8, 10, 12, 14, 16]), rng)
+        else:
+            g = random_bounded_graph(rng.randrange(4, 17, 2), 3, k % 4 == 0, rng)
+        search = _PmcSearch(g)
+        search.run(lambda m: False, None)
+        nodes += search.nodes
+        search._undo_to(0)
+        assert search.trail == []
+        fresh = _PmcSearch(g)
+        for name in tables:
+            assert getattr(search, name) == getattr(fresh, name), name
+    assert nodes > 300
+
+
 def test_canonical_search_pinned():
     nodes, m = first_witness(reduce_formula(canonical_n3_formula()).graph)
     assert nodes == 33
-    digest = hashlib.sha256(",".join(map(str, sorted(m))).encode()).hexdigest()
-    assert digest == CANONICAL_N3_WITNESS_SHA256
+    assert witness_sha256(m) == CANONICAL_N3_WITNESS_SHA256
+
+
+@pytest.mark.parametrize("n,seed", sorted(SEEDED_SEARCH_PINS))
+def test_seeded_search_pinned(n, seed):
+    g = reduce_formula(random_e4_formula(n, random.Random(seed))).graph
+    nodes, m = first_witness(g)
+    assert verified(g, m)
+    assert (nodes, witness_sha256(m)) == SEEDED_SEARCH_PINS[(n, seed)]
 
 
 def test_solver_witness_deterministic():
@@ -359,6 +401,32 @@ def test_oracles_reject_corrupted_witness():
     m.add(1)
     with pytest.raises(ValueError):
         lemma_oracles(q3, frozenset(m))
+
+
+def test_each_lemma_report_can_fire(monkeypatch):
+    """With lemma_oracles' input checks made to accept, hand-built edge sets
+    that are no perfect matching cut, and a corrupted Cut, trip all five
+    reports."""
+    q3 = cube_graph()
+    m = find_pmc(q3)
+    monkeypatch.setattr("pmcut.solver.cut_from_edge_set", lambda g, m: Cut((0,) * g.n))
+    report = lemma_oracles(q3, m)  # a true witness read through a wrong cut
+    assert report.path_parity
+    assert not (report.four_cycle or report.square_propagation
+                or report.hex_three_out or report.hex_square_pattern)
+
+    monkeypatch.setattr("pmcut.solver.is_perfect_matching", lambda g, m: True)
+    e = q3.edge_id
+    # one edge inside the bottom square, none inside the top one beside it
+    report = lemma_oracles(q3, frozenset({e(0, 1)}))
+    assert report.four_cycle and report.square_propagation
+    # hexagon 1-2-3-7-4-5 misses 0 and 6; three of its six outgoing edges are in m
+    assert lemma_oracles(q3, frozenset({e(0, 1), e(0, 3), e(0, 4)})).hex_three_out
+    # hexagon 0..5 with rungs i-(i+6) and rails 6-7-8, 9-10-11: its edges but
+    # the opposite pair (2, 3), (5, 0) sit in squares outside it
+    ladders = Graph(12, [(i, (i + 1) % 6) for i in range(6)] + [(i, i + 6) for i in range(6)]
+                    + [(6, 7), (7, 8), (9, 10), (10, 11)])
+    assert lemma_oracles(ladders, frozenset({ladders.edge_id(0, 1)})).hex_square_pattern
 
 
 def test_oracles_on_reduction_witness():
