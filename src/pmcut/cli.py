@@ -126,10 +126,12 @@ def cmd_solve_pmc(args) -> int:
 
 def cmd_verify_graph(args) -> int:
     g, emb = _load_graph(args.graph)
-    checks = [("cubic", gr.is_cubic(g)), ("bipartite", gr.is_bipartite(g) is not None)]
+    cubic = gr.is_cubic(g)
+    checks = [("cubic", cubic), ("bipartite", gr.is_bipartite(g) is not None)]
+    planar = emb is not None and g.is_connected() and gr.is_planar_embedding(g, emb)
     if emb is not None:
-        checks.append(("planar", g.is_connected() and gr.is_planar_embedding(g, emb)))
-    checks.append(("3-connected", gr.is_3_connected(g)))
+        checks.append(("planar", planar))
+    checks.append(("3-connected", cubic and gr.is_3_connected(g, emb if planar else None)))
     ok = all(v for _, v in checks)
     names = " ".join(name for name, _ in checks)
     print(f"{names}: {'PASS' if ok else 'FAIL'}")

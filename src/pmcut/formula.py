@@ -124,14 +124,14 @@ def complement(a: Assignment) -> Assignment:
     return tuple(1 - b for b in a)
 
 
-def solve_nae_bruteforce(f: NaeFormula, max_vars: int = MAX_BRUTEFORCE_VARS) -> Optional[Assignment]:
+def solve_nae_bruteforce(f: NaeFormula) -> Optional[Assignment]:
     """First satisfying assignment with variable 1 pinned to side A, else None.
 
     Flipping every variable of a satisfying assignment yields another one, so
     pinning variable 1 halves the search without losing completeness.
     """
-    if f.n > max_vars:
-        raise FormulaError(f"brute force guard: n={f.n} > {max_vars}")
+    if f.n > MAX_BRUTEFORCE_VARS:
+        raise FormulaError(f"brute force guard: n={f.n} > {MAX_BRUTEFORCE_VARS}")
     if f.n == 0:
         return ()
     masks = [(1 << (x - 1)) | (1 << (y - 1)) | (1 << (z - 1)) for x, y, z in f.clauses]

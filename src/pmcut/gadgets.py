@@ -21,7 +21,6 @@ from .graphs import (STUB, EdgeSet, Graph, PlaneEmbedding, cut_from_edge_set, fa
                      is_bipartite, is_perfect_matching, is_planar_embedding)
 
 CENSUS_NODE_CAP = 10 ** 6
-MAX_CENSUS_VERTICES = 120
 
 Coord = tuple[float, float]
 
@@ -501,8 +500,6 @@ def enumerate_local_pmcs(gadget: Gadget) -> list[EdgeSet]:
     """
     from .solver import enumerate_pmcs
 
-    if gadget.graph.n > MAX_CENSUS_VERTICES:
-        raise ValueError(f"census guard: {gadget.graph.n} > {MAX_CENSUS_VERTICES} vertices")
     found = enumerate_pmcs(gadget.graph, max_nodes=CENSUS_NODE_CAP)
     return sorted(found, key=lambda s: tuple(sorted(s)))
 

@@ -27,10 +27,6 @@ EdgeSet = frozenset  # of edge indices
 #: exist yet.  Never appears in a finished PlaneEmbedding.
 STUB = -1
 
-# Guard keeping huge inputs off the max-flow path of is_3_connected, which
-# is superlinear; cubic graphs take the linear label path at any size.
-MAX_3CONN_VERTICES = 20000
-
 
 class Graph:
     """Simple undirected graph; vertices 0..n-1, edges indexed in list order."""
@@ -228,6 +224,24 @@ def is_bipartite(g: Graph) -> Optional[Cut]:
     return _parity_sides(g, range(g.m))
 
 
+def _face_labels(g: Graph, emb: PlaneEmbedding) -> tuple[list[int], list[int], int]:
+    """One walk over the cycles of ``succ``, in the order of ``face_darts``:
+    the face of every dart, all darts face after face, and the face count."""
+    succ, order = _dart_successors(g, emb)
+    face = [-1] * len(succ)
+    walk: list[int] = []
+    f = 0
+    for d in order:
+        if face[d] >= 0:
+            continue
+        while face[d] < 0:
+            face[d] = f
+            walk.append(d)
+            d = succ[d]
+        f += 1
+    return face, walk, f
+
+
 def face_darts(g: Graph, emb: PlaneEmbedding) -> list[list[tuple[int, int]]]:
     """Face walks of the rotation system, each as a list of darts (vertex, edge).
 
@@ -237,20 +251,11 @@ def face_darts(g: Graph, emb: PlaneEmbedding) -> list[list[tuple[int, int]]]:
     next dart leaves w along the edge after e in w's rotation.  Walks start
     at the first unused dart in rotation order (vertex 0's rotation first).
     """
-    succ, order = _dart_successors(g, emb)
+    face, walk, nf = _face_labels(g, emb)
     edges = g.edges
-    seen = bytearray(len(succ))
-    faces: list[list[tuple[int, int]]] = []
-    for d in order:
-        if seen[d]:
-            continue
-        walk: list[tuple[int, int]] = []
-        while not seen[d]:
-            seen[d] = 1
-            e = d >> 1
-            walk.append((edges[e][d & 1], e))
-            d = succ[d]
-        faces.append(walk)
+    faces: list[list[tuple[int, int]]] = [[] for _ in range(nf)]
+    for d in walk:
+        faces[face[d]].append((edges[d >> 1][d & 1], d >> 1))
     return faces
 
 
@@ -262,20 +267,12 @@ def faces_from_embedding(g: Graph, emb: PlaneEmbedding) -> list[list[int]]:
 def is_planar_embedding(g: Graph, emb: PlaneEmbedding) -> bool:
     """Euler check V - E + F = 2. Requires a connected graph.
 
-    F counts the cycles of the dart permutation; a lone vertex has no darts
+    F counts the faces of the rotation system; a lone vertex has no darts
     and one face.
     """
     if not g.is_connected():
         raise ValueError("is_planar_embedding requires a connected graph")
-    succ, _ = _dart_successors(g, emb)
-    f = 0
-    for d in range(len(succ)):
-        if succ[d] < 0:
-            continue
-        f += 1
-        while succ[d] >= 0:  # walk the cycle, clearing each dart behind us
-            succ[d], d = -1, succ[d]
-    return g.n - g.m + max(f, 1) == 2
+    return g.n - g.m + max(_face_labels(g, emb)[2], 1) == 2
 
 
 def is_perfect_matching(g: Graph, m: Iterable[int]) -> bool:
@@ -319,23 +316,32 @@ def is_cutset_via_cycle_basis(g: Graph, emb: PlaneEmbedding, m: Iterable[int]) -
 
 # --- 3-connectivity -----------------------------------------------------------
 
-def is_3_connected(g: Graph) -> bool:
-    """True iff V >= 4 and no pair of vertices disconnects g.
+def is_3_connected(g: Graph, emb: Optional[PlaneEmbedding] = None) -> bool:
+    """True iff the cubic graph g has V >= 4 and no pair of vertices
+    disconnects it.  Raises ValueError on non-cubic input.
 
-    Cubic graphs use the fact that vertex and edge connectivity coincide in
-    cubic graphs, with 3-edge-connectivity decided by the bridge/2-cut label
-    trick, which is linear.  Other graphs fall back to three rounds of
-    unit-capacity max-flow, refused above MAX_3CONN_VERTICES vertices.
+    In a cubic graph vertex and edge connectivity coincide, so this asks for
+    no bridge and no 2-edge-cut.  With ``emb``, a plane embedding of g, the
+    answer is exact by cut-cycle duality (Diestel, *Graph Theory*, §4.6): a
+    bridge is an edge with the same face on both sides, and a 2-edge-cut is
+    two edges joining the same pair of faces.  ``emb`` must pass the Euler
+    check, or ValueError is raised.  Without ``emb`` the seeded label path
+    of ``_is_3_edge_connected`` decides.
     """
-    cubic = is_cubic(g)
-    if g.n > MAX_3CONN_VERTICES and not cubic:
-        raise ValueError(f"is_3_connected guard: {g.n} > {MAX_3CONN_VERTICES} vertices "
-                         "on the max-flow path (non-cubic graph)")
-    if g.n < 4 or not g.is_connected() or min(len(a) for a in g.adj) < 3:
+    if not is_cubic(g):
+        raise ValueError("is_3_connected takes cubic graphs only")
+    if g.n < 4 or not g.is_connected():
         return False
-    if cubic:
+    if emb is None:
         return _is_3_edge_connected(g)
-    return _three_connected_by_flow(g)
+    face, _, nf = _face_labels(g, emb)
+    if g.n - g.m + nf != 2:
+        raise ValueError("embedding fails the Euler check V - E + F = 2")
+    # The dual must be simple: a loop is a bridge and two parallel edges are
+    # a 2-edge-cut, so the m edges must join m distinct pairs of faces.
+    duals = {a * nf + b if a < b else b * nf + a
+             for a, b in zip(face[0::2], face[1::2]) if a != b}
+    return len(duals) == g.m
 
 
 def _is_3_edge_connected(g: Graph) -> bool:
@@ -381,57 +387,6 @@ def _is_3_edge_connected(g: Graph) -> bool:
     if 0 in label:
         return False
     return len(set(label)) == g.m
-
-
-def _three_connected_by_flow(g: Graph) -> bool:
-    """Any 2-cut misses one of three fixed sources; check their flows."""
-    for s in (0, 1, 2):
-        for t in range(g.n):
-            if t == s or g.has_edge(s, t):
-                continue
-            if _vertex_disjoint_paths(g, s, t, 3) < 3:
-                return False
-    return True
-
-
-def _vertex_disjoint_paths(g: Graph, s: int, t: int, need: int) -> int:
-    # Unit vertex capacities via node splitting; BFS augmentation.
-    n = g.n
-    cap: dict[tuple[int, int], int] = {}
-    adjf: list[set[int]] = [set() for _ in range(2 * n)]
-
-    def add(a: int, b: int, c: int) -> None:
-        cap[(a, b)] = cap.get((a, b), 0) + c
-        cap.setdefault((b, a), 0)
-        adjf[a].add(b)
-        adjf[b].add(a)
-
-    for v in range(n):
-        add(2 * v, 2 * v + 1, 1 if v not in (s, t) else need)
-    for u, v in g.edges:
-        add(2 * u + 1, 2 * v, 1)
-        add(2 * v + 1, 2 * u, 1)
-    src, sink = 2 * s + 1, 2 * t
-    flow = 0
-    while flow < need:
-        prev = {src: src}
-        queue = [src]
-        while queue and sink not in prev:
-            a = queue.pop(0)
-            for b in adjf[a]:
-                if b not in prev and cap[(a, b)] > 0:
-                    prev[b] = a
-                    queue.append(b)
-        if sink not in prev:
-            break
-        b = sink
-        while b != src:
-            a = prev[b]
-            cap[(a, b)] -= 1
-            cap[(b, a)] += 1
-            b = a
-        flow += 1
-    return flow
 
 
 # --- file formats -------------------------------------------------------------

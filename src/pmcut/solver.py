@@ -26,6 +26,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 DEFAULT_BUDGET = 2_000_000
 MAX_BRUTEFORCE_VERTICES = 24
+#: Vertices whose path parity lemma_oracles checks against the cut, evenly spaced.
+PARITY_SAMPLES = 64
 
 _UNDEC, _IN, _OUT = 0, 1, 2
 
@@ -305,10 +307,10 @@ def enumerate_pmcs(g: Graph, max_nodes: Optional[int] = None) -> list[EdgeSet]:
     return out
 
 
-def find_pmc_bruteforce(g: Graph, max_vertices: int = MAX_BRUTEFORCE_VERTICES) -> Optional[EdgeSet]:
+def find_pmc_bruteforce(g: Graph) -> Optional[EdgeSet]:
     """Oracle: enumerate perfect matchings by vertex order, test each as a cutset."""
-    if g.n > max_vertices:
-        raise ValueError(f"brute force guard: {g.n} > {max_vertices} vertices")
+    if g.n > MAX_BRUTEFORCE_VERTICES:
+        raise ValueError(f"brute force guard: {g.n} > {MAX_BRUTEFORCE_VERTICES} vertices")
     if not g.is_connected():
         raise ValueError("find_pmc_bruteforce requires a connected graph")
     matched = [False] * g.n
@@ -462,7 +464,7 @@ def _outgoing(g: Graph, verts: Iterable[int]) -> list[int]:
     return out
 
 
-def lemma_oracles(g: Graph, m: EdgeSet, parity_samples: int = 64) -> LemmaReport:
+def lemma_oracles(g: Graph, m: EdgeSet) -> LemmaReport:
     """Check the 4-cycle dichotomy, square propagation, both hexagon facts,
     and path-parity side consistency for a verified perfect matching cut.
 
@@ -558,7 +560,7 @@ def lemma_oracles(g: Graph, m: EdgeSet, parity_samples: int = 64) -> LemmaReport
     depth_parity = [0] * g.n
     for v in order[1:]:
         depth_parity[v] = depth_parity[parent[v]] ^ (1 if parent_edge[v] in m else 0)
-    step = max(1, g.n // parity_samples)
+    step = max(1, g.n // PARITY_SAMPLES)
     for v in range(0, g.n, step):
         same = depth_parity[v] == depth_parity[0]
         if same != cut.same_side(0, v):

@@ -140,30 +140,32 @@ def _bridge_joins(g1: Graph, g2: Graph) -> list[Graph]:
 
 @lru_cache(maxsize=None)
 def connected_cubic_catalog(max_vertices: int) -> tuple[tuple[Graph, ...], ...]:
-    """Levels (n=4, 6, ...) of pairwise non-isomorphic connected cubic graphs."""
-    k4 = Graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
-    levels = [(k4,)]
-    n = 4
-    while n + 2 <= max_vertices:
-        candidates = [h for g in levels[-1] for h in _edge_pair_expansions(g)]
-        if len(levels) >= 2:
-            candidates += [h for g in levels[-2] for h in _diamond_expansions(g)]
-        for i1 in range(len(levels)):
-            n1 = 4 + 2 * i1
-            n2 = (n + 2) - 2 - n1
-            if n2 < n1:
-                break
-            i2 = (n2 - 4) // 2
-            if i2 >= len(levels):
-                continue
-            for g1 in levels[i1]:
-                for g2 in levels[i2]:
-                    candidates += _bridge_joins(g1, g2)
-        seen: dict[bytes, Graph] = {}
-        for h in candidates:
-            key = canonical_form(h)
-            if key not in seen:
-                seen[key] = h
-        levels.append(tuple(seen[k] for k in sorted(seen)))
-        n += 2
+    """Levels (n=4, 6, ...) of pairwise non-isomorphic connected cubic graphs.
+
+    Each call extends the cached catalog two vertices smaller by one level,
+    so catalogs of different sizes share their levels."""
+    if max_vertices < 6:
+        return ((Graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)]),),)
+    levels = list(connected_cubic_catalog(max_vertices - 2))
+    n = 2 + 2 * len(levels)
+    candidates = [h for g in levels[-1] for h in _edge_pair_expansions(g)]
+    if len(levels) >= 2:
+        candidates += [h for g in levels[-2] for h in _diamond_expansions(g)]
+    for i1 in range(len(levels)):
+        n1 = 4 + 2 * i1
+        n2 = (n + 2) - 2 - n1
+        if n2 < n1:
+            break
+        i2 = (n2 - 4) // 2
+        if i2 >= len(levels):
+            continue
+        for g1 in levels[i1]:
+            for g2 in levels[i2]:
+                candidates += _bridge_joins(g1, g2)
+    seen: dict[bytes, Graph] = {}
+    for h in candidates:
+        key = canonical_form(h)
+        if key not in seen:
+            seen[key] = h
+    levels.append(tuple(seen[k] for k in sorted(seen)))
     return tuple(levels)

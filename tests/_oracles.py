@@ -2,8 +2,9 @@
 
 These deliberately avoid the implementation paths they check: cutset
 detection is replayed against explicit cycle enumeration, planar embedded
-graphs come from Delaunay triangulations with angle-sorted rotations, and
-vertex connectivity is answered by networkx's flow-based routine.
+graphs come from Delaunay triangulations with angle-sorted rotations or
+from networkx's planarity test, and vertex connectivity is answered by
+networkx's flow-based routine.
 """
 
 from __future__ import annotations
@@ -100,6 +101,19 @@ def nx_three_connected(g: Graph) -> bool:
     if not nx.is_connected(h):
         return False
     return nx.node_connectivity(h) >= 3
+
+
+def nx_plane_embedding(g: Graph):
+    """networkx's plane embedding of g as a rotation system, or None when g
+    is not planar."""
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges)
+    planar, emb = nx.check_planarity(h)
+    if not planar:
+        return None
+    return PlaneEmbedding(tuple(tuple(g.edge_id(v, w) for w in emb.neighbors_cw_order(v))
+                                for v in range(g.n)))
 
 
 def planar_rotation_from_coords(g: Graph, coords) -> PlaneEmbedding:

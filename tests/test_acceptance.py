@@ -75,7 +75,7 @@ def certified_instances(random_instances):
             "cubic": is_cubic(art.graph),
             "bipartite": is_bipartite(art.graph) is not None,
             "planar": is_planar_embedding(art.graph, art.embedding),
-            "three_connected": is_3_connected(art.graph),
+            "three_connected": is_3_connected(art.graph, art.embedding),
             "size_law": art.graph.n == 36 * f.n + 112 * f.m + 16 * art.q,
         })
     return rows, time.time() - t0

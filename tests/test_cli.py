@@ -1,5 +1,6 @@
 import random
 import re
+import time
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -186,6 +187,28 @@ def test_exit_contract_without_traceback(tmp_path, capsys, command, formula, cod
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def _torus_file(k: int) -> str:
+    """k x k grid with wrap-around: 4-regular, k*k vertices."""
+    edges = [(i * k + j, ((i + di) % k) * k + (j + dj) % k)
+             for i in range(k) for j in range(k) for di, dj in ((1, 0), (0, 1))]
+    return f"graph {k * k} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+
+
+@pytest.mark.parametrize("text", [
+    "graph 20001 0\n",
+    "graph 20002 20001\n" + "".join(f"{v} {v + 1}\n" for v in range(20001)),
+    _torus_file(30),
+], ids=["isolated-20001", "path-20002", "torus-30x30"])
+def test_verify_graph_non_cubic_fails_fast(tmp_path, capsys, text):
+    p = tmp_path / "g.graph"
+    p.write_text(text)
+    start = time.perf_counter()
+    assert main(["verify-graph", str(p)]) == 1
+    assert time.perf_counter() - start < 1.0
+    out = capsys.readouterr().out
+    assert "cubic: FAILED" in out and "3-connected: FAILED" in out
 
 
 def test_verify_gadgets(capsys):

@@ -1,15 +1,17 @@
 import math
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pmcut.formula import ag23_formula, canonical_n3_formula, random_e4_formula
 from pmcut.graphs import (
-    MAX_3CONN_VERTICES,
     Cut,
     Graph,
     PlaneEmbedding,
+    complete_bipartite_graph,
     complete_graph,
     cube_graph,
     cut_from_edge_set,
@@ -30,10 +32,13 @@ from pmcut.graphs import (
     serialize_graph,
     serialize_matching,
 )
-from pmcut.graphs import _is_3_edge_connected, _three_connected_by_flow
+from pmcut.graphs import _is_3_edge_connected
+from pmcut.reduction import reduce_formula
 
+from _catalog import connected_cubic_catalog
 from _oracles import (
     cutset_by_cycle_enumeration,
+    nx_plane_embedding,
     nx_three_connected,
     planar_rotation_from_coords,
     random_connected_graph,
@@ -197,49 +202,71 @@ def test_is_planar_embedding_requires_connected():
         is_planar_embedding(g, PlaneEmbedding(((), ())))
 
 
+def _k4_embedded():
+    g = complete_graph(4)
+    return g, planar_rotation_from_coords(g, [(0, 3), (-3, -2), (3, -2), (0, 0)])
+
+
 def test_three_connected_basics():
-    assert is_3_connected(cube_graph())
-    assert is_3_connected(complete_graph(4))
+    q3, q3_emb = q3_embedded()
+    k4, k4_emb = _k4_embedded()
+    for g, emb in ((q3, q3_emb), (k4, k4_emb)):
+        assert is_3_connected(g) and is_3_connected(g, emb)
+    assert is_3_connected(complete_bipartite_graph(3, 3))  # cubic, not planar
+    # two K4s with one edge each removed, joined by two edges: a 2-edge-cut
+    two = Graph(8, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
+                    (4, 6), (4, 7), (5, 6), (5, 7), (6, 7), (0, 4), (1, 5)])
+    assert is_cubic(two) and not is_3_connected(two)
+    assert not is_3_connected(Graph(8, [(a + 4 * c, b + 4 * c) for c in (0, 1)
+                                        for a, b in complete_graph(4).edges]))
+
+
+def test_three_connected_rejects_non_cubic_input():
     k4_minus = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
-    assert not is_3_connected(k4_minus)
-    assert not is_3_connected(cycle_graph(5))
-    assert not is_3_connected(Graph(3, [(0, 1), (1, 2), (0, 2)]))
+    for g in (k4_minus, cycle_graph(5), complete_graph(5), Graph(20001, [])):
+        with pytest.raises(ValueError, match="cubic"):
+            is_3_connected(g)
 
 
-def test_three_connected_guard():
-    with pytest.raises(ValueError, match="guard"):
-        is_3_connected(Graph(20001, []))
+def test_three_connected_rejects_embedding_failing_euler():
+    g, emb = q3_embedded()
+    rotations = list(emb.rotations)
+    rotations[0] = rotations[0][::-1]  # one vertex turned over: genus 1
+    bad = PlaneEmbedding(tuple(rotations))
+    assert not is_planar_embedding(g, bad)
+    with pytest.raises(ValueError, match="Euler"):
+        is_3_connected(g, bad)
 
 
-def _ladder_edges(k: int, base: int) -> list[tuple[int, int]]:
-    """Circular ladder on 2k vertices: rails base..base+k-1 and base+k..base+2k-1."""
+def _subdivided_join(g1: Graph, g2: Graph, k: int) -> Graph:
+    """Subdivide the edges at vertex 0 towards its first k neighbours in g1
+    and in g2, and join the new vertices pairwise: a cubic graph whose k
+    joining edges form a cut (a bridge for k = 1)."""
+    n = g1.n + g2.n + 2 * k
     edges = []
-    for i in range(k):
-        a, b = base + i, base + k + i
-        edges += [(a, base + (i + 1) % k), (b, base + k + (i + 1) % k), (a, b)]
-    return edges
-
-
-def test_three_connected_cubic_beyond_guard():
-    k = 10_002
-    assert 2 * k > MAX_3CONN_VERTICES
-    ladder = Graph(2 * k, _ladder_edges(k, 0))
-    assert is_cubic(ladder) and is_3_connected(ladder)
-    # two ladders with one rung each rewired across: cubic, with a 2-edge-cut
-    half = k // 2
-    edges = [e for e in _ladder_edges(half, 0) + _ladder_edges(half, 2 * half)
-             if e not in ((0, half), (2 * half, 3 * half))]
-    edges += [(0, 2 * half), (half, 3 * half)]
-    two = Graph(4 * half, edges)
-    assert two.n > MAX_3CONN_VERTICES and is_cubic(two) and two.is_connected()
-    assert not is_3_connected(two)
+    new = g1.n + g2.n
+    for g, base in ((g1, 0), (g2, g1.n)):
+        cut = {g.edge_id(0, w) for w in g.adj[0][:k]}
+        edges += [(base + u, base + v) for i, (u, v) in enumerate(g.edges) if i not in cut]
+        for j, w in enumerate(g.adj[0][:k]):
+            edges += [(base, new + j), (new + j, base + w)]
+        new += k
+    edges += [(g1.n + g2.n + j, g1.n + g2.n + k + j) for j in range(k)]
+    return Graph(n, edges)
 
 
 def test_three_connected_agrees_with_flow_oracle():
+    # random cubic graphs, and pairs of them joined across a planted bridge
+    # or 2-edge-cut; mostly non-planar, so the label path decides
     rng = random.Random(17)
-    for _ in range(60):
-        g = random_connected_graph(rng.randrange(5, 30), rng.randrange(2, 25), rng)
+    answers = set()
+    for i in range(60):
+        g = random_cubic_graph(rng.choice([6, 8, 10, 12]), rng)
+        if i % 3:
+            g = _subdivided_join(g, random_cubic_graph(rng.choice([4, 6, 8]), rng), i % 3)
+        answers.add(is_3_connected(g))
         assert is_3_connected(g) == nx_three_connected(g)
+    assert answers == {True, False}
 
 
 def test_cubic_edge_connectivity_path_agrees():
@@ -250,12 +277,75 @@ def test_cubic_edge_connectivity_path_agrees():
         assert _is_3_edge_connected(g) == nx_three_connected(g)
 
 
-def test_flow_path_agrees():
-    rng = random.Random(29)
-    for _ in range(40):
-        g = random_connected_graph(rng.randrange(6, 24), rng.randrange(6, 30), rng)
-        if min(g.degree(v) for v in range(g.n)) >= 3:
-            assert _three_connected_by_flow(g) == nx_three_connected(g)
+def test_embedded_three_connected_on_reductions():
+    arts = [reduce_formula(canonical_n3_formula()), reduce_formula(ag23_formula()),
+            reduce_formula(random_e4_formula(9, random.Random(9)))]
+    for art in arts:
+        assert is_3_connected(art.graph, art.embedding)
+        assert _is_3_edge_connected(art.graph)
+    # networkx's flow routine takes minutes at thousands of vertices, so it
+    # reads the smallest; on a cubic graph edge connectivity is vertex
+    # connectivity, and networkx decides it about seven times faster
+    small = arts[0].graph
+    h = nx.Graph(small.edges)
+    assert nx.is_k_edge_connected(h, 3)
+
+
+def test_embedded_three_connected_on_planar_catalog():
+    counts = {True: 0, False: 0}
+    for level in connected_cubic_catalog(12):
+        for g in level:
+            emb = nx_plane_embedding(g)
+            if emb is None:
+                continue
+            exact = is_3_connected(g, emb)
+            assert exact == _is_3_edge_connected(g) == nx_three_connected(g)
+            counts[exact] += 1
+    assert counts == {True: 23, False: 23}
+
+
+def test_embedded_three_connected_planted_cuts():
+    k4 = complete_graph(4)
+    for k in (1, 2):
+        g = _subdivided_join(k4, k4, k)
+        emb = nx_plane_embedding(g)
+        assert is_cubic(g) and emb is not None and is_planar_embedding(g, emb)
+        assert not is_3_connected(g, emb)
+        assert not _is_3_edge_connected(g) and not nx_three_connected(g)
+
+
+def _plane_ladder(k: int, base: int) -> dict[int, list[int]]:
+    """Circular ladder on 2k vertices, outer rail base..base+k-1 and inner rail
+    base+k..base+2k-1, as counterclockwise neighbour rotations."""
+    nbrs = {}
+    for i in range(k):
+        a, b = base + i, base + k + i
+        nxt, prv = (i + 1) % k, (i - 1) % k
+        nbrs[a] = [base + nxt, b, base + prv]
+        nbrs[b] = [a, base + k + nxt, base + k + prv]
+    return nbrs
+
+
+def _embedded(nbrs: dict[int, list[int]]) -> tuple[Graph, PlaneEmbedding]:
+    g = Graph(len(nbrs), sorted({(min(v, w), max(v, w)) for v in nbrs for w in nbrs[v]}))
+    return g, PlaneEmbedding(tuple(tuple(g.edge_id(v, w) for w in nbrs[v])
+                                   for v in range(g.n)))
+
+
+def test_three_connected_cubic_beyond_guard():
+    ladder, emb = _embedded(_plane_ladder(10_002, 0))
+    assert ladder.n == 20_004 and is_planar_embedding(ladder, emb)
+    assert is_3_connected(ladder) and is_3_connected(ladder, emb)
+    # two ladders, each with outer rail edge 0-1 removed, joined across:
+    # 0 to the other's 1 and 1 to the other's 0, a plane 2-edge-cut
+    k = 5_001
+    nbrs = _plane_ladder(k, 0) | _plane_ladder(k, 2 * k)
+    for a, b in ((0, 2 * k), (2 * k, 0)):
+        nbrs[a][0] = b + 1
+        nbrs[a + 1][2] = b
+    two, emb = _embedded(nbrs)
+    assert two.n == 20_004 and is_cubic(two) and is_planar_embedding(two, emb)
+    assert not is_3_connected(two) and not is_3_connected(two, emb)
 
 
 def test_is_perfect_matching():

@@ -126,7 +126,7 @@ def test_barnette_certification(canonical_artifact):
     assert is_cubic(g)
     assert is_bipartite(g) is not None
     assert is_planar_embedding(g, canonical_artifact.embedding)
-    assert is_3_connected(g)
+    assert is_3_connected(g, canonical_artifact.embedding)
 
 
 def test_reduce_is_deterministic():
