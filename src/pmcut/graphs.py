@@ -1,9 +1,12 @@
 """Undirected graphs with indexed edges, rotation-system embeddings, and cut machinery.
 
 Everything here is immutable after construction and safe to share between
-threads.  A ``Graph`` memoises its connectivity in a slot on first use; the
-graph never changes, so the cached answer cannot go stale, and two threads
-racing on the first call store the same value.  Edge indices are stable:
+threads.  A ``Graph`` memoises its connectivity in a slot on first use, and
+in another the face labelling of the last embedding validated against it,
+keyed by that embedding's identity.  Graphs and embeddings never change, so
+neither memo can go stale; two threads racing on the first call store the
+same answer, and a thread reads the face memo once, so a race between two
+embeddings costs a rebuild, never a wrong answer.  Edge indices are stable:
 edge ``i`` is ``graph.edges[i]``.
 
 Darts.  Edge ``e`` carries two darts: dart ``2e`` leaves ``edges[e][0]`` and
@@ -18,6 +21,7 @@ Surfaces*, §3.2): for the dart ``d`` arriving at ``w`` along ``e``,
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass
 from typing import Container, Iterable, Optional
 
@@ -31,7 +35,7 @@ STUB = -1
 class Graph:
     """Simple undirected graph; vertices 0..n-1, edges indexed in list order."""
 
-    __slots__ = ("n", "edges", "adj", "inc", "_eid", "_connected")
+    __slots__ = ("n", "edges", "adj", "inc", "_eid", "_connected", "_faces")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         self.n = n
@@ -49,6 +53,7 @@ class Graph:
         self.edges: tuple[tuple[int, int], ...] = tuple(eid)
         self._eid = eid
         self._connected: Optional[bool] = None
+        self._faces: Optional[tuple] = None  # (embedding, _face_labels result)
         # Walking the edges in lexicographic order lists each vertex's smaller
         # neighbours and then its larger ones, each ascending, so adj comes
         # out sorted.  One global sort gives that order; on input already in
@@ -123,8 +128,12 @@ class PlaneEmbedding:
     rotations: tuple[tuple[int, ...], ...]
 
     def check(self, g: Graph) -> None:
-        """Raise ValueError unless each rotation permutes that vertex's edges."""
-        _dart_successors(g, self)
+        """Raise ValueError unless each rotation permutes that vertex's edges.
+
+        A rotation system that passes is labelled with its faces, which g
+        memoises for the Euler check, the face walks and 3-connectivity.
+        """
+        _face_labels(g, self)
 
 
 def _dart_successors(g: Graph, emb: PlaneEmbedding) -> tuple[list[int], list[int]]:
@@ -224,12 +233,21 @@ def is_bipartite(g: Graph) -> Optional[Cut]:
     return _parity_sides(g, range(g.m))
 
 
-def _face_labels(g: Graph, emb: PlaneEmbedding) -> tuple[list[int], list[int], int]:
+def _face_labels(g: Graph, emb: PlaneEmbedding) -> tuple[array, array, int]:
     """One walk over the cycles of ``succ``, in the order of ``face_darts``:
-    the face of every dart, all darts face after face, and the face count."""
+    the face of every dart, all darts face after face, and the face count.
+
+    Memoised on g for the last embedding that passed validation, so the
+    dart table of one (graph, embedding) pair is built once.  The two tables
+    are 32-bit arrays, 4 bytes a dart, so the memo stays small; callers must
+    not change them.
+    """
+    memo = g._faces
+    if memo is not None and memo[0] is emb:
+        return memo[1]
     succ, order = _dart_successors(g, emb)
-    face = [-1] * len(succ)
-    walk: list[int] = []
+    face = array("i", [-1]) * len(succ)
+    walk = array("i")
     f = 0
     for d in order:
         if face[d] >= 0:
@@ -239,7 +257,9 @@ def _face_labels(g: Graph, emb: PlaneEmbedding) -> tuple[list[int], list[int], i
             walk.append(d)
             d = succ[d]
         f += 1
-    return face, walk, f
+    labels = (face, walk, f)
+    g._faces = (emb, labels)
+    return labels
 
 
 def face_darts(g: Graph, emb: PlaneEmbedding) -> list[list[tuple[int, int]]]:
@@ -459,16 +479,24 @@ def serialize_matching(g: Graph, m: Iterable[int]) -> str:
 
 
 def parse_matching(text: str, g: Graph) -> EdgeSet:
+    """Edge set of a matching file: 'matching <k>', then k lines 'u v', each
+    an edge of g and none listed twice.  Raises ValueError otherwise."""
     lines = _data_lines(text)
     if not lines or not lines[0].startswith("matching "):
         raise ValueError("matching file must start with 'matching <k>'")
-    k = int(lines[0].split()[1])
+    _, ks = lines[0].split()
+    k = int(ks)
     out = set()
-    for ln in lines[1:1 + k]:
+    for ln in lines[1:]:
         u, v = map(int, ln.split())
-        out.add(g.edge_id(u, v))
+        if not g.has_edge(u, v):
+            raise ValueError(f"matching pair {u} {v} is not an edge")
+        e = g.edge_id(u, v)
+        if e in out:
+            raise ValueError(f"matching pair {u} {v} listed twice")
+        out.add(e)
     if len(out) != k:
-        raise ValueError("matching file truncated or duplicated")
+        raise ValueError(f"matching file lists {len(out)} pairs, its header says {k}")
     return frozenset(out)
 
 
@@ -479,13 +507,24 @@ def serialize_cut(cut: Cut) -> str:
 
 
 def parse_cut(text: str, n: int) -> Cut:
+    """Cut of a cut file: 'cut <k>', then the k vertices of side A, one a
+    line, each in 0..n-1 and none listed twice.  Raises ValueError otherwise."""
     lines = _data_lines(text)
     if not lines or not lines[0].startswith("cut "):
         raise ValueError("cut file must start with 'cut <|A|>'")
-    k = int(lines[0].split()[1])
-    a = {int(x) for x in lines[1:1 + k]}
-    sides = tuple(0 if v in a else 1 for v in range(n))
-    return Cut(sides)
+    _, ks = lines[0].split()
+    k = int(ks)
+    a = set()
+    for ln in lines[1:]:
+        v = int(ln)
+        if not 0 <= v < n:
+            raise ValueError(f"cut vertex {v} out of range")
+        if v in a:
+            raise ValueError(f"cut vertex {v} listed twice")
+        a.add(v)
+    if len(a) != k:
+        raise ValueError(f"cut file lists {len(a)} vertices, its header says {k}")
+    return Cut(tuple(0 if v in a else 1 for v in range(n)))
 
 
 # --- helpers used across the package ------------------------------------------

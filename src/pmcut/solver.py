@@ -17,7 +17,7 @@ into the search.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, TYPE_CHECKING
+from typing import Callable, Optional, TYPE_CHECKING
 
 from .graphs import EdgeSet, Graph, cut_from_edge_set, is_perfect_matching
 
@@ -277,7 +277,8 @@ def find_pmc(g: Graph, budget: Optional[int] = DEFAULT_BUDGET) -> Optional[EdgeS
     """First perfect matching cut in the canonical search order, or None.
 
     Raises BudgetExhausted when the node budget runs out, which is a distinct
-    outcome from a completed 'no'.
+    outcome from a completed 'no', and RuntimeError if the witness found fails
+    its independent perfect matching cut check, which would be a solver bug.
     """
     if not g.is_connected():
         raise ValueError("find_pmc requires a connected graph")
@@ -291,7 +292,8 @@ def find_pmc(g: Graph, budget: Optional[int] = DEFAULT_BUDGET) -> Optional[EdgeS
     if not found:
         return None
     m = found[0]
-    assert is_perfect_matching(g, m) and cut_from_edge_set(g, m) is not None
+    if not (is_perfect_matching(g, m) and cut_from_edge_set(g, m) is not None):
+        raise RuntimeError("find_pmc's witness is not a perfect matching cut")
     return m
 
 
@@ -430,37 +432,37 @@ def induced_four_cycles(g: Graph) -> list[tuple[int, int, int, int]]:
 
 
 def six_cycles(g: Graph) -> list[tuple[int, ...]]:
-    """All 6-vertex cycles, one orientation each (min vertex first)."""
+    """All 6-vertex cycles, one orientation each (min vertex first).
+
+    A cycle (s, a, b, c, d, w) has s as its least vertex and a < w.  The
+    walk from s runs over ``reversed(adj[...])`` at every depth, so the
+    cycles come out in the pop order of a stack-based depth-first search.
+    It is pruned from the closing end: w must be a neighbour of s above s,
+    d a neighbour of such a w, and c a neighbour of such a d.
+    """
     adj = g.adj
     out = []
     for s in range(g.n):
-        stack = [(s, (s,))]
-        while stack:
-            v, path = stack.pop()
-            if len(path) == 5:
-                # close the cycle here, in the order the stack would pop
-                # these last vertices
-                for w in reversed(adj[v]):
-                    if w > s and w not in path and path[1] < w and s in adj[w]:
-                        out.append(path + (w,))
+        ends = [w for w in adj[s] if w > s]
+        if len(ends) < 2:
+            continue
+        fifth = {d for w in ends for d in adj[w] if d > s}
+        fourth = {c for d in fifth for c in adj[d] if c > s}
+        for a in reversed(adj[s]):
+            if a <= s:
                 continue
-            for w in adj[v]:
-                if w > s and w not in path:
-                    stack.append((w, path + (w,)))
-    return out
-
-
-def _cycle_edges(g: Graph, cyc: tuple[int, ...]) -> list[int]:
-    return [g.edge_id(cyc[i], cyc[(i + 1) % len(cyc)]) for i in range(len(cyc))]
-
-
-def _outgoing(g: Graph, verts: Iterable[int]) -> list[int]:
-    vs = set(verts)
-    out = []
-    for v in vs:
-        for e, w in zip(g.inc[v], g.adj[v]):
-            if w not in vs:
-                out.append(e)
+            for b in reversed(adj[a]):
+                if b <= s:
+                    continue
+                for c in reversed(adj[b]):
+                    if c == a or c not in fourth:
+                        continue
+                    for d in reversed(adj[c]):
+                        if d == a or d == b or d not in fifth:
+                            continue
+                        for w in reversed(adj[d]):
+                            if w > a and w != b and w != c and w in ends:
+                                out.append((s, a, b, c, d, w))
     return out
 
 
@@ -479,90 +481,94 @@ def lemma_oracles(g: Graph, m: EdgeSet) -> LemmaReport:
     if cut is None:
         raise ValueError("m is not a cutset")
     report = LemmaReport()
+    adj, inc, eid, edges = g.adj, g.inc, g.edge_id, g.edges
+    mdeg = [0] * g.n  # edges of m at each vertex
+    for e in m:
+        u, v = edges[e]
+        mdeg[u] += 1
+        mdeg[v] += 1
+
+    # Squares are indexed once: their vertex sets, their hits (an edge of m
+    # inside), the squares at each vertex and the squares through each edge.
+    # The vertex set of an induced 4-cycle fixes it, so an index names a square.
     squares = induced_four_cycles(g)
-
-    square_hit = {}
-    for cyc in squares:
-        es = _cycle_edges(g, cyc)
-        inside = [e for e in es if e in m]
-        outgoing = _outgoing(g, cyc)
-        out_in = [e for e in outgoing if e in m]
-        if len(inside) == 0:
-            covered = {w for e in out_in for w in g.edges[e]}
-            if len(out_in) != len(outgoing) or not set(cyc) <= covered:
-                report.four_cycle.append(cyc)
+    vsets = []
+    square_hit = []
+    by_vertex: dict[int, list[int]] = {}
+    squares_by_edge: dict[int, list[tuple[int, ...]]] = {}
+    for i, cyc in enumerate(squares):
+        a, u, b, w = cyc
+        es = (eid(a, u), eid(u, b), eid(b, w), eid(w, a))
+        inside = [k for k in range(4) if es[k] in m]
+        # A square has no chord, so its m-degrees count each inside edge of
+        # m twice and each outgoing one once.  With maximum degree 3 each
+        # square vertex has at most one outgoing edge, so "every vertex
+        # leaves by an edge of m" means four outgoing edges in m.
+        out_in = mdeg[a] + mdeg[u] + mdeg[b] + mdeg[w] - 2 * len(inside)
+        if not inside:
+            bad = out_in != 4
         elif len(inside) == 2:
-            u1, v1 = g.edges[inside[0]]
-            u2, v2 = g.edges[inside[1]]
-            if {u1, v1} & {u2, v2} or out_in:
-                report.four_cycle.append(cyc)
+            bad = inside[1] - inside[0] != 2 or out_in > 0  # opposite edges only
         else:
+            bad = True
+        if bad:
             report.four_cycle.append(cyc)
-        square_hit[frozenset(cyc)] = bool(inside)
-
-    by_vertex: dict[int, list[tuple[int, ...]]] = {}
-    for cyc in squares:
+        vsets.append(set(cyc))
+        square_hit.append(bool(inside))
         for v in cyc:
-            by_vertex.setdefault(v, []).append(cyc)
-    checked = set()
-    for c1 in squares:
-        vs1 = set(c1)
-        neighbours = {w for v in vs1 for w in g.adj[v]} - vs1
-        for w in neighbours:
-            for c2 in by_vertex.get(w, ()):
-                if set(c2) & vs1:
-                    continue
-                key = (frozenset(c1), frozenset(c2))
-                if key in checked:
-                    continue
-                checked.add(key)
-                if square_hit[frozenset(c1)] != square_hit[frozenset(c2)]:
-                    report.square_propagation.append((c1, c2))
+            by_vertex.setdefault(v, []).append(i)
+        for e in es:
+            squares_by_edge.setdefault(e, []).append(cyc)
 
-    squares_by_edge: dict[int, list[frozenset]] = {}
-    for cyc in squares:
-        key = frozenset(cyc)
-        for e in _cycle_edges(g, cyc):
-            squares_by_edge.setdefault(e, []).append(key)
+    for i, c1 in enumerate(squares):
+        vs1, hit = vsets[i], square_hit[i]
+        paired = set()
+        # The iteration order of this set fixes the order of the report;
+        # building the same set another way can reorder it.
+        for w in {x for v in vs1 for x in adj[v]} - vs1:
+            for j in by_vertex.get(w, ()):
+                if j in paired or not vsets[j].isdisjoint(vs1):
+                    continue
+                paired.add(j)
+                if square_hit[j] != hit:
+                    report.square_propagation.append((c1, squares[j]))
 
     for cyc in six_cycles(g):
-        es = _cycle_edges(g, cyc)
-        outgoing = _outgoing(g, cyc)
-        out_in = [e for e in outgoing if e in m]
-        if len(out_in) >= 3:
-            inside = [e for e in es if e in m]
-            if inside or len(out_in) != len(outgoing):
-                report.hex_three_out.append(cyc)
+        es = [eid(x, y) for x, y in zip(cyc, cyc[1:] + cyc[:1])]
+        outgoing = [e for v in cyc for e, x in zip(inc[v], adj[v]) if x not in cyc]
+        out_in = sum(e in m for e in outgoing)
+        hit = any(e in m for e in es)
+        if out_in >= 3 and (hit or out_in != len(outgoing)):
+            report.hex_three_out.append(cyc)
+        if not hit:
+            continue
         # hexagon-with-squares: every hexagon edge but one opposite pair sits
         # in an induced 4-cycle that avoids the two hexagon vertices next to
         # the edge's ends, which is what the outgoing-edge argument needs.
         # Edge k joins cyc[k] and cyc[k + 1], so those vertices are cyc[k - 1]
         # and cyc[k + 2], and the edge opposite edge k is edge k + 3.
         in_square = [
-            any(not (sq & {cyc[k - 1], cyc[(k + 2) % 6]}) for sq in squares_by_edge.get(e, ()))
+            any(cyc[k - 1] not in sq and cyc[(k + 2) % 6] not in sq
+                for sq in squares_by_edge.get(e, ()))
             for k, e in enumerate(es)
         ]
-        matches = any(all(in_square[k] for k in range(6) if k % 3 != skip) for skip in range(3))
-        if matches and any(e in m for e in es):
+        if any(all(in_square[k] for k in range(6) if k % 3 != skip) for skip in range(3)):
             report.hex_square_pattern.append(cyc)
 
     # path parity: BFS tree paths vs the computed cut
-    parent = [-1] * g.n
-    parent_edge = [-1] * g.n
+    parity = [0] * g.n
+    seen = bytearray(g.n)
+    seen[0] = 1
     order = [0]
-    parent[0] = 0
     for v in order:
-        for e, w in zip(g.inc[v], g.adj[v]):
-            if parent[w] == -1:
-                parent[w] = v
-                parent_edge[w] = e
+        for e, w in zip(inc[v], adj[v]):
+            if not seen[w]:
+                seen[w] = 1
+                parity[w] = parity[v] ^ (e in m)
                 order.append(w)
-    depth_parity = [0] * g.n
-    for v in order[1:]:
-        depth_parity[v] = depth_parity[parent[v]] ^ (1 if parent_edge[v] in m else 0)
     step = max(1, g.n // PARITY_SAMPLES)
     for v in range(0, g.n, step):
-        same = depth_parity[v] == depth_parity[0]
+        same = parity[v] == parity[0]
         if same != cut.same_side(0, v):
             report.path_parity.append(v)
     return report

@@ -90,6 +90,15 @@ def test_solve_pmc_negative_and_budget(tmp_path, capsys):
     assert "budget" in capsys.readouterr().out
 
 
+def test_solve_pmc_failed_witness_check_is_internal_error(tmp_path, capsys, monkeypatch):
+    q3 = tmp_path / "q3.graph"
+    q3.write_text("graph 8 12\n0 1\n0 3\n0 4\n1 2\n1 5\n2 3\n2 6\n3 7\n4 5\n4 7\n5 6\n6 7\n")
+    assert main(["solve-pmc", str(q3)]) == 0
+    monkeypatch.setattr("pmcut.solver.cut_from_edge_set", lambda g, m: None)
+    assert main(["solve-pmc", str(q3)]) == 70
+    assert "RuntimeError" in capsys.readouterr().err
+
+
 _TWO_TRIANGLES = "graph 6 6\n0 1\n0 2\n1 2\n3 4\n3 5\n4 5\n"
 _TWO_TRIANGLES_EMBEDDED = _TWO_TRIANGLES + (
     "embedding\nrot 0 2 0 1\nrot 1 2 0 2\nrot 2 2 1 2\n"

@@ -191,6 +191,32 @@ def test_embedding_check_rejects_bad_rotation():
                 use(g, bad)
 
 
+def test_dart_table_built_once_per_graph_and_embedding(monkeypatch):
+    import pmcut.graphs as graphs
+
+    built = []
+    real = graphs._dart_successors
+    monkeypatch.setattr(graphs, "_dart_successors", lambda g, emb: built.append(emb) or real(g, emb))
+    g, emb = q3_embedded()
+    emb.check(g)
+    assert is_planar_embedding(g, emb) and is_3_connected(g, emb)
+    walks = face_darts(g, emb)
+    serialize_graph(g, emb)
+    assert built == [emb]
+    # an equal embedding that is another object is validated again
+    twin = PlaneEmbedding(emb.rotations)
+    assert face_darts(g, twin) == walks and built == [emb, twin]
+    # reading a file validates the embedding read, a new pair
+    g2, emb2 = parse_graph(serialize_graph(g, twin))
+    assert is_planar_embedding(g2, emb2) and built == [emb, twin, emb2]
+    # a rotation system that fails validation is never remembered
+    bad = PlaneEmbedding(((),) + emb.rotations[1:])
+    for _ in range(2):
+        with pytest.raises(ValueError, match="permutation"):
+            bad.check(g)
+    assert len(built) == 5
+
+
 def test_lone_vertex_is_planar():
     # no darts, one face: V - E + F = 1 - 0 + 1
     assert is_planar_embedding(Graph(1, []), PlaneEmbedding(((),)))
@@ -487,3 +513,14 @@ def test_parse_errors():
         parse_graph("nope")
     with pytest.raises(ValueError):
         parse_matching("nope", cube_graph())
+
+
+@pytest.mark.parametrize("parse,text,match", [
+    (lambda t: parse_cut(t, 8), "cut 3\n0\n99\n", "out of range"),
+    (lambda t: parse_cut(t, 8), "cut 4\n0\n1\n", "header says 4"),
+    (lambda t: parse_cut(t, 8), "cut 2\n0\n0\n", "listed twice"),
+    (lambda t: parse_matching(t, cube_graph()), "matching 1\n0 2\n", "not an edge"),
+], ids=["cut-out-of-range", "cut-truncated", "cut-duplicate", "matching-non-edge"])
+def test_cut_and_matching_files_reject_bad_input(parse, text, match):
+    with pytest.raises(ValueError, match=match):
+        parse(text)

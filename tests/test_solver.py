@@ -250,6 +250,13 @@ def test_seeded_search_pinned(n, seed):
     assert (nodes, witness_sha256(m)) == SEEDED_SEARCH_PINS[(n, seed)]
 
 
+def test_find_pmc_raises_when_its_witness_check_fails(monkeypatch):
+    """The witness check is an explicit raise, so it holds under python -O too."""
+    monkeypatch.setattr("pmcut.solver.cut_from_edge_set", lambda g, m: None)
+    with pytest.raises(RuntimeError, match="not a perfect matching cut"):
+        find_pmc(cube_graph())
+
+
 def test_solver_witness_deterministic():
     g = cube_graph()
     assert find_pmc(g) == find_pmc(g) == frozenset({0, 2, 4, 6})
@@ -434,3 +441,44 @@ def test_oracles_on_reduction_witness():
     m = find_pmc(art.graph)
     assert lemma_oracles(art.graph, m).ok
     assert lemma_oracles(art.graph, pmc_from_assignment(art, (0, 1, 1))).ok
+
+
+# sha256 over the five report lists of every lemma_oracles call in
+# test_lemma_reports_pinned, in call order, then the canonical six_cycles list
+LEMMA_REPORTS_SHA256 = "e1ab74bf8c395b61bd90b6175ec635abd6be8d6a21954fd90e78f681d129246f"
+
+
+def test_lemma_reports_pinned(monkeypatch, variable_gadget, clause_gadget, crossing_gadget):
+    """Witnesses, seeded non-witness edge sets and the canonical hexagon list
+    give the reports and the order they had before the oracle was rewritten."""
+    digest = hashlib.sha256()
+    fired = [0] * 5
+
+    def record(g, m):
+        r = lemma_oracles(g, m)
+        lists = (r.four_cycle, r.square_propagation, r.hex_three_out,
+                 r.hex_square_pattern, r.path_parity)
+        digest.update(repr(lists).encode())
+        for k, xs in enumerate(lists):
+            fired[k] += bool(xs)
+
+    q3 = cube_graph()
+    canonical = reduce_formula(canonical_n3_formula()).graph
+    for g in (q3, canonical):
+        record(g, find_pmc(g))
+
+    real_cut = cut_from_edge_set
+    monkeypatch.setattr("pmcut.solver.is_perfect_matching", lambda g, m: True)
+    monkeypatch.setattr("pmcut.solver.cut_from_edge_set",
+                        lambda g, m: real_cut(g, m) or Cut(tuple(v & 1 for v in range(g.n))))
+    # the hexagon-with-squares graph of test_each_lemma_report_can_fire
+    ladders = Graph(12, [(i, (i + 1) % 6) for i in range(6)] + [(i, i + 6) for i in range(6)]
+                    + [(6, 7), (7, 8), (9, 10), (10, 11)])
+    rng = random.Random(0x1E44)
+    for g in (q3, ladders, variable_gadget.graph, clause_gadget.graph, crossing_gadget.graph):
+        for k in range(24):
+            p = (0.15, 0.3, 0.5)[k % 3]
+            record(g, frozenset(e for e in range(g.m) if rng.random() < p))
+    digest.update(repr(six_cycles(canonical)).encode())
+    assert all(fired)
+    assert digest.hexdigest() == LEMMA_REPORTS_SHA256
