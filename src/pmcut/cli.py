@@ -101,17 +101,14 @@ def cmd_reduce(args) -> int:
 
 def cmd_solve_pmc(args) -> int:
     g, _ = _load_graph(args.graph)
+    if not g.is_connected():
+        print("error: solve-pmc requires a connected graph", file=sys.stderr)
+        return EX_DATAERR
     try:
-        if args.oracle:
-            m = sv.find_pmc_bruteforce(g)
-        else:
-            m = sv.find_pmc(g, budget=args.budget)
+        m = sv.find_pmc_bruteforce(g) if args.oracle else sv.find_pmc(g, budget=args.budget)
     except sv.BudgetExhausted:
         print("budget exhausted")
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EX_DATAERR
     if m is None:
         print("no perfect matching cut")
         return 1

@@ -96,10 +96,7 @@ def parse_formula(text: str) -> NaeFormula:
     n, m = header
     if len(clauses) != m:
         raise FormulaError(f"header promises {m} clauses, found {len(clauses)}")
-    try:
-        f = NaeFormula(n, tuple(clauses))
-    except FormulaError as exc:
-        raise FormulaError(str(exc)) from None
+    f = NaeFormula(n, tuple(clauses))
     f.validate_e4()
     return f
 
@@ -156,48 +153,12 @@ def incidence_graph(f: NaeFormula) -> Graph:
     return Graph(f.n + f.m, edges)
 
 
-def _articulation_points(g: Graph) -> set[int]:
-    disc = [-1] * g.n
-    low = [0] * g.n
-    parent = [-1] * g.n
-    points: set[int] = set()
-    timer = 0
-    for root in range(g.n):
-        if disc[root] != -1:
-            continue
-        stack: list[tuple[int, int]] = [(root, 0)]
-        root_children = 0
-        while stack:
-            v, idx = stack[-1]
-            if idx == 0:
-                disc[v] = low[v] = timer
-                timer += 1
-            if idx < len(g.adj[v]):
-                stack[-1] = (v, idx + 1)
-                w = g.adj[v][idx]
-                if disc[w] == -1:
-                    parent[w] = v
-                    if v == root:
-                        root_children += 1
-                    stack.append((w, 0))
-                elif w != parent[v]:
-                    low[v] = min(low[v], disc[w])
-            else:
-                stack.pop()
-                p = parent[v]
-                if p != -1:
-                    low[p] = min(low[p], low[v])
-                    if p != root and low[v] >= disc[p]:
-                        points.add(p)
-        if root_children > 1:
-            points.add(root)
-    return points
-
-
 def variable_cutvertices(f: NaeFormula) -> tuple[int, ...]:
-    """Ascending variable indices whose incidence node is an articulation point."""
+    """Ascending variable indices whose incidence node is a cutvertex: removing
+    it leaves more components than the incidence graph has."""
     g = incidence_graph(f)
-    return tuple(sorted(v + 1 for v in _articulation_points(g) if v < f.n))
+    whole = len(connected_components(g))
+    return tuple(i for i in range(1, f.n + 1) if len(connected_components(g, i - 1)) > whole)
 
 
 def _renumber(n: int, clauses: list[tuple[int, int, int]]) -> NaeFormula:

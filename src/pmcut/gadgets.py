@@ -20,8 +20,6 @@ from typing import Iterable, Optional
 from .graphs import (STUB, EdgeSet, Graph, PlaneEmbedding, cut_from_edge_set, face_darts,
                      is_bipartite, is_perfect_matching, is_planar_embedding)
 
-CENSUS_NODE_CAP = 10 ** 6
-
 Coord = tuple[float, float]
 
 
@@ -44,7 +42,6 @@ class Gadget:
     marks: dict
     red_edges: EdgeSet
     rotations: tuple[tuple[int, ...], ...]
-    coords: tuple[Coord, ...]
 
     def vertex_name(self, v: int) -> str:
         return self.vertex_names[v]
@@ -68,7 +65,6 @@ class _FigureBuilder:
 
     def __init__(self, kind: str):
         self.kind = kind
-        self.coords: list[Coord] = []
         self._ids: dict[tuple[int, int], int] = {}
         self.names: dict[str, int] = {}
         self.marks: dict[str, tuple[int, ...]] = {}
@@ -84,8 +80,7 @@ class _FigureBuilder:
     def vertex(self, xy: Coord, name: Optional[str] = None) -> int:
         k = self._key(xy)
         if k not in self._ids:
-            self._ids[k] = len(self.coords)
-            self.coords.append((k[0] / 2.0, k[1] / 2.0))
+            self._ids[k] = len(self._ids)
         v = self._ids[k]
         if name is not None:
             if name in self.names and self.names[name] != v:
@@ -132,7 +127,7 @@ class _FigureBuilder:
         self.stubs[self.names[name]] = direction
 
     def build(self) -> Gadget:
-        g = Graph(len(self.coords), self.edges)
+        g = Graph(len(self._ids), self.edges)
         rotations = []
         for v in range(g.n):
             items: list[tuple[float, int]] = []
@@ -162,7 +157,6 @@ class _FigureBuilder:
             marks=dict(self.marks),
             red_edges=frozenset(self.red),
             rotations=tuple(rotations),
-            coords=tuple(self.coords),
         )
         _check_gadget(gadget)
         return gadget
@@ -500,7 +494,7 @@ def enumerate_local_pmcs(gadget: Gadget) -> list[EdgeSet]:
     """
     from .solver import enumerate_pmcs
 
-    found = enumerate_pmcs(gadget.graph, max_nodes=CENSUS_NODE_CAP)
+    found = enumerate_pmcs(gadget.graph)
     return sorted(found, key=lambda s: tuple(sorted(s)))
 
 

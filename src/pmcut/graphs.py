@@ -112,9 +112,6 @@ class Cut:
     def side_a(self) -> tuple[int, ...]:
         return tuple(v for v, s in enumerate(self.sides) if s == 0)
 
-    def side_b(self) -> tuple[int, ...]:
-        return tuple(v for v, s in enumerate(self.sides) if s == 1)
-
     def cutset(self, g: Graph) -> EdgeSet:
         return frozenset(
             i for i, (u, v) in enumerate(g.edges) if self.sides[u] != self.sides[v]

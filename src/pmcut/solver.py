@@ -17,7 +17,7 @@ into the search.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, TYPE_CHECKING
+from typing import Iterator, Optional, TYPE_CHECKING
 
 from .graphs import EdgeSet, Graph, cut_from_edge_set, is_perfect_matching
 
@@ -227,9 +227,14 @@ class _PmcSearch:
                     par[w] ^= flip
                 del verts[k:]
 
-    def run(self, on_solution: Callable[[EdgeSet], bool], budget: Optional[int]) -> None:
-        """DFS over the decision tree; on_solution returns True to stop early."""
-        state, rem, m = self.state, self.rem, len(self.state)
+    def solutions(self, budget: Optional[int]) -> Iterator[EdgeSet]:
+        """Every perfect matching cut, depth first in the canonical order.
+
+        The stack holds an (edge, trail mark) pair for each In decision whose
+        Out branch is still open.  A conflict or a solution pops the deepest
+        pair, undoes the trail to its mark and decides that edge Out.
+        """
+        state, rem, trail, m = self.state, self.rem, self.trail, len(self.state)
         if not rem or 0 in rem:
             return
         queue: list[int] = []
@@ -238,39 +243,25 @@ class _PmcSearch:
                 queue.append(self.inc[v][0])
             elif r == 2 and not self._pair_parity(v, queue):
                 return
-        if not self._propagate(queue):
-            return
-        stack: list[list[int]] = []  # frames [edge, next value, trail mark]
-        scan = 0
-        advance = True
+        stack: list[tuple[int, int]] = []
+        ok = self._propagate(queue)
         while True:
-            if advance:
-                e = state.find(_UNDEC, scan)
-                if e < 0:
-                    if on_solution(frozenset(i for i in range(m) if state[i] == _IN)):
-                        return
-                    advance = False
-                    continue
-                stack.append([e, _IN, len(self.trail)])
-            advance = False
-            while stack:
-                frame = stack[-1]
-                if frame[1] > _OUT:
-                    self._undo_to(frame[2])
-                    stack.pop()
-                    continue
-                e, val = frame[0], frame[1]
-                frame[1] += 1
-                self._undo_to(frame[2])
-                self.nodes += 1
-                if budget is not None and self.nodes > budget:
-                    raise BudgetExhausted(f"node budget {budget} exhausted")
-                if self._propagate([e if val == _IN else ~e]):
-                    scan = e + 1
-                    advance = True
-                    break
-            if not advance:
-                return
+            e = state.find(_UNDEC) if ok else -1
+            if e >= 0:
+                stack.append((e, len(trail)))
+                lit = e
+            else:
+                if ok:
+                    yield frozenset(i for i in range(m) if state[i] == _IN)
+                if not stack:
+                    return
+                e, mark = stack.pop()
+                self._undo_to(mark)
+                lit = ~e
+            self.nodes += 1
+            if budget is not None and self.nodes > budget:
+                raise BudgetExhausted(f"node budget {budget} exhausted")
+            ok = self._propagate([lit])
 
 
 def find_pmc(g: Graph, budget: Optional[int] = DEFAULT_BUDGET) -> Optional[EdgeSet]:
@@ -282,31 +273,16 @@ def find_pmc(g: Graph, budget: Optional[int] = DEFAULT_BUDGET) -> Optional[EdgeS
     """
     if not g.is_connected():
         raise ValueError("find_pmc requires a connected graph")
-    found: list[EdgeSet] = []
-
-    def take(sol: EdgeSet) -> bool:
-        found.append(sol)
-        return True
-
-    _PmcSearch(g).run(take, budget)
-    if not found:
-        return None
-    m = found[0]
-    if not (is_perfect_matching(g, m) and cut_from_edge_set(g, m) is not None):
+    m = next(_PmcSearch(g).solutions(budget), None)
+    if m is not None and not (is_perfect_matching(g, m) and cut_from_edge_set(g, m) is not None):
         raise RuntimeError("find_pmc's witness is not a perfect matching cut")
     return m
 
 
-def enumerate_pmcs(g: Graph, max_nodes: Optional[int] = None) -> list[EdgeSet]:
-    """Every perfect matching cut of g (cutset understood per component)."""
-    out: list[EdgeSet] = []
-
-    def take(sol: EdgeSet) -> bool:
-        out.append(sol)
-        return False
-
-    _PmcSearch(g).run(take, max_nodes)
-    return out
+def enumerate_pmcs(g: Graph, budget: Optional[int] = DEFAULT_BUDGET) -> list[EdgeSet]:
+    """Every perfect matching cut of g (cutset understood per component), in
+    the canonical search order; raises BudgetExhausted as find_pmc does."""
+    return list(_PmcSearch(g).solutions(budget))
 
 
 def find_pmc_bruteforce(g: Graph) -> Optional[EdgeSet]:

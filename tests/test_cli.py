@@ -13,6 +13,7 @@ from pmcut.formula import (
     random_e4_formula,
     serialize_formula,
 )
+from pmcut.graphs import random_cubic_graph, serialize_graph
 
 
 @pytest.fixture()
@@ -193,6 +194,24 @@ def test_exit_contract_without_traceback(tmp_path, capsys, command, formula, cod
     except SystemExit as exc:
         got = exc.code
     assert got == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+# Connected and cubic, but over the brute-force oracle's 24-vertex guard.
+_CUBIC_26 = serialize_graph(random_cubic_graph(26, random.Random(26)))
+
+
+@pytest.mark.parametrize("text,oracle,code", [
+    (_TWO_TRIANGLES, False, 65),
+    (_TWO_TRIANGLES, True, 65),
+    (_CUBIC_26, True, 70),
+], ids=["disconnected", "disconnected-oracle", "oracle-too-large"])
+def test_solve_pmc_exit_contract(tmp_path, capsys, text, oracle, code):
+    p = tmp_path / "g.graph"
+    p.write_text(text)
+    assert main(["solve-pmc", str(p)] + ["--oracle"] * oracle) == code
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err

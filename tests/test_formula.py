@@ -1,6 +1,7 @@
 import random
 from itertools import combinations
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -191,6 +192,23 @@ def test_split_two_blocks():
     whole = solve_nae_bruteforce(f) is not None
     split_sat = all(solve_nae_bruteforce(p) is not None for p in parts)
     assert whole == split_sat
+
+
+def test_variable_cutvertices_agree_with_networkx():
+    """Full E4 formulas and sub-formulas with about 30% of clauses dropped."""
+    rng = random.Random(4242)
+    with_cuts = 0
+    for k in range(600):
+        f = random_e4_formula(rng.choice([3, 6, 9, 12, 15]), rng, require_reducible=False)
+        if k % 2:
+            f = NaeFormula(f.n, tuple(c for c in f.clauses if rng.random() >= 0.3))
+        g = incidence_graph(f)
+        h = nx.Graph(g.edges)
+        h.add_nodes_from(range(g.n))
+        expected = tuple(sorted(v + 1 for v in nx.articulation_points(h) if v < f.n))
+        assert variable_cutvertices(f) == expected
+        with_cuts += bool(expected)
+    assert with_cuts >= 10
 
 
 def test_split_empty_formula():

@@ -58,15 +58,9 @@ def verified(g, m):
 
 def first_witness(g):
     """Node count and first witness (or None) of one complete search."""
-    found = []
-
-    def take(m):
-        found.append(m)
-        return True
-
     search = _PmcSearch(g)
-    search.run(take, None)
-    return search.nodes, (found[0] if found else None)
+    m = next(search.solutions(None), None)
+    return search.nodes, m
 
 
 def witness_sha256(m):
@@ -116,6 +110,12 @@ def test_budget_exhaustion_is_distinct():
     with pytest.raises(BudgetExhausted):
         find_pmc(art.graph, budget=3)
     assert find_pmc(art.graph, budget=None) is not None
+
+
+def test_enumeration_budget_is_the_search_budget():
+    art = reduce_formula(canonical_n3_formula())
+    with pytest.raises(BudgetExhausted):
+        enumerate_pmcs(art.graph, budget=3)
 
 
 def test_random_agreement_small():
@@ -226,7 +226,8 @@ def test_undo_restores_fresh_tables():
         else:
             g = random_bounded_graph(rng.randrange(4, 17, 2), 3, k % 4 == 0, rng)
         search = _PmcSearch(g)
-        search.run(lambda m: False, None)
+        for _ in search.solutions(None):
+            pass
         nodes += search.nodes
         search._undo_to(0)
         assert search.trail == []
