@@ -22,7 +22,7 @@ census = enumerate_local_pmcs(var)
 print("  admissible restrictions:", len(census))
 print("  equals the forced red set:", census[0] == var.red_edges)
 table = side_relations(var, census[0])
-print("  all anchors same side:", len(set(table.sides.values())) == 1)
+print("  all anchors same side:", len(set(table.values())) == 1)
 
 clause = build_clause_gadget()
 print(f"\nclause gadget: {clause.graph.n} vertices, {len(clause.ports)} anchors")
@@ -41,4 +41,4 @@ print("  side-preserving P1 and side-flipping P2 among them:",
       p1 in census and p2 in census)
 t2 = side_relations(cross, p2)
 print("  under P2 the two wire pairs land on opposite sides:",
-      t2.sides["u1"] != t2.sides["u1'"])
+      t2["u1"] != t2["u1'"])

@@ -35,7 +35,7 @@ print("faces:", len(faces), "-> Euler characteristic",
 print("cubic:", is_cubic(g))
 print("bipartite:", is_bipartite(g) is not None)
 print("planar (certified rotation system):", is_planar_embedding(g, art.embedding))
-print("3-connected (exact, from the faces):", is_3_connected(g, art.embedding))
+print("3-connected (exact, from the edge list):", is_3_connected(g))
 
 # Provenance: every vertex knows its gadget and local name.
 kind, idx, name = art.vertex_info[0]

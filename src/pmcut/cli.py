@@ -37,6 +37,9 @@ def _read(path: str) -> str:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         sys.exit(EX_IOERR)
+    except UnicodeDecodeError as exc:  # bad input data, not an I/O error
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(EX_DATAERR)
 
 
 def _write(path: Path, text: str) -> None:
@@ -48,38 +51,24 @@ def _write(path: Path, text: str) -> None:
         sys.exit(EX_IOERR)
 
 
-def _load_formula(path: str) -> fm.NaeFormula:
+def _load(step, arg):
+    """step(arg), where a ValueError means bad input data: one error line,
+    exit 65."""
     try:
-        return fm.parse_formula(_read(path))
-    except fm.FormulaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        sys.exit(EX_DATAERR)
-
-
-def _load_graph(path: str):
-    try:
-        return gr.parse_graph(_read(path))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        sys.exit(EX_DATAERR)
-
-
-def _reduce(f: fm.NaeFormula):
-    try:
-        return reduce_formula(f)
+        return step(arg)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         sys.exit(EX_DATAERR)
 
 
 def cmd_validate_formula(args) -> int:
-    f = _load_formula(args.formula)
+    f = _load(fm.parse_formula, _read(args.formula))
     print(f"valid nae3sat-e4 instance: n={f.n} m={f.m}")
     return 0
 
 
 def cmd_solve_nae(args) -> int:
-    f = _load_formula(args.formula)
+    f = _load(fm.parse_formula, _read(args.formula))
     a = fm.solve_nae_bruteforce(f)
     if a is None:
         print("UNSAT")
@@ -89,7 +78,7 @@ def cmd_solve_nae(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    art = _reduce(_load_formula(args.formula))
+    art = _load(reduce_formula, _load(fm.parse_formula, _read(args.formula)))
     stem = Path(args.formula).stem
     out = Path(args.out)
     _write(out / f"{stem}.graph", gr.serialize_graph(art.graph, art.embedding))
@@ -100,7 +89,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_solve_pmc(args) -> int:
-    g, _ = _load_graph(args.graph)
+    g, _ = _load(gr.parse_graph, _read(args.graph))
     if not g.is_connected():
         print("error: solve-pmc requires a connected graph", file=sys.stderr)
         return EX_DATAERR
@@ -122,13 +111,13 @@ def cmd_solve_pmc(args) -> int:
 
 
 def cmd_verify_graph(args) -> int:
-    g, emb = _load_graph(args.graph)
+    g, emb = _load(gr.parse_graph, _read(args.graph))
     cubic = gr.is_cubic(g)
     checks = [("cubic", cubic), ("bipartite", gr.is_bipartite(g) is not None)]
     planar = emb is not None and g.is_connected() and gr.is_planar_embedding(g, emb)
     if emb is not None:
         checks.append(("planar", planar))
-    checks.append(("3-connected", cubic and gr.is_3_connected(g, emb if planar else None)))
+    checks.append(("3-connected", cubic and gr.is_3_connected(g)))
     ok = all(v for _, v in checks)
     names = " ".join(name for name, _ in checks)
     print(f"{names}: {'PASS' if ok else 'FAIL'}")
@@ -167,9 +156,9 @@ def cmd_verify_gadgets(args) -> int:
 
 
 def cmd_roundtrip(args) -> int:
-    f = _load_formula(args.formula)
+    f = _load(fm.parse_formula, _read(args.formula))
     a = fm.solve_nae_bruteforce(f)
-    art = _reduce(f)
+    art = _load(reduce_formula, f)
     try:
         m = sv.find_pmc(art.graph, budget=args.budget)
     except sv.BudgetExhausted:
@@ -193,7 +182,7 @@ def cmd_roundtrip(args) -> int:
 
 
 def cmd_render(args) -> int:
-    art = _reduce(_load_formula(args.formula))
+    art = _load(reduce_formula, _load(fm.parse_formula, _read(args.formula)))
     stem = Path(args.formula).stem
     out = Path(args.out)
     if args.format == "svg":

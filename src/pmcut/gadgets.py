@@ -19,6 +19,7 @@ from typing import Iterable, Optional
 
 from .graphs import (STUB, EdgeSet, Graph, PlaneEmbedding, cut_from_edge_set, face_darts,
                      is_bipartite, is_perfect_matching, is_planar_embedding)
+from .solver import enumerate_pmcs
 
 Coord = tuple[float, float]
 
@@ -492,17 +493,8 @@ def enumerate_local_pmcs(gadget: Gadget) -> list[EdgeSet]:
     Connector edges do not exist in the fragment, so ports must be matched
     internally.  Output is sorted lexicographically by edge indices.
     """
-    from .solver import enumerate_pmcs
-
     found = enumerate_pmcs(gadget.graph)
     return sorted(found, key=lambda s: tuple(sorted(s)))
-
-
-@dataclass(frozen=True)
-class SideTable:
-    """Relative sides of the ports under one local restriction."""
-
-    sides: dict
 
 
 def restriction_sides(gadget: Gadget, restriction: EdgeSet) -> tuple[int, ...]:
@@ -516,10 +508,7 @@ def restriction_sides(gadget: Gadget, restriction: EdgeSet) -> tuple[int, ...]:
     return cut.sides
 
 
-def side_relations(gadget: Gadget, restriction: EdgeSet) -> SideTable:
+def side_relations(gadget: Gadget, restriction: EdgeSet) -> dict[str, int]:
+    """Side bit of every named port under an admissible restriction."""
     side = restriction_sides(gadget, restriction)
-    table = {}
-    for name, v in gadget.names.items():
-        if v in gadget.ports:
-            table[name] = side[v]
-    return SideTable(table)
+    return {name: side[v] for name, v in gadget.names.items() if v in gadget.ports}

@@ -16,6 +16,9 @@ read as one permutation ``succ`` of the darts (Mohar & Thomassen, *Graphs on
 Surfaces*, §3.2): for the dart ``d`` arriving at ``w`` along ``e``,
 ``succ[d]`` is the dart leaving ``w`` along the edge after ``e`` in
 ``rotations[w]``.  The cycles of ``succ`` are the face walks.
+
+3-connectivity reads the edge list alone, never an embedding, so plain edge
+lists and embedded graphs get the same exact answer.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from __future__ import annotations
 import random
 from array import array
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Container, Iterable, Optional
 
 EdgeSet = frozenset  # of edge indices
@@ -128,7 +132,7 @@ class PlaneEmbedding:
         """Raise ValueError unless each rotation permutes that vertex's edges.
 
         A rotation system that passes is labelled with its faces, which g
-        memoises for the Euler check, the face walks and 3-connectivity.
+        memoises for the Euler check and the face walks.
         """
         _face_labels(g, self)
 
@@ -333,42 +337,25 @@ def is_cutset_via_cycle_basis(g: Graph, emb: PlaneEmbedding, m: Iterable[int]) -
 
 # --- 3-connectivity -----------------------------------------------------------
 
-def is_3_connected(g: Graph, emb: Optional[PlaneEmbedding] = None) -> bool:
+def is_3_connected(g: Graph) -> bool:
     """True iff the cubic graph g has V >= 4 and no pair of vertices
     disconnects it.  Raises ValueError on non-cubic input.
 
     In a cubic graph vertex and edge connectivity coincide, so this asks for
-    no bridge and no 2-edge-cut.  With ``emb``, a plane embedding of g, the
-    answer is exact by cut-cycle duality (Diestel, *Graph Theory*, §4.6): a
-    bridge is an edge with the same face on both sides, and a 2-edge-cut is
-    two edges joining the same pair of faces.  ``emb`` must pass the Euler
-    check, or ValueError is raised.  Without ``emb`` the seeded label path
-    of ``_is_3_edge_connected`` decides.
+    no bridge and no 2-edge-cut, and a bridge needs no test of its own: the
+    other two edges at one of its ends form a 2-edge-cut.  Each back edge of
+    a DFS tree gets a random 64-bit label, and a tree edge the XOR of the
+    back edges covering it.  Every cycle meets a cutset in an even number of
+    edges, so the labels of a cutset XOR to 0: the two edges of a 2-edge-cut
+    have equal labels.  Distinct labels therefore mean yes.  Otherwise each
+    pair of edges with equal labels is tried as a cutset by the parity walk,
+    and the answer is no only if one is.  The answer is exact; only the
+    running time depends on the (deterministic) seed.
     """
     if not is_cubic(g):
         raise ValueError("is_3_connected takes cubic graphs only")
     if g.n < 4 or not g.is_connected():
         return False
-    if emb is None:
-        return _is_3_edge_connected(g)
-    face, _, nf = _face_labels(g, emb)
-    if g.n - g.m + nf != 2:
-        raise ValueError("embedding fails the Euler check V - E + F = 2")
-    # The dual must be simple: a loop is a bridge and two parallel edges are
-    # a 2-edge-cut, so the m edges must join m distinct pairs of faces.
-    duals = {a * nf + b if a < b else b * nf + a
-             for a, b in zip(face[0::2], face[1::2]) if a != b}
-    return len(duals) == g.m
-
-
-def _is_3_edge_connected(g: Graph) -> bool:
-    """No bridge and no 2-edge-cut, via random back-edge labels.
-
-    Each back edge of a DFS forest gets a random 64-bit label; a tree edge is
-    labelled with the XOR of the back edges covering it.  An edge is a bridge
-    iff its label is 0, and two edges form a 2-edge-cut iff their labels are
-    equal.  The RNG is seeded deterministically.
-    """
     rng = random.Random(0x3EC0 ^ (g.n << 16) ^ g.m)
     parent = [-1] * g.n
     parent_edge = [-1] * g.n
@@ -391,7 +378,7 @@ def _is_3_edge_connected(g: Graph) -> bool:
     for e, (u, v) in enumerate(g.edges):
         if parent_edge[u] == e or parent_edge[v] == e:
             continue  # tree edge
-        r = rng.getrandbits(64) | 1
+        r = rng.getrandbits(64)
         label[e] = r
         acc[u] ^= r
         acc[v] ^= r
@@ -401,9 +388,13 @@ def _is_3_edge_connected(g: Graph) -> bool:
             continue
         label[pe] = acc[v]
         acc[parent[v]] ^= acc[v]
-    if 0 in label:
-        return False
-    return len(set(label)) == g.m
+    if len(set(label)) == g.m:
+        return True
+    groups: dict[int, list[int]] = {}
+    for e, x in enumerate(label):
+        groups.setdefault(x, []).append(e)
+    return all(_parity_sides(g, pair) is None
+               for es in groups.values() for pair in combinations(es, 2))
 
 
 # --- file formats -------------------------------------------------------------
@@ -450,7 +441,7 @@ def parse_graph(text: str) -> tuple[Graph, Optional[PlaneEmbedding]]:
         return g, None
     if rest[0] != "embedding":
         raise ValueError(f"unexpected line {rest[0]!r}")
-    rotations: list[tuple[int, ...]] = [()] * n
+    rotations: dict[int, tuple[int, ...]] = {}
     for ln in rest[1:]:
         parts = ln.split()
         if parts[0] != "rot":
@@ -460,11 +451,13 @@ def parse_graph(text: str) -> tuple[Graph, Optional[PlaneEmbedding]]:
         v, d = int(parts[1]), int(parts[2])
         if not 0 <= v < n:
             raise ValueError(f"rotation vertex {v} out of range")
+        if v in rotations:
+            raise ValueError(f"rotation of vertex {v} listed twice")
         rot = tuple(map(int, parts[3:]))
         if len(rot) != d:
             raise ValueError(f"rotation degree mismatch at vertex {v}")
         rotations[v] = rot
-    emb = PlaneEmbedding(tuple(rotations))
+    emb = PlaneEmbedding(tuple(rotations.get(v, ()) for v in range(n)))
     emb.check(g)
     return g, emb
 

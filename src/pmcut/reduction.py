@@ -155,6 +155,8 @@ def _clause_local_types() -> tuple[frozenset, frozenset, frozenset]:
 
 def _validate(f: NaeFormula) -> None:
     f.validate_e4()
+    if not f.clauses:
+        raise ReductionError("the formula is empty: no clauses to reduce")
     if not incidence_graph(f).is_connected():
         raise ReductionError("incidence graph must be connected")
     cuts = variable_cutvertices(f)

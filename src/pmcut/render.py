@@ -55,28 +55,21 @@ def render_svg(art: ReductionArtifact) -> str:
             f'<polyline class="bundle" points="{x0:.1f},{y0:.1f} {x1:.1f},{y1:.1f}" '
             f'stroke="#888" fill="none"><title>x{i} in C{j}</title></polyline>'
         )
-    slot_y = {}
-    for b in d.bundles:
-        slot_y.setdefault(b.var, []).append(_PAD + (2 * b.exit_slot + 0.5) * _SLOT_DY)
-    for i, ys in sorted(slot_y.items()):
-        y0, y1 = min(ys) - 0.6 * _SLOT_DY, max(ys) + 0.6 * _SLOT_DY
-        out.append(
-            f'<rect class="variable" x="{_VAR_X[0]:.1f}" y="{y0:.1f}" '
-            f'width="{_VAR_X[1] - _VAR_X[0]:.1f}" height="{y1 - y0:.1f}" '
-            f'fill="#cfe3ff" stroke="#245"/>'
-        )
-        out.append(f'<text x="{_VAR_X[0] + 6:.1f}" y="{(y0 + y1) / 2:.1f}">x{i}</text>')
-    slot_y = {}
-    for b in d.bundles:
-        slot_y.setdefault(b.clause, []).append(_PAD + (2 * b.entry_slot + 0.5) * _SLOT_DY)
-    for j, ys in sorted(slot_y.items()):
-        y0, y1 = min(ys) - 0.6 * _SLOT_DY, max(ys) + 0.6 * _SLOT_DY
-        out.append(
-            f'<rect class="clause" x="{_CLAUSE_X[0]:.1f}" y="{y0:.1f}" '
-            f'width="{_CLAUSE_X[1] - _CLAUSE_X[0]:.1f}" height="{y1 - y0:.1f}" '
-            f'fill="#ffe3cf" stroke="#542"/>'
-        )
-        out.append(f'<text x="{_CLAUSE_X[0] + 6:.1f}" y="{(y0 + y1) / 2:.1f}">C{j}</text>')
+    columns = (("var", "exit_slot", _VAR_X, "variable", "#cfe3ff", "#245", "x"),
+               ("clause", "entry_slot", _CLAUSE_X, "clause", "#ffe3cf", "#542", "C"))
+    for key, slot, (x0, x1), cls, fill, stroke, prefix in columns:
+        slot_y = {}
+        for b in d.bundles:
+            slot_y.setdefault(getattr(b, key), []).append(
+                _PAD + (2 * getattr(b, slot) + 0.5) * _SLOT_DY)
+        for i, ys in sorted(slot_y.items()):
+            y0, y1 = min(ys) - 0.6 * _SLOT_DY, max(ys) + 0.6 * _SLOT_DY
+            out.append(
+                f'<rect class="{cls}" x="{x0:.1f}" y="{y0:.1f}" '
+                f'width="{x1 - x0:.1f}" height="{y1 - y0:.1f}" '
+                f'fill="{fill}" stroke="{stroke}"/>'
+            )
+            out.append(f'<text x="{x0 + 6:.1f}" y="{(y0 + y1) / 2:.1f}">{prefix}{i}</text>')
     for idx, x, y in _crossing_points(art):
         out.append(
             f'<rect class="crossing" x="{x - 4:.1f}" y="{y - 4:.1f}" width="8" height="8" '

@@ -75,7 +75,7 @@ def certified_instances(random_instances):
             "cubic": is_cubic(art.graph),
             "bipartite": is_bipartite(art.graph) is not None,
             "planar": is_planar_embedding(art.graph, art.embedding),
-            "three_connected": is_3_connected(art.graph, art.embedding),
+            "three_connected": is_3_connected(art.graph),
             "size_law": art.graph.n == 36 * f.n + 112 * f.m + 16 * art.q,
         })
     return rows, time.time() - t0
@@ -160,7 +160,7 @@ def test_criterion_3_side_relations(gadget_censuses):
     gadgets, censuses, _ = gadget_censuses
     var = gadgets["variable"]
     table = side_relations(var, censuses["variable"][0])
-    ok = len({table.sides[f"{k}{s}"] for k in "tb" for s in "1234"}) == 1
+    ok = len({table[f"{k}{s}"] for k in "tb" for s in "1234"}) == 1
 
     clause = gadgets["clause"]
     separated = {}
@@ -178,10 +178,10 @@ def test_criterion_3_side_relations(gadget_censuses):
     t1, t2 = side_relations(cross, p1), side_relations(cross, p2)
     bundle_a = ["u1", "u2", "v1", "v2"]
     bundle_b = ["u1'", "u2'", "v1'", "v2'"]
-    ok &= len({t1.sides[p] for p in bundle_a + bundle_b}) == 1
-    ok &= len({t2.sides[p] for p in bundle_a}) == 1
-    ok &= len({t2.sides[p] for p in bundle_b}) == 1
-    ok &= t2.sides["u1"] != t2.sides["u1'"]
+    ok &= len({t1[p] for p in bundle_a + bundle_b}) == 1
+    ok &= len({t2[p] for p in bundle_a}) == 1
+    ok &= len({t2[p] for p in bundle_b}) == 1
+    ok &= t2["u1"] != t2["u1'"]
     _report("criterion 3 (side relations)", ok)
 
 

@@ -42,6 +42,17 @@ def test_missing_file_is_io_error(capsys):
     assert exc.value.code == 74
 
 
+@pytest.mark.parametrize("command", ["validate-formula", "verify-graph"])
+def test_undecodable_file_is_data_error(tmp_path, capsys, command):
+    p = tmp_path / "bad.bin"
+    p.write_bytes(b"\xff\xfe\x00")
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(p)])
+    assert exc.value.code == 65
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
@@ -98,6 +109,17 @@ def test_solve_pmc_failed_witness_check_is_internal_error(tmp_path, capsys, monk
     monkeypatch.setattr("pmcut.solver.cut_from_edge_set", lambda g, m: None)
     assert main(["solve-pmc", str(q3)]) == 70
     assert "RuntimeError" in capsys.readouterr().err
+
+
+def test_verify_graph_without_embedding_block(n3_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["reduce", str(n3_file), "--out", str(out)]) == 0
+    text = (out / "n3.graph").read_text()
+    plain = tmp_path / "plain.graph"
+    plain.write_text(text[:text.index("embedding")])
+    capsys.readouterr()
+    assert main(["verify-graph", str(plain)]) == 0
+    assert capsys.readouterr().out == "cubic bipartite 3-connected: PASS\n"
 
 
 _TWO_TRIANGLES = "graph 6 6\n0 1\n0 2\n1 2\n3 4\n3 5\n4 5\n"
@@ -169,19 +191,35 @@ def test_bad_rotation_file_is_data_error(tmp_path, capsys, command, case):
     assert "permutation" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["verify-graph", "solve-pmc"])
+def test_repeated_rotation_is_data_error(tmp_path, capsys, command):
+    p = tmp_path / "bad.graph"
+    p.write_text(_PATH + "rot 0 1 0\nrot 0 1 0\nrot 1 2 0 1\nrot 2 1 1\n")
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(p)])
+    assert exc.value.code == 65
+    err = capsys.readouterr().err
+    assert err == "error: rotation of vertex 0 listed twice\n"
+
+
 # A valid E4 formula whose incidence graph is disconnected, which the
 # reduction rejects, and one too large for the brute-force guard.
 _REJECTED = NaeFormula(6, ((1, 2, 3),) * 4 + ((4, 5, 6),) * 4)
 _TOO_LARGE = random_e4_formula(27, random.Random(1), require_reducible=False)
+_EMPTY = NaeFormula(0, ())
 
 
 @pytest.mark.parametrize("command,formula,code", [
     ("reduce", _REJECTED, 65),
     ("roundtrip", _REJECTED, 65),
     ("render", _REJECTED, 65),
+    ("reduce", _EMPTY, 65),
+    ("roundtrip", _EMPTY, 65),
+    ("render", _EMPTY, 65),
     ("solve-nae", _TOO_LARGE, 70),
     ("roundtrip", _TOO_LARGE, 70),
 ], ids=["reduce-rejected", "roundtrip-rejected", "render-rejected",
+        "reduce-empty", "roundtrip-empty", "render-empty",
         "solve-nae-too-large", "roundtrip-too-large"])
 def test_exit_contract_without_traceback(tmp_path, capsys, command, formula, code):
     p = tmp_path / "f.nae"

@@ -200,7 +200,7 @@ def test_crossing_p_sets_are_square_matchings(crossing_gadget):
 def test_variable_ports_all_same_side(variable_gadget):
     [red] = enumerate_local_pmcs(variable_gadget)
     table = side_relations(variable_gadget, red)
-    values = {table.sides[f"{k}{s}"] for k in "tb" for s in "1234"}
+    values = {table[f"{k}{s}"] for k in "tb" for s in "1234"}
     assert len(values) == 1
 
 
@@ -209,11 +209,11 @@ def test_crossing_side_relations(crossing_gadget):
     t1 = side_relations(crossing_gadget, p1)
     horizontals = ["u1", "u2", "v1", "v2"]
     verticals = ["u1'", "u2'", "v1'", "v2'"]
-    assert len({t1.sides[p] for p in horizontals + verticals}) == 1
+    assert len({t1[p] for p in horizontals + verticals}) == 1
     t2 = side_relations(crossing_gadget, p2)
-    assert len({t2.sides[p] for p in horizontals}) == 1
-    assert len({t2.sides[p] for p in verticals}) == 1
-    assert t2.sides["u1"] != t2.sides["u1'"]
+    assert len({t2[p] for p in horizontals}) == 1
+    assert len({t2[p] for p in verticals}) == 1
+    assert t2["u1"] != t2["u1'"]
 
 
 def test_clause_side_relations(clause_gadget):

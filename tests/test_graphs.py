@@ -1,5 +1,6 @@
 import math
 import random
+from types import SimpleNamespace
 
 import networkx as nx
 import pytest
@@ -32,7 +33,6 @@ from pmcut.graphs import (
     serialize_graph,
     serialize_matching,
 )
-from pmcut.graphs import _is_3_edge_connected
 from pmcut.reduction import reduce_formula
 
 from _catalog import connected_cubic_catalog
@@ -199,7 +199,8 @@ def test_dart_table_built_once_per_graph_and_embedding(monkeypatch):
     monkeypatch.setattr(graphs, "_dart_successors", lambda g, emb: built.append(emb) or real(g, emb))
     g, emb = q3_embedded()
     emb.check(g)
-    assert is_planar_embedding(g, emb) and is_3_connected(g, emb)
+    # 3-connectivity reads the edge list, not the faces
+    assert is_planar_embedding(g, emb) and is_3_connected(g)
     walks = face_darts(g, emb)
     serialize_graph(g, emb)
     assert built == [emb]
@@ -228,16 +229,8 @@ def test_is_planar_embedding_requires_connected():
         is_planar_embedding(g, PlaneEmbedding(((), ())))
 
 
-def _k4_embedded():
-    g = complete_graph(4)
-    return g, planar_rotation_from_coords(g, [(0, 3), (-3, -2), (3, -2), (0, 0)])
-
-
 def test_three_connected_basics():
-    q3, q3_emb = q3_embedded()
-    k4, k4_emb = _k4_embedded()
-    for g, emb in ((q3, q3_emb), (k4, k4_emb)):
-        assert is_3_connected(g) and is_3_connected(g, emb)
+    assert is_3_connected(cube_graph()) and is_3_connected(complete_graph(4))
     assert is_3_connected(complete_bipartite_graph(3, 3))  # cubic, not planar
     # two K4s with one edge each removed, joined by two edges: a 2-edge-cut
     two = Graph(8, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
@@ -252,16 +245,6 @@ def test_three_connected_rejects_non_cubic_input():
     for g in (k4_minus, cycle_graph(5), complete_graph(5), Graph(20001, [])):
         with pytest.raises(ValueError, match="cubic"):
             is_3_connected(g)
-
-
-def test_three_connected_rejects_embedding_failing_euler():
-    g, emb = q3_embedded()
-    rotations = list(emb.rotations)
-    rotations[0] = rotations[0][::-1]  # one vertex turned over: genus 1
-    bad = PlaneEmbedding(tuple(rotations))
-    assert not is_planar_embedding(g, bad)
-    with pytest.raises(ValueError, match="Euler"):
-        is_3_connected(g, bad)
 
 
 def _subdivided_join(g1: Graph, g2: Graph, k: int) -> Graph:
@@ -283,7 +266,7 @@ def _subdivided_join(g1: Graph, g2: Graph, k: int) -> Graph:
 
 def test_three_connected_agrees_with_flow_oracle():
     # random cubic graphs, and pairs of them joined across a planted bridge
-    # or 2-edge-cut; mostly non-planar, so the label path decides
+    # or 2-edge-cut; mostly non-planar
     rng = random.Random(17)
     answers = set()
     for i in range(60):
@@ -293,22 +276,45 @@ def test_three_connected_agrees_with_flow_oracle():
         answers.add(is_3_connected(g))
         assert is_3_connected(g) == nx_three_connected(g)
     assert answers == {True, False}
-
-
-def test_cubic_edge_connectivity_path_agrees():
-    # exercise the large-cubic route directly on small instances
     rng = random.Random(23)
     for _ in range(120):
         g = random_cubic_graph(rng.choice([8, 10, 12, 14, 16, 20]), rng)
-        assert _is_3_edge_connected(g) == nx_three_connected(g)
+        assert is_3_connected(g) == nx_three_connected(g)
+
+
+class _CollidingRandom:
+    """Stands in for random.Random: every back edge gets the label 1."""
+
+    def __init__(self, seed):
+        pass
+
+    def getrandbits(self, k):
+        return 1
+
+
+def test_three_connected_exact_when_every_label_collides(monkeypatch):
+    # with one label on every back edge, tree edges read 0 or 1: every graph
+    # leaves the fast path, and each answer rests on the parity walk alone
+    import pmcut.graphs as graphs
+
+    monkeypatch.setattr(graphs, "random", SimpleNamespace(Random=_CollidingRandom))
+    answers = set()
+    for level in connected_cubic_catalog(12):
+        for g in level:
+            answers.add(is_3_connected(g))
+            assert is_3_connected(g) == nx_three_connected(g)
+    assert answers == {True, False}
+    k4 = complete_graph(4)
+    for k in (1, 2):
+        g = _subdivided_join(k4, k4, k)
+        assert not is_3_connected(g) and not nx_three_connected(g)
 
 
 def test_embedded_three_connected_on_reductions():
     arts = [reduce_formula(canonical_n3_formula()), reduce_formula(ag23_formula()),
             reduce_formula(random_e4_formula(9, random.Random(9)))]
     for art in arts:
-        assert is_3_connected(art.graph, art.embedding)
-        assert _is_3_edge_connected(art.graph)
+        assert is_3_connected(art.graph)
     # networkx's flow routine takes minutes at thousands of vertices, so it
     # reads the smallest; on a cubic graph edge connectivity is vertex
     # connectivity, and networkx decides it about seven times faster
@@ -324,8 +330,8 @@ def test_embedded_three_connected_on_planar_catalog():
             emb = nx_plane_embedding(g)
             if emb is None:
                 continue
-            exact = is_3_connected(g, emb)
-            assert exact == _is_3_edge_connected(g) == nx_three_connected(g)
+            exact = is_3_connected(g)
+            assert exact == nx_three_connected(g)
             counts[exact] += 1
     assert counts == {True: 23, False: 23}
 
@@ -336,8 +342,7 @@ def test_embedded_three_connected_planted_cuts():
         g = _subdivided_join(k4, k4, k)
         emb = nx_plane_embedding(g)
         assert is_cubic(g) and emb is not None and is_planar_embedding(g, emb)
-        assert not is_3_connected(g, emb)
-        assert not _is_3_edge_connected(g) and not nx_three_connected(g)
+        assert not is_3_connected(g) and not nx_three_connected(g)
 
 
 def _plane_ladder(k: int, base: int) -> dict[int, list[int]]:
@@ -361,7 +366,7 @@ def _embedded(nbrs: dict[int, list[int]]) -> tuple[Graph, PlaneEmbedding]:
 def test_three_connected_cubic_beyond_guard():
     ladder, emb = _embedded(_plane_ladder(10_002, 0))
     assert ladder.n == 20_004 and is_planar_embedding(ladder, emb)
-    assert is_3_connected(ladder) and is_3_connected(ladder, emb)
+    assert is_3_connected(ladder)
     # two ladders, each with outer rail edge 0-1 removed, joined across:
     # 0 to the other's 1 and 1 to the other's 0, a plane 2-edge-cut
     k = 5_001
@@ -371,7 +376,7 @@ def test_three_connected_cubic_beyond_guard():
         nbrs[a + 1][2] = b
     two, emb = _embedded(nbrs)
     assert two.n == 20_004 and is_cubic(two) and is_planar_embedding(two, emb)
-    assert not is_3_connected(two) and not is_3_connected(two, emb)
+    assert not is_3_connected(two)
 
 
 def test_is_perfect_matching():

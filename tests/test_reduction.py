@@ -43,6 +43,8 @@ def test_h_rejects_bad_formulas():
         build_h(NaeFormula(9, tuple(block1 + block2)))
     with pytest.raises(ReductionError, match="connected"):
         build_h(NaeFormula(6, ((1, 2, 3),) * 4 + ((4, 5, 6),) * 4))
+    with pytest.raises(ReductionError, match="empty"):
+        build_h(NaeFormula(0, ()))
 
 
 def test_wiring_events_trivial_cases():
@@ -126,7 +128,7 @@ def test_barnette_certification(canonical_artifact):
     assert is_cubic(g)
     assert is_bipartite(g) is not None
     assert is_planar_embedding(g, canonical_artifact.embedding)
-    assert is_3_connected(g, canonical_artifact.embedding)
+    assert is_3_connected(g)
 
 
 def test_reduce_is_deterministic():
