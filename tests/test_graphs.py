@@ -276,6 +276,10 @@ def test_three_connected_agrees_with_flow_oracle():
         answers.add(is_3_connected(g))
         assert is_3_connected(g) == nx_three_connected(g)
     assert answers == {True, False}
+
+
+def test_cubic_edge_connectivity_path_agrees():
+    # plain random cubic graphs, larger than above, against networkx
     rng = random.Random(23)
     for _ in range(120):
         g = random_cubic_graph(rng.choice([8, 10, 12, 14, 16, 20]), rng)
