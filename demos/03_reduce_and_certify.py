@@ -3,7 +3,6 @@
 from pmcut import (
     build_h,
     canonical_n3_formula,
-    faces_from_embedding,
     is_3_connected,
     is_bipartite,
     is_cubic,
@@ -29,9 +28,8 @@ print(f"bundles: {len(drawing.bundles)}, crossings q = {len(drawing.events)}")
 art = reduce_formula(f)
 g = art.graph
 print(f"\nG: {g.n} vertices = 36*{f.n} + 112*{f.m} + 16*{art.q}")
-faces = faces_from_embedding(g, art.embedding)
-print("faces:", len(faces), "-> Euler characteristic",
-      g.n - g.m + len(faces))
+faces = art.embedding.face_count
+print("faces:", faces, "-> Euler characteristic", g.n - g.m + faces)
 print("cubic:", is_cubic(g))
 print("bipartite:", is_bipartite(g) is not None)
 print("planar (certified rotation system):", is_planar_embedding(g, art.embedding))

@@ -32,7 +32,6 @@ from .graphs import (
     Graph,
     PlaneEmbedding,
     cut_from_edge_set,
-    faces_from_embedding,
     is_3_connected,
     is_bipartite,
     is_cubic,
@@ -52,6 +51,7 @@ from .solver import (
     find_pmc_bruteforce,
     lemma_oracles,
     pmc_from_assignment,
+    pmcs_bruteforce,
 )
 
 __version__ = "0.1.0"

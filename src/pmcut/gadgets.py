@@ -29,8 +29,9 @@ class Gadget:
     """A fragment with named vertices, degree-2 ports, and a local embedding.
 
     ``rotations`` contains a STUB sentinel at each port marking where the
-    future connector edge sits in the clockwise order.  ``ports`` lists the
-    port vertices in the cyclic order they appear on the outer face.
+    future connector edge sits in the clockwise order; ``embedding`` is the
+    fragment's embedding with those stubs dropped.  ``ports`` lists the port
+    vertices in the cyclic order they appear on the outer face.
     ``vertex_names`` holds each vertex's primary name, the first registered;
     aliases (like u1 = t'b) come later and are found only in ``names``.
     """
@@ -43,18 +44,13 @@ class Gadget:
     marks: dict
     red_edges: EdgeSet
     rotations: tuple[tuple[int, ...], ...]
+    embedding: PlaneEmbedding
 
     def vertex_name(self, v: int) -> str:
         return self.vertex_names[v]
 
     def port_names(self) -> tuple[str, ...]:
         return tuple(self.vertex_names[p] for p in self.ports)
-
-    def local_embedding(self) -> PlaneEmbedding:
-        """The fragment's embedding with connector stubs dropped."""
-        return PlaneEmbedding(
-            tuple(tuple(e for e in rot if e != STUB) for rot in self.rotations)
-        )
 
 
 class FigureError(ValueError):
@@ -145,31 +141,29 @@ class _FigureBuilder:
             if len(set(angles)) != len(angles):
                 raise FigureError(f"coincident edge directions at vertex {v}")
             rotations.append(tuple(e for _, e in items))
-        ports = tuple(sorted(self.stubs))
+        emb = PlaneEmbedding(g, (tuple(e for e in rot if e != STUB) for rot in rotations))
         primary: dict[int, str] = {}
         for name, v in self.names.items():
             primary.setdefault(v, name)
         gadget = Gadget(
             kind=self.kind,
             graph=g,
-            ports=_outer_face_port_order(g, rotations, ports),
+            ports=_outer_face_port_order(emb, tuple(sorted(self.stubs))),
             names=dict(self.names),
             vertex_names=tuple(primary[v] for v in range(g.n)),
             marks=dict(self.marks),
             red_edges=frozenset(self.red),
             rotations=tuple(rotations),
+            embedding=emb,
         )
         _check_gadget(gadget)
         return gadget
 
 
-def _outer_face_port_order(
-    g: Graph, rotations: list[tuple[int, ...]], ports: tuple[int, ...]
-) -> tuple[int, ...]:
-    emb = PlaneEmbedding(tuple(tuple(e for e in rot if e != STUB) for rot in rotations))
+def _outer_face_port_order(emb: PlaneEmbedding, ports: tuple[int, ...]) -> tuple[int, ...]:
     port_set = set(ports)
     hits = []
-    for walk in face_darts(g, emb):
+    for walk in face_darts(emb.graph, emb):
         seen = [v for v, _ in walk if v in port_set]
         if set(seen) == port_set:
             ordered = list(dict.fromkeys(seen))
@@ -189,7 +183,7 @@ def _check_gadget(gadget: Gadget) -> None:
             raise FigureError(f"{gadget.kind}: vertex {v} has degree {g.degree(v)}, wanted {want}")
     if is_bipartite(g) is None:
         raise FigureError(f"{gadget.kind}: fragment is not bipartite")
-    if not is_planar_embedding(g, gadget.local_embedding()):
+    if not is_planar_embedding(g, gadget.embedding):
         raise FigureError(f"{gadget.kind}: local embedding fails the Euler check")
 
 

@@ -1,13 +1,9 @@
 """Undirected graphs with indexed edges, rotation-system embeddings, and cut machinery.
 
 Everything here is immutable after construction and safe to share between
-threads.  A ``Graph`` memoises its connectivity in a slot on first use, and
-in another the face labelling of the last embedding validated against it,
-keyed by that embedding's identity.  Graphs and embeddings never change, so
-neither memo can go stale; two threads racing on the first call store the
-same answer, and a thread reads the face memo once, so a race between two
-embeddings costs a rebuild, never a wrong answer.  Edge indices are stable:
-edge ``i`` is ``graph.edges[i]``.
+threads.  A ``Graph`` memoises its connectivity in a slot on first use; two
+threads racing on the first call store the same answer.  Edge indices are
+stable: edge ``i`` is ``graph.edges[i]``.
 
 Darts.  Edge ``e`` carries two darts: dart ``2e`` leaves ``edges[e][0]`` and
 dart ``2e + 1`` leaves ``edges[e][1]``, so dart ``d`` leaves
@@ -16,6 +12,9 @@ read as one permutation ``succ`` of the darts (Mohar & Thomassen, *Graphs on
 Surfaces*, §3.2): for the dart ``d`` arriving at ``w`` along ``e``,
 ``succ[d]`` is the dart leaving ``w`` along the edge after ``e`` in
 ``rotations[w]``.  The cycles of ``succ`` are the face walks.
+
+A ``PlaneEmbedding`` is validated and labelled with its faces once, when it
+is built for one ``Graph`` object; its readers look the labels up.
 
 3-connectivity reads the edge list alone, never an embedding, so plain edge
 lists and embedded graphs get the same exact answer.
@@ -39,7 +38,7 @@ STUB = -1
 class Graph:
     """Simple undirected graph; vertices 0..n-1, edges indexed in list order."""
 
-    __slots__ = ("n", "edges", "adj", "inc", "_eid", "_connected", "_faces")
+    __slots__ = ("n", "edges", "adj", "inc", "_eid", "_connected")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         self.n = n
@@ -57,7 +56,6 @@ class Graph:
         self.edges: tuple[tuple[int, int], ...] = tuple(eid)
         self._eid = eid
         self._connected: Optional[bool] = None
-        self._faces: Optional[tuple] = None  # (embedding, _face_labels result)
         # Walking the edges in lexicographic order lists each vertex's smaller
         # neighbours and then its larger ones, each ascending, so adj comes
         # out sorted.  One global sort gives that order; on input already in
@@ -122,22 +120,48 @@ class Cut:
         )
 
 
-@dataclass(frozen=True)
 class PlaneEmbedding:
-    """Rotation system: rotations[v] is the clockwise cyclic order of incident edges."""
+    """Rotation system of the Graph object ``graph``: ``rotations[v]`` is the
+    clockwise cyclic order of the edges at ``v``.
 
-    rotations: tuple[tuple[int, ...], ...]
+    The constructor raises ValueError unless each rotation permutes its
+    vertex's edges, then walks the cycles of ``succ`` once, in the order of
+    ``face_darts``: ``face[d]`` is the face of dart ``d`` and ``walk`` lists
+    the darts face after face, both 32-bit arrays that callers must not
+    change.  Functions given an embedding and another graph raise ValueError.
+    """
 
-    def check(self, g: Graph) -> None:
-        """Raise ValueError unless each rotation permutes that vertex's edges.
+    __slots__ = ("graph", "rotations", "face", "walk", "face_count")
 
-        A rotation system that passes is labelled with its faces, which g
-        memoises for the Euler check and the face walks.
-        """
-        _face_labels(g, self)
+    def __init__(self, g: Graph, rotations: Iterable[Iterable[int]]):
+        rotations = tuple(map(tuple, rotations))
+        succ, order = _dart_successors(g, rotations)
+        face = array("i", [-1]) * len(succ)
+        walk = array("i")
+        f = 0
+        for d in order:
+            if face[d] >= 0:
+                continue
+            while face[d] < 0:
+                face[d] = f
+                walk.append(d)
+                d = succ[d]
+            f += 1
+        self.graph = g
+        self.rotations = rotations
+        self.face = face
+        self.walk = walk
+        self.face_count = f
 
 
-def _dart_successors(g: Graph, emb: PlaneEmbedding) -> tuple[list[int], list[int]]:
+def _own(g: Graph, emb: PlaneEmbedding) -> PlaneEmbedding:
+    """emb, after checking that it was built for the Graph object g."""
+    if emb.graph is not g:
+        raise ValueError("the embedding was built for another Graph object")
+    return emb
+
+
+def _dart_successors(g: Graph, rotations: tuple) -> tuple[list[int], list[int]]:
     """The dart permutation ``succ`` of the rotation system (see the module
     docstring), and every dart in rotation order: vertex by vertex, the darts
     leaving it along its rotation.
@@ -146,7 +170,6 @@ def _dart_successors(g: Graph, emb: PlaneEmbedding) -> tuple[list[int], list[int
     entry is an edge at v, and no dart is filled twice, so each rotation
     permutes its vertex's edges.  Raises ValueError otherwise.
     """
-    rotations = emb.rotations
     if len(rotations) != g.n:
         raise ValueError("rotation count differs from vertex count")
     edges, inc = g.edges, g.inc
@@ -234,35 +257,6 @@ def is_bipartite(g: Graph) -> Optional[Cut]:
     return _parity_sides(g, range(g.m))
 
 
-def _face_labels(g: Graph, emb: PlaneEmbedding) -> tuple[array, array, int]:
-    """One walk over the cycles of ``succ``, in the order of ``face_darts``:
-    the face of every dart, all darts face after face, and the face count.
-
-    Memoised on g for the last embedding that passed validation, so the
-    dart table of one (graph, embedding) pair is built once.  The two tables
-    are 32-bit arrays, 4 bytes a dart, so the memo stays small; callers must
-    not change them.
-    """
-    memo = g._faces
-    if memo is not None and memo[0] is emb:
-        return memo[1]
-    succ, order = _dart_successors(g, emb)
-    face = array("i", [-1]) * len(succ)
-    walk = array("i")
-    f = 0
-    for d in order:
-        if face[d] >= 0:
-            continue
-        while face[d] < 0:
-            face[d] = f
-            walk.append(d)
-            d = succ[d]
-        f += 1
-    labels = (face, walk, f)
-    g._faces = (emb, labels)
-    return labels
-
-
 def face_darts(g: Graph, emb: PlaneEmbedding) -> list[list[tuple[int, int]]]:
     """Face walks of the rotation system, each as a list of darts (vertex, edge).
 
@@ -272,17 +266,12 @@ def face_darts(g: Graph, emb: PlaneEmbedding) -> list[list[tuple[int, int]]]:
     next dart leaves w along the edge after e in w's rotation.  Walks start
     at the first unused dart in rotation order (vertex 0's rotation first).
     """
-    face, walk, nf = _face_labels(g, emb)
+    face = _own(g, emb).face
     edges = g.edges
-    faces: list[list[tuple[int, int]]] = [[] for _ in range(nf)]
-    for d in walk:
+    faces: list[list[tuple[int, int]]] = [[] for _ in range(emb.face_count)]
+    for d in emb.walk:
         faces[face[d]].append((edges[d >> 1][d & 1], d >> 1))
     return faces
-
-
-def faces_from_embedding(g: Graph, emb: PlaneEmbedding) -> list[list[int]]:
-    """Face walks of the rotation system, each as a list of edge indices."""
-    return [[e for _, e in walk] for walk in face_darts(g, emb)]
 
 
 def is_planar_embedding(g: Graph, emb: PlaneEmbedding) -> bool:
@@ -291,9 +280,10 @@ def is_planar_embedding(g: Graph, emb: PlaneEmbedding) -> bool:
     F counts the faces of the rotation system; a lone vertex has no darts
     and one face.
     """
+    _own(g, emb)
     if not g.is_connected():
         raise ValueError("is_planar_embedding requires a connected graph")
-    return g.n - g.m + max(_face_labels(g, emb)[2], 1) == 2
+    return g.n - g.m + max(emb.face_count, 1) == 2
 
 
 def is_perfect_matching(g: Graph, m: Iterable[int]) -> bool:
@@ -324,15 +314,21 @@ def is_cutset_via_cycle_basis(g: Graph, emb: PlaneEmbedding, m: Iterable[int]) -
 
     The bounded faces of a plane graph form a cycle basis, and the unbounded
     face is the sum of the bounded ones, so checking every face walk is
-    equivalent.  Edges are counted with multiplicity along the walk.
+    equivalent.  Edge e flips the parity of the faces of its darts 2e and
+    2e + 1.  The faces of a non-plane rotation system do not span the cycle
+    space, so it raises ValueError, as is_planar_embedding's errors do.
     """
+    if not is_planar_embedding(g, emb):
+        raise ValueError("is_cutset_via_cycle_basis requires a plane embedding")
     mset = set(m)
     if not mset:
         return False
-    for walk in faces_from_embedding(g, emb):
-        if sum(1 for e in walk if e in mset) % 2:
-            return False
-    return True
+    face = emb.face
+    odd = bytearray(emb.face_count)
+    for e in mset:
+        odd[face[2 * e]] ^= 1
+        odd[face[2 * e + 1]] ^= 1
+    return 1 not in odd
 
 
 # --- 3-connectivity -----------------------------------------------------------
@@ -414,7 +410,7 @@ def serialize_graph(g: Graph, emb: Optional[PlaneEmbedding] = None) -> str:
     lines = [f"graph {g.n} {g.m}"]
     lines += [f"{u} {v}" for u, v in map(g.edges.__getitem__, order)]
     if emb is not None:
-        emb.check(g)
+        _own(g, emb)
         lines.append("embedding")
         label = [""] * g.m  # edge index -> its index in the file, as text
         for new, old in enumerate(order):
@@ -457,9 +453,7 @@ def parse_graph(text: str) -> tuple[Graph, Optional[PlaneEmbedding]]:
         if len(rot) != d:
             raise ValueError(f"rotation degree mismatch at vertex {v}")
         rotations[v] = rot
-    emb = PlaneEmbedding(tuple(rotations.get(v, ()) for v in range(n)))
-    emb.check(g)
-    return g, emb
+    return g, PlaneEmbedding(g, (rotations.get(v, ()) for v in range(n)))
 
 
 def serialize_matching(g: Graph, m: Iterable[int]) -> str:

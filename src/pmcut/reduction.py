@@ -365,7 +365,7 @@ def planarize(hb: HBuild, drawing: Drawing) -> ReductionArtifact:
             gv = base + lv
             rotations[gv] = tuple(connector_at[gv] if le == STUB else ge[le]
                                   for le in local_rot)
-    embedding = PlaneEmbedding(tuple(rotations))
+    embedding = PlaneEmbedding(g, rotations)
     if not is_planar_embedding(g, embedding):
         raise ReductionError("rotation system failed the Euler certification")
 

@@ -285,38 +285,39 @@ def enumerate_pmcs(g: Graph, budget: Optional[int] = DEFAULT_BUDGET) -> list[Edg
     return list(_PmcSearch(g).solutions(budget))
 
 
-def find_pmc_bruteforce(g: Graph) -> Optional[EdgeSet]:
-    """Oracle: enumerate perfect matchings by vertex order, test each as a cutset."""
+def pmcs_bruteforce(g: Graph) -> Iterator[EdgeSet]:
+    """Oracle: every perfect matching of g that is a cutset, matching the
+    lowest unmatched vertex first along its edges in ``g.inc`` order."""
     if g.n > MAX_BRUTEFORCE_VERTICES:
         raise ValueError(f"brute force guard: {g.n} > {MAX_BRUTEFORCE_VERTICES} vertices")
     if not g.is_connected():
-        raise ValueError("find_pmc_bruteforce requires a connected graph")
+        raise ValueError("the brute-force oracle requires a connected graph")
     matched = [False] * g.n
     chosen: list[int] = []
 
-    def extend() -> Optional[EdgeSet]:
-        v = next((w for w in range(g.n) if not matched[w]), None)
-        if v is None:
-            m = frozenset(chosen)
-            if cut_from_edge_set(g, m) is not None:
-                return m
-            return None
+    def extend(v: int) -> Iterator[EdgeSet]:
+        while v < g.n and matched[v]:
+            v += 1
+        if v == g.n:
+            if cut_from_edge_set(g, chosen) is not None:
+                yield frozenset(chosen)
+            return
         matched[v] = True
-        for e in g.inc[v]:
-            w = g.other_end(e, v)
-            if matched[w]:
-                continue
-            matched[w] = True
-            chosen.append(e)
-            hit = extend()
-            chosen.pop()
-            matched[w] = False
-            if hit is not None:
-                return hit
+        for e, w in zip(g.inc[v], g.adj[v]):
+            if not matched[w]:
+                matched[w] = True
+                chosen.append(e)
+                yield from extend(v + 1)
+                chosen.pop()
+                matched[w] = False
         matched[v] = False
-        return None
 
-    return extend()
+    yield from extend(0)
+
+
+def find_pmc_bruteforce(g: Graph) -> Optional[EdgeSet]:
+    """The first perfect matching cut of the oracle, or None."""
+    return next(pmcs_bruteforce(g), None)
 
 
 # --- witness mappings --------------------------------------------------------------

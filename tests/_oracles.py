@@ -82,14 +82,7 @@ def random_planar_embedded(n_points: int, rng: random.Random,
                 if Graph(n_points, sorted(cand)).is_connected():
                     kept = cand
         g = Graph(n_points, sorted(kept))
-        rotations = []
-        for v in range(g.n):
-            incident = list(g.inc[v])
-            incident.sort(key=lambda e: -math.atan2(
-                pts[g.other_end(e, v)][1] - pts[v][1],
-                pts[g.other_end(e, v)][0] - pts[v][0]))
-            rotations.append(tuple(incident))
-        return g, PlaneEmbedding(tuple(rotations))
+        return g, planar_rotation_from_coords(g, pts)
 
 
 def nx_three_connected(g: Graph) -> bool:
@@ -112,8 +105,8 @@ def nx_plane_embedding(g: Graph):
     planar, emb = nx.check_planarity(h)
     if not planar:
         return None
-    return PlaneEmbedding(tuple(tuple(g.edge_id(v, w) for w in emb.neighbors_cw_order(v))
-                                for v in range(g.n)))
+    return PlaneEmbedding(g, (tuple(g.edge_id(v, w) for w in emb.neighbors_cw_order(v))
+                              for v in range(g.n)))
 
 
 def planar_rotation_from_coords(g: Graph, coords) -> PlaneEmbedding:
@@ -124,4 +117,4 @@ def planar_rotation_from_coords(g: Graph, coords) -> PlaneEmbedding:
             coords[g.other_end(e, v)][1] - coords[v][1],
             coords[g.other_end(e, v)][0] - coords[v][0]))
         rotations.append(tuple(incident))
-    return PlaneEmbedding(tuple(rotations))
+    return PlaneEmbedding(g, rotations)

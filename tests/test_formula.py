@@ -113,20 +113,13 @@ def test_no_unsat_e4_instance_below_nine_variables():
     types = list(combinations(range(1, 7), 3))
     sat = unsat = 0
 
-    def nae_ok(clauses):
-        masks = [(1 << (x - 1)) | (1 << (y - 1)) | (1 << (z - 1)) for x, y, z in clauses]
-        for bits in range(0, 64, 2):
-            if all(0 < (bits & mk) < mk for mk in masks):
-                return True
-        return False
-
     cur: list[tuple[int, int, int]] = []
 
     def dfs(idx, remaining, deg):
         nonlocal sat, unsat
         if remaining == 0:
             if all(d == 4 for d in deg[1:]):
-                if nae_ok(cur):
+                if solve_nae_bruteforce(NaeFormula(6, tuple(cur))) is not None:
                     sat += 1
                 else:
                     unsat += 1

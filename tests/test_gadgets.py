@@ -43,7 +43,7 @@ def test_gadgets_bipartite(variable_gadget, clause_gadget, crossing_gadget):
 def test_local_embeddings_and_exposed_paths(variable_gadget, clause_gadget, crossing_gadget):
     for gadget in (variable_gadget, clause_gadget, crossing_gadget):
         g = gadget.graph
-        walks = [[v for v, _ in walk] for walk in face_darts(g, gadget.local_embedding())]
+        walks = [[v for v, _ in walk] for walk in face_darts(g, gadget.embedding)]
         assert sum(len(w) for w in walks) == 2 * g.m
         assert g.n - g.m + len(walks) == 2
         ports = set(gadget.ports)

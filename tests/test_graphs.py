@@ -18,7 +18,6 @@ from pmcut.graphs import (
     cut_from_edge_set,
     cycle_graph,
     face_darts,
-    faces_from_embedding,
     is_3_connected,
     is_bipartite,
     is_cubic,
@@ -94,7 +93,7 @@ def test_shuffled_edges_give_the_same_graph_and_faces():
         assert g2.adj == g.adj
         assert g2.inc == tuple(tuple(new_of[e] for e in inc) for inc in g.inc)
         if emb is not None:
-            emb2 = PlaneEmbedding(tuple(tuple(new_of[e] for e in rot) for rot in emb.rotations))
+            emb2 = PlaneEmbedding(g2, (tuple(new_of[e] for e in rot) for rot in emb.rotations))
             walks2 = [[(v, perm[e]) for v, e in walk] for walk in face_darts(g2, emb2)]
             assert walks2 == face_darts(g, emb)
             assert serialize_graph(g2, emb2) == serialize_graph(g, emb)
@@ -124,13 +123,13 @@ def test_is_bipartite_disconnected():
 
 def test_faces_c4():
     g, emb = c4_embedded()
-    faces = faces_from_embedding(g, emb)
+    faces = face_darts(g, emb)
     assert sorted(len(f) for f in faces) == [4, 4]
 
 
 def test_faces_q3():
     g, emb = q3_embedded()
-    faces = faces_from_embedding(g, emb)
+    faces = face_darts(g, emb)
     assert sorted(len(f) for f in faces) == [4] * 6
     assert is_planar_embedding(g, emb)
 
@@ -139,7 +138,7 @@ def test_faces_k4():
     g = complete_graph(4)
     coords = [(0, 2), (-2, -1), (2, -1), (0, 0)]
     emb = planar_rotation_from_coords(g, coords)
-    faces = faces_from_embedding(g, emb)
+    faces = face_darts(g, emb)
     assert sorted(len(f) for f in faces) == [3, 3, 3, 3]
     assert is_planar_embedding(g, emb)
 
@@ -148,7 +147,7 @@ def test_faces_use_each_dart_once():
     rng = random.Random(11)
     for _ in range(25):
         g, emb = random_planar_embedded(rng.randrange(5, 11), rng)
-        faces = faces_from_embedding(g, emb)
+        faces = face_darts(g, emb)
         assert sum(len(f) for f in faces) == 2 * g.m
         assert is_planar_embedding(g, emb)
 
@@ -162,7 +161,7 @@ def test_k5_never_embeds():
             rot = list(g.inc[v])
             rng.shuffle(rot)
             rotations.append(tuple(rot))
-        assert not is_planar_embedding(g, PlaneEmbedding(tuple(rotations)))
+        assert not is_planar_embedding(g, PlaneEmbedding(g, rotations))
 
 
 def test_embedding_check_rejects_bad_rotation():
@@ -184,11 +183,8 @@ def test_embedding_check_rejects_bad_rotation():
     swap = {e12: e03, e03: e12}
     bad_systems.append(rots[:2] + tuple(tuple(swap.get(e, e) for e in rots[v]) for v in (2, 3)))
     for rotations in bad_systems:
-        bad = PlaneEmbedding(rotations)
-        for use in (faces_from_embedding, is_planar_embedding, serialize_graph,
-                    lambda g, emb: emb.check(g)):
-            with pytest.raises(ValueError, match="permutation"):
-                use(g, bad)
+        with pytest.raises(ValueError, match="permutation"):
+            PlaneEmbedding(g, rotations)
 
 
 def test_dart_table_built_once_per_graph_and_embedding(monkeypatch):
@@ -196,37 +192,43 @@ def test_dart_table_built_once_per_graph_and_embedding(monkeypatch):
 
     built = []
     real = graphs._dart_successors
-    monkeypatch.setattr(graphs, "_dart_successors", lambda g, emb: built.append(emb) or real(g, emb))
-    g, emb = q3_embedded()
-    emb.check(g)
-    # 3-connectivity reads the edge list, not the faces
+    monkeypatch.setattr(graphs, "_dart_successors",
+                        lambda g, rotations: built.append(rotations) or real(g, rotations))
+    g = cube_graph()
+    emb = planar_rotation_from_coords(g, Q3_COORDS)
+    assert built == [emb.rotations]
+    # every reader looks the faces up; 3-connectivity reads the edge list
+    vertical = [g.edge_id(i, i + 4) for i in range(4)]
     assert is_planar_embedding(g, emb) and is_3_connected(g)
+    assert is_cutset_via_cycle_basis(g, emb, vertical)
     walks = face_darts(g, emb)
-    serialize_graph(g, emb)
-    assert built == [emb]
-    # an equal embedding that is another object is validated again
-    twin = PlaneEmbedding(emb.rotations)
-    assert face_darts(g, twin) == walks and built == [emb, twin]
-    # reading a file validates the embedding read, a new pair
-    g2, emb2 = parse_graph(serialize_graph(g, twin))
-    assert is_planar_embedding(g2, emb2) and built == [emb, twin, emb2]
-    # a rotation system that fails validation is never remembered
-    bad = PlaneEmbedding(((),) + emb.rotations[1:])
-    for _ in range(2):
-        with pytest.raises(ValueError, match="permutation"):
-            bad.check(g)
-    assert len(built) == 5
+    text = serialize_graph(g, emb)
+    assert len(built) == 1
+    # an equal embedding that is another object is built, and validated, again
+    twin = PlaneEmbedding(g, emb.rotations)
+    assert face_darts(g, twin) == walks and len(built) == 2
+    # reading a file builds the embedding read, for the graph read
+    g2, emb2 = parse_graph(text)
+    assert emb2.graph is g2 and is_planar_embedding(g2, emb2) and len(built) == 3
+    # an embedding belongs to the Graph object it was built with, even when
+    # another object holds the same edges
+    for use in (is_planar_embedding, face_darts, serialize_graph,
+                lambda g, emb: is_cutset_via_cycle_basis(g, emb, vertical)):
+        with pytest.raises(ValueError, match="another Graph"):
+            use(g2, emb)
+    assert len(built) == 3
 
 
 def test_lone_vertex_is_planar():
     # no darts, one face: V - E + F = 1 - 0 + 1
-    assert is_planar_embedding(Graph(1, []), PlaneEmbedding(((),)))
+    g = Graph(1, [])
+    assert is_planar_embedding(g, PlaneEmbedding(g, ((),)))
 
 
 def test_is_planar_embedding_requires_connected():
     g = Graph(2, [])
     with pytest.raises(ValueError, match="connected"):
-        is_planar_embedding(g, PlaneEmbedding(((), ())))
+        is_planar_embedding(g, PlaneEmbedding(g, ((), ())))
 
 
 def test_three_connected_basics():
@@ -314,7 +316,7 @@ def test_three_connected_exact_when_every_label_collides(monkeypatch):
         assert not is_3_connected(g) and not nx_three_connected(g)
 
 
-def test_embedded_three_connected_on_reductions():
+def test_three_connected_on_reductions():
     arts = [reduce_formula(canonical_n3_formula()), reduce_formula(ag23_formula()),
             reduce_formula(random_e4_formula(9, random.Random(9)))]
     for art in arts:
@@ -327,7 +329,7 @@ def test_embedded_three_connected_on_reductions():
     assert nx.is_k_edge_connected(h, 3)
 
 
-def test_embedded_three_connected_on_planar_catalog():
+def test_three_connected_on_planar_catalog():
     counts = {True: 0, False: 0}
     for level in connected_cubic_catalog(12):
         for g in level:
@@ -340,7 +342,7 @@ def test_embedded_three_connected_on_planar_catalog():
     assert counts == {True: 23, False: 23}
 
 
-def test_embedded_three_connected_planted_cuts():
+def test_three_connected_planted_cuts():
     k4 = complete_graph(4)
     for k in (1, 2):
         g = _subdivided_join(k4, k4, k)
@@ -363,11 +365,11 @@ def _plane_ladder(k: int, base: int) -> dict[int, list[int]]:
 
 def _embedded(nbrs: dict[int, list[int]]) -> tuple[Graph, PlaneEmbedding]:
     g = Graph(len(nbrs), sorted({(min(v, w), max(v, w)) for v in nbrs for w in nbrs[v]}))
-    return g, PlaneEmbedding(tuple(tuple(g.edge_id(v, w) for w in nbrs[v])
-                                   for v in range(g.n)))
+    return g, PlaneEmbedding(g, (tuple(g.edge_id(v, w) for w in nbrs[v])
+                                 for v in range(g.n)))
 
 
-def test_three_connected_cubic_beyond_guard():
+def test_three_connected_large_plane_ladders():
     ladder, emb = _embedded(_plane_ladder(10_002, 0))
     assert ladder.n == 20_004 and is_planar_embedding(ladder, emb)
     assert is_3_connected(ladder)
@@ -447,6 +449,19 @@ def test_cycle_basis_agrees_with_parity_bfs():
         if not m:
             continue
         assert is_cutset_via_cycle_basis(g, emb, m) == (cut_from_edge_set(g, m) is not None)
+
+
+def test_cycle_basis_refuses_non_plane_rotations():
+    # the faces of a rotation system that is not plane do not span the cycle
+    # space, and their parities would pass sets that are no cutsets
+    rng = random.Random(53)
+    for g in (complete_graph(5), complete_bipartite_graph(3, 3)):
+        for _ in range(200):
+            rotations = [rng.sample(inc, len(inc)) for inc in g.inc]
+            emb = PlaneEmbedding(g, rotations)
+            m = [e for e in range(g.m) if rng.random() < 0.5]
+            with pytest.raises(ValueError, match="plane embedding"):
+                is_cutset_via_cycle_basis(g, emb, m)
 
 
 def test_same_side():
