@@ -31,6 +31,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EX_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _budget(text: str) -> int:
+    nodes = int(text)
+    if nodes < 0:
+        raise argparse.ArgumentTypeError(f"node budget must be >= 0, got {nodes}")
+    return nodes
+
+
 def _read(path: str) -> str:
     try:
         return Path(path).read_text()
@@ -215,7 +222,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("solve-pmc", help="decide perfect matching cut existence")
     p.add_argument("graph")
     p.add_argument("--oracle", action="store_true", help="use the brute-force oracle")
-    p.add_argument("--budget", type=int, default=sv.DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_budget, default=sv.DEFAULT_BUDGET)
     p.add_argument("--witness", help="write the matching file here")
     p.add_argument("--cut", help="write the cut file here")
     p.set_defaults(fn=cmd_solve_pmc)
@@ -229,7 +236,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("roundtrip", help="reduce, solve, and cross-check both ways")
     p.add_argument("formula")
-    p.add_argument("--budget", type=int, default=sv.DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_budget, default=sv.DEFAULT_BUDGET)
     p.set_defaults(fn=cmd_roundtrip)
 
     p = sub.add_parser("render", help="schematic SVG or DOT of the reduction")

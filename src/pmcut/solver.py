@@ -26,6 +26,12 @@ if TYPE_CHECKING:  # pragma: no cover
 
 DEFAULT_BUDGET = 2_000_000
 MAX_BRUTEFORCE_VERTICES = 24
+#: A search restarts with root probing once its backtracking has undone this
+#: many trail entries per edge, about what one probe pass costs: a probe pass
+#: undid 5.2-8.2 entries per edge on the seeded n = 3 and n = 6 reductions of
+#: the roundtrip benchmark, whose whole searches undo 0.74-6.2, while the
+#: AG(2,3) refutation undoes 31.
+PROBE_AFTER_UNDONE_PER_EDGE = 8
 #: Vertices whose path parity lemma_oracles checks against the cut, evenly spaced.
 PARITY_SAMPLES = 64
 
@@ -38,6 +44,10 @@ class BudgetExhausted(RuntimeError):
 
 class _PmcSearch:
     """Backtracking with unit propagation; branches lowest edge first, In before Out.
+
+    A search whose backtracking has undone about what one root probe pass
+    costs restarts once after failed-literal probing at the root (_probe;
+    the rule and why it keeps the solution order are in solutions).
 
     Parity is a weighted quick-find.  Every vertex v holds root[v], the root
     of its component, and par[v], its side relative to that root, so a find is
@@ -227,24 +237,72 @@ class _PmcSearch:
                     par[w] ^= flip
                 del verts[k:]
 
+    def _root_fixpoint(self) -> bool:
+        """Propagate a fresh search's root: a vertex with one edge must use it,
+        and one with two puts its two partners on opposite sides.  False means
+        there is no solution."""
+        rem = self.rem
+        if not rem or 0 in rem:
+            return False
+        queue: list[int] = []
+        for v, r in enumerate(rem):
+            if r == 1:
+                queue.append(self.inc[v][0])
+            elif r == 2 and not self._pair_parity(v, queue):
+                return False
+        return self._propagate(queue)
+
+    def _probe(self) -> bool:
+        """One ascending pass of failed-literal probing over the In literals.
+
+        Each undecided edge is propagated In and undone; if that conflicts,
+        the edge is decided Out and propagated at once, and a conflict there
+        means there is no solution (False).  An edge that a successful probe
+        of this pass set In is skipped: its own probe would propagate a subset
+        of that probe's assignments.  Only values under which propagation
+        alone conflicts are removed, so no solution is lost.
+        """
+        state, trail = self.state, self.trail
+        implied = bytearray(len(state))
+        for e in range(len(state)):
+            if state[e] or implied[e]:
+                continue
+            mark = len(trail)
+            ok = self._propagate([e])
+            if ok:
+                for t in trail[mark:]:
+                    if t >= 0 and state[t] == _IN:
+                        implied[t] = 1
+            self._undo_to(mark)
+            if not ok and not self._propagate([~e]):
+                return False
+        return True
+
     def solutions(self, budget: Optional[int]) -> Iterator[EdgeSet]:
         """Every perfect matching cut, depth first in the canonical order.
 
         The stack holds an (edge, trail mark) pair for each In decision whose
         Out branch is still open.  A conflict or a solution pops the deepest
         pair, undoes the trail to its mark and decides that edge Out.
+
+        Rent, then buy: the pops count the trail entries they undo, and once
+        that count passes PROBE_AFTER_UNDONE_PER_EDGE times the edge count,
+        the search restarts once.  It undoes to the root fixpoint, runs one
+        _probe pass there, and searches again from an empty stack, skipping
+        the solutions it has already yielded.  The solutions come in the
+        lexicographic order of their labels, edge 0 first and In before Out,
+        whatever the root has decided, so the restarted search meets the
+        same ones in the same order.  The nodes count decisions only, across
+        both searches, and the budget applies to them.
         """
-        state, rem, trail, m = self.state, self.rem, self.trail, len(self.state)
-        if not rem or 0 in rem:
+        state, trail, m = self.state, self.trail, len(self.state)
+        if not self._root_fixpoint():
             return
-        queue: list[int] = []
-        for v, r in enumerate(rem):
-            if r == 1:
-                queue.append(self.inc[v][0])
-            elif r == 2 and not self._pair_parity(v, queue):
-                return
+        root = len(trail)
         stack: list[tuple[int, int]] = []
-        ok = self._propagate(queue)
+        undone, restart_after, probed = 0, PROBE_AFTER_UNDONE_PER_EDGE * m, False
+        yielded = skip = 0
+        ok = True
         while True:
             e = state.find(_UNDEC) if ok else -1
             if e >= 0:
@@ -252,10 +310,23 @@ class _PmcSearch:
                 lit = e
             else:
                 if ok:
-                    yield frozenset(i for i in range(m) if state[i] == _IN)
+                    if skip:
+                        skip -= 1
+                    else:
+                        yielded += 1
+                        yield frozenset(i for i in range(m) if state[i] == _IN)
                 if not stack:
                     return
                 e, mark = stack.pop()
+                undone += len(trail) - mark
+                if undone > restart_after and not probed:
+                    probed = True
+                    stack.clear()
+                    self._undo_to(root)
+                    if not self._probe():
+                        return
+                    skip, ok = yielded, True
+                    continue
                 self._undo_to(mark)
                 lit = ~e
             self.nodes += 1

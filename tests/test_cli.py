@@ -237,6 +237,18 @@ def test_exit_contract_without_traceback(tmp_path, capsys, command, formula, cod
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["solve-pmc", "roundtrip"])
+def test_negative_budget_is_usage_error(tmp_path, capsys, command):
+    p = tmp_path / "in.txt"
+    p.write_text("")
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(p), "--budget", "-1"])
+    assert exc.value.code == 64
+    err = capsys.readouterr().err
+    assert err.endswith("argument --budget: node budget must be >= 0, got -1\n")
+    assert "Traceback" not in err
+
+
 # Connected and cubic, but over the brute-force oracle's 24-vertex guard.
 _CUBIC_26 = serialize_graph(random_cubic_graph(26, random.Random(26)))
 

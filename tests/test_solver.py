@@ -27,6 +27,7 @@ from pmcut.graphs import (
 )
 from pmcut.reduction import reduce_formula
 from pmcut.solver import (
+    _OUT,
     BudgetExhausted,
     _PmcSearch,
     assignment_from_pmc,
@@ -171,11 +172,17 @@ def random_bounded_graph(n, max_deg, planted, rng):
     return Graph(n, [(label[u], label[v]) for u, v in sorted(edges)])
 
 
-def test_enumeration_agrees_with_bruteforce_beyond_degree_3():
+def enumeration_graphs():
+    """The 600 seeded graphs of the enumeration test, half with a planted
+    perfect matching cut, with maximum degree 3 to 5."""
     rng = random.Random(2302)
+    return [random_bounded_graph(rng.randrange(4, 13, 2), rng.choice([3, 4, 5]), k % 2 == 0, rng)
+            for k in range(600)]
+
+
+def test_enumeration_agrees_with_bruteforce_beyond_degree_3():
     witnessed_high_degree = 0
-    for k in range(600):
-        g = random_bounded_graph(rng.randrange(4, 13, 2), rng.choice([3, 4, 5]), k % 2 == 0, rng)
+    for g in enumeration_graphs():
         assert g.is_connected()
         pmcs = enumerate_pmcs(g)
         assert len(set(pmcs)) == len(pmcs)
@@ -188,7 +195,7 @@ def test_enumeration_agrees_with_bruteforce_beyond_degree_3():
     assert witnessed_high_degree >= 100
 
 
-def test_undo_restores_fresh_tables():
+def check_undo_restores_fresh_tables():
     """An exhaustive search undone to the empty trail leaves every table as a
     fresh search has it: labels, sides, sizes, vertex lists and assignments."""
     rng = random.Random(7079)
@@ -208,7 +215,11 @@ def test_undo_restores_fresh_tables():
         fresh = _PmcSearch(g)
         for name in tables:
             assert getattr(search, name) == getattr(fresh, name), name
-    assert nodes > 300
+    return nodes
+
+
+def test_undo_restores_fresh_tables():
+    assert check_undo_restores_fresh_tables() > 300
 
 
 def test_canonical_search_pinned():
@@ -330,7 +341,75 @@ def test_unsat_instance_refuted():
     assert art.q == 168  # barycenter layout; 305 under the index order
     nodes, m = first_witness(art.graph)
     assert m is None  # complete refutation, no budget excuse
-    assert nodes == 1292
+    assert nodes == 390  # 1292 before the search restarted with root probing
+
+
+@pytest.fixture
+def restart_at_first_backtrack(monkeypatch):
+    """Every search restarts with root probing at its first backtrack; the
+    list returned gets one entry per probe pass run."""
+    passes = []
+    probe = _PmcSearch._probe
+
+    def counted(self):
+        passes.append(1)
+        return probe(self)
+
+    monkeypatch.setattr("pmcut.solver.PROBE_AFTER_UNDONE_PER_EDGE", 0)
+    monkeypatch.setattr(_PmcSearch, "_probe", counted)
+    return passes
+
+
+def test_restart_keeps_enumeration_order(request, variable_gadget, clause_gadget,
+                                         crossing_gadget):
+    graphs = [variable_gadget.graph, clause_gadget.graph, crossing_gadget.graph]
+    graphs += enumeration_graphs()
+    plain = [enumerate_pmcs(g) for g in graphs]
+    passes = request.getfixturevalue("restart_at_first_backtrack")
+    assert [enumerate_pmcs(g) for g in graphs] == plain
+    assert [len(pmcs) for pmcs in plain[:3]] == [1, 3, 8]
+    assert len(passes) > 200
+
+
+def test_restart_keeps_witness_pins(restart_at_first_backtrack):
+    pins = [(canonical_n3_formula(), CANONICAL_N3_WITNESS_SHA256)]
+    pins += [(random_e4_formula(n, random.Random(seed)), sha)
+             for (n, seed), (_, sha) in SEEDED_SEARCH_PINS.items()]
+    for f, sha in pins:
+        g = reduce_formula(f).graph
+        _, m = first_witness(g)
+        assert verified(g, m) and witness_sha256(m) == sha
+    assert len(restart_at_first_backtrack) == len(pins)
+    assert find_pmc(cube_graph()) == frozenset({0, 2, 4, 6})
+
+
+def test_undo_restores_fresh_tables_after_restart(restart_at_first_backtrack):
+    check_undo_restores_fresh_tables()
+    assert len(restart_at_first_backtrack) > 100
+
+
+@pytest.mark.parametrize("formula", [
+    canonical_n3_formula(),
+    random_e4_formula(6, random.Random(0)),
+    random_e4_formula(6, random.Random(1)),
+    random_e4_formula(9, random.Random(9)),
+    ag23_formula(),
+], ids=["canonical", "n6-s0", "n6-s1", "n9-s9", "ag23"])
+def test_root_probing_puts_every_connector_out(formula):
+    """No connector edge lies in a perfect matching cut, and one probe pass at
+    the root shows it for each of them without the search knowing connectors."""
+    art = reduce_formula(formula)
+    search = _PmcSearch(art.graph)
+    assert search._root_fixpoint() and search._probe()
+    connectors = [art.graph.edge_id(u, v) for u, v, _ in art.connectors]
+    assert all(search.state[e] == _OUT for e in connectors)
+
+
+@pytest.mark.parametrize("n,seed", [(24, 1), (30, 1)])
+def test_seeded_sat_search_within_budget(n, seed):
+    """Searches that ran out of a 15k-node budget without root probing."""
+    g = reduce_formula(random_e4_formula(n, random.Random(seed))).graph
+    assert verified(g, find_pmc(g, budget=15_000))
 
 
 # --- lemma oracles -------------------------------------------------------------
