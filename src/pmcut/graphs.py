@@ -424,11 +424,22 @@ def parse_graph(text: str) -> tuple[Graph, Optional[PlaneEmbedding]]:
     lines = _data_lines(text)
     if not lines or not lines[0].startswith("graph "):
         raise ValueError("graph file must start with 'graph <V> <E>'")
-    _, ns, ms = lines[0].split()
-    n, m = int(ns), int(ms)
+    try:
+        _, ns, ms = lines[0].split()
+        n, m = int(ns), int(ms)
+    except ValueError:
+        raise ValueError(f"header {lines[0]!r} must be 'graph <V> <E>'") from None
     if n < 0 or m < 0:
         raise ValueError(f"negative count in header {lines[0]!r}")
-    edges = [(int(u), int(v)) for u, v in map(str.split, lines[1:1 + m])]
+    try:
+        edges = [(int(u), int(v)) for u, v in map(str.split, lines[1:1 + m])]
+    except ValueError:
+        for ln in lines[1:1 + m]:
+            try:
+                u, v = map(int, ln.split())
+            except ValueError:
+                raise ValueError(f"edge line {ln!r} must be '<u> <v>'") from None
+        raise
     if len(edges) != m:
         raise ValueError("graph file truncated")
     g = Graph(n, edges)
@@ -444,12 +455,15 @@ def parse_graph(text: str) -> tuple[Graph, Optional[PlaneEmbedding]]:
             raise ValueError(f"unexpected line {ln!r}")
         if len(parts) < 3:
             raise ValueError(f"rotation line {ln!r} needs 'rot <v> <degree> ...'")
-        v, d = int(parts[1]), int(parts[2])
+        try:
+            v, d = int(parts[1]), int(parts[2])
+            rot = tuple(map(int, parts[3:]))
+        except ValueError:
+            raise ValueError(f"rotation line {ln!r} must hold integers") from None
         if not 0 <= v < n:
             raise ValueError(f"rotation vertex {v} out of range")
         if v in rotations:
             raise ValueError(f"rotation of vertex {v} listed twice")
-        rot = tuple(map(int, parts[3:]))
         if len(rot) != d:
             raise ValueError(f"rotation degree mismatch at vertex {v}")
         rotations[v] = rot

@@ -81,18 +81,13 @@ def render_svg(art: ReductionArtifact) -> str:
 
 def render_dot(art: ReductionArtifact) -> str:
     """Gadget adjacency multigraph; connector edges labelled by variable."""
-    kind_of = art.vertex_info
-
-    def node(vid: int) -> str:
-        kind, idx, _ = kind_of[vid]
-        return {"variable": f"x{idx}", "clause": f"C{idx}", "crossing": f"X{idx}"}[kind]
-
+    f, info = art.formula, art.vertex_info
+    prefix = {"variable": "x", "clause": "C", "crossing": "X"}
     lines = ["graph reduction {", "  node [shape=box];"]
-    names = sorted({node(v) for v in range(art.graph.n)},
-                   key=lambda s: (s[0], int(s[1:])))
-    for name in names:
-        lines.append(f'  "{name}";')
+    for p, count in (("C", f.m), ("X", art.q), ("x", f.n)):
+        lines += [f'  "{p}{i}";' for i in range(1, count + 1)]
     for u, v, var in art.connectors:
-        lines.append(f'  "{node(u)}" -- "{node(v)}" [label="x{var}"];')
+        (ku, iu, _), (kv, iv, _) = info[u], info[v]
+        lines.append(f'  "{prefix[ku]}{iu}" -- "{prefix[kv]}{iv}" [label="x{var}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

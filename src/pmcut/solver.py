@@ -27,11 +27,12 @@ if TYPE_CHECKING:  # pragma: no cover
 DEFAULT_BUDGET = 2_000_000
 MAX_BRUTEFORCE_VERTICES = 24
 #: A search restarts with root probing once its backtracking has undone this
-#: many trail entries per edge, about what one probe pass costs: a probe pass
-#: undid 5.2-8.2 entries per edge on the seeded n = 3 and n = 6 reductions of
-#: the roundtrip benchmark, whose whole searches undo 0.74-6.2, while the
-#: AG(2,3) refutation undoes 31.
-PROBE_AFTER_UNDONE_PER_EDGE = 8
+#: many trail entries per edge, about what one probe pass costs: from the last
+#: state with an empty decision stack, a probe pass undid 4.3-7.3 entries per
+#: edge (median 6.2) on the seeded n = 3 and n = 6 reductions of the roundtrip
+#: benchmark, whose whole searches undo 0.74-6.15, while the AG(2,3)
+#: refutation undoes 31 without the restart.
+PROBE_AFTER_UNDONE_PER_EDGE = 6
 #: Vertices whose path parity lemma_oracles checks against the cut, evenly spaced.
 PARITY_SAMPLES = 64
 
@@ -45,9 +46,10 @@ class BudgetExhausted(RuntimeError):
 class _PmcSearch:
     """Backtracking with unit propagation; branches lowest edge first, In before Out.
 
-    A search whose backtracking has undone about what one root probe pass
-    costs restarts once after failed-literal probing at the root (_probe;
-    the rule and why it keeps the solution order are in solutions).
+    A search whose backtracking has undone about what one probe pass costs
+    restarts once after failed-literal probing (_probe) in its last state
+    with no open decision; the rule and why it keeps the solution order are
+    in solutions.
 
     Parity is a weighted quick-find.  Every vertex v holds root[v], the root
     of its component, and par[v], its side relative to that root, so a find is
@@ -287,25 +289,30 @@ class _PmcSearch:
 
         Rent, then buy: the pops count the trail entries they undo, and once
         that count passes PROBE_AFTER_UNDONE_PER_EDGE times the edge count,
-        the search restarts once.  It undoes to the root fixpoint, runs one
-        _probe pass there, and searches again from an empty stack, skipping
-        the solutions it has already yielded.  The solutions come in the
+        the search restarts once.  It undoes to the last state in which the
+        stack was empty, the mark of its bottom pair (or of the pair just
+        popped, if that emptied it), runs one _probe pass there, and searches
+        again from an empty stack, skipping the solutions yielded since that
+        state was reached.  The trail below it holds the root fixpoint and
+        Out decisions whose In subtrees were searched completely, so the
+        solutions left are exactly those that extend it.  They come in the
         lexicographic order of their labels, edge 0 first and In before Out,
-        whatever the root has decided, so the restarted search meets the
+        whatever that state has decided, so the restarted search meets the
         same ones in the same order.  The nodes count decisions only, across
         both searches, and the budget applies to them.
         """
         state, trail, m = self.state, self.trail, len(self.state)
         if not self._root_fixpoint():
             return
-        root = len(trail)
         stack: list[tuple[int, int]] = []
         undone, restart_after, probed = 0, PROBE_AFTER_UNDONE_PER_EDGE * m, False
-        yielded = skip = 0
+        yielded = skip = level_yielded = 0
         ok = True
         while True:
             e = state.find(_UNDEC) if ok else -1
             if e >= 0:
+                if not stack:
+                    level_yielded = yielded
                 stack.append((e, len(trail)))
                 lit = e
             else:
@@ -321,11 +328,11 @@ class _PmcSearch:
                 undone += len(trail) - mark
                 if undone > restart_after and not probed:
                     probed = True
+                    self._undo_to(stack[0][1] if stack else mark)
                     stack.clear()
-                    self._undo_to(root)
                     if not self._probe():
                         return
-                    skip, ok = yielded, True
+                    skip, ok = yielded - level_yielded, True
                     continue
                 self._undo_to(mark)
                 lit = ~e

@@ -191,6 +191,28 @@ def test_bad_rotation_file_is_data_error(tmp_path, capsys, command, case):
     assert "permutation" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("text,line", [
+    ("graph 3\n", "graph 3"),
+    ("graph 3 x\n", "graph 3 x"),
+    ("graph 3 2\n0 1 2\n1 2\n", "0 1 2"),
+    ("graph 3 2\n0 1\n1\n", "1"),
+    ("graph 3 2\n0 1\n0 x\n", "0 x"),
+    (_PATH + "rot x 1 0\n", "rot x 1 0"),
+    (_PATH + "rot 0 1 y\n", "rot 0 1 y"),
+], ids=["short-header", "header-not-int", "edge-three-fields", "edge-one-field",
+        "edge-not-int", "rot-vertex-not-int", "rot-edge-not-int"])
+def test_malformed_graph_line_is_named(tmp_path, capsys, text, line):
+    p = tmp_path / "bad.graph"
+    p.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-graph", str(p)])
+    assert exc.value.code == 65
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert repr(line) in err
+    assert "unpack" not in err and "invalid literal" not in err
+
+
 @pytest.mark.parametrize("command", ["verify-graph", "solve-pmc"])
 def test_repeated_rotation_is_data_error(tmp_path, capsys, command):
     p = tmp_path / "bad.graph"
@@ -322,7 +344,7 @@ def test_render_svg(n3_file, tmp_path, capsys):
     assert classes.count("crossing") == 18
 
 
-def test_render_dot(n3_file, tmp_path):
+def test_render_dot(n3_file, tmp_path, canonical_artifact):
     out = tmp_path / "r"
     assert main(["render", str(n3_file), "--format", "dot", "--out", str(out)]) == 0
     dot = (out / "n3.dot").read_text()
@@ -332,6 +354,16 @@ def test_render_dot(n3_file, tmp_path):
     assert re.search(r'^\s+"x1";$', dot, re.M)
     edge = re.compile(r'^\s+"[CxX]\d+" -- "[CxX]\d+" \[label="x\d+"\];$', re.M)
     assert len(edge.findall(dot)) == len(re.findall(r' -- ', dot))
+    # one node per gadget, clauses, crossings, then variables, each ascending
+    art = canonical_artifact
+    nodes = re.findall(r'^\s+"(\w+)";$', dot, re.M)
+    assert nodes == ([f"C{j}" for j in range(1, 5)] + [f"X{k}" for k in range(1, art.q + 1)]
+                     + [f"x{i}" for i in range(1, 4)])
+    # one edge line per connector, joining the gadgets that hold its ends
+    gadget = {"variable": "x", "clause": "C", "crossing": "X"}
+    name = [gadget[kind] + str(idx) for kind, idx, _ in art.vertex_info]
+    assert edge.findall(dot) == [f'  "{name[u]}" -- "{name[v]}" [label="x{i}"];'
+                                 for u, v, i in art.connectors]
 
 
 def test_outputs_deterministic(n3_file, tmp_path):

@@ -341,13 +341,35 @@ def test_unsat_instance_refuted():
     assert art.q == 168  # barycenter layout; 305 under the index order
     nodes, m = first_witness(art.graph)
     assert m is None  # complete refutation, no budget excuse
-    assert nodes == 390  # 1292 before the search restarted with root probing
+    # 1292 without the restart, 390 when it probed from the root fixpoint
+    assert nodes == 307
 
 
-@pytest.fixture
-def restart_at_first_backtrack(monkeypatch):
-    """Every search restarts with root probing at its first backtrack; the
-    list returned gets one entry per probe pass run."""
+def test_restart_probes_from_the_last_root_level_state(monkeypatch):
+    """The restart keeps the Out decisions taken with an empty decision
+    stack, so its probe pass starts with more edges decided than the root
+    fixpoint decides."""
+    g = reduce_formula(ag23_formula()).graph
+    fixpoint = _PmcSearch(g)
+    assert fixpoint._root_fixpoint()
+    decided = []
+    probe = _PmcSearch._probe
+
+    def counted(self):
+        decided.append(len(self.state) - self.state.count(0))
+        return probe(self)
+
+    monkeypatch.setattr(_PmcSearch, "_probe", counted)
+    assert first_witness(g)[1] is None
+    assert len(decided) == 1
+    assert decided[0] > len(fixpoint.state) - fixpoint.state.count(0)
+
+
+@pytest.fixture(params=[0, 0.5])
+def restart_at_first_backtrack(request, monkeypatch):
+    """Every search restarts with root probing at its first backtrack, or
+    once it has undone half an entry per edge; the list returned gets one
+    entry per probe pass run."""
     passes = []
     probe = _PmcSearch._probe
 
@@ -355,17 +377,20 @@ def restart_at_first_backtrack(monkeypatch):
         passes.append(1)
         return probe(self)
 
-    monkeypatch.setattr("pmcut.solver.PROBE_AFTER_UNDONE_PER_EDGE", 0)
+    monkeypatch.setattr("pmcut.solver.PROBE_AFTER_UNDONE_PER_EDGE", request.param)
     monkeypatch.setattr(_PmcSearch, "_probe", counted)
     return passes
 
 
-def test_restart_keeps_enumeration_order(request, variable_gadget, clause_gadget,
-                                         crossing_gadget):
+def test_restart_keeps_enumeration_order(monkeypatch, restart_at_first_backtrack,
+                                         variable_gadget, clause_gadget, crossing_gadget):
     graphs = [variable_gadget.graph, clause_gadget.graph, crossing_gadget.graph]
     graphs += enumeration_graphs()
-    plain = [enumerate_pmcs(g) for g in graphs]
-    passes = request.getfixturevalue("restart_at_first_backtrack")
+    with monkeypatch.context() as never_restart:
+        never_restart.setattr("pmcut.solver.PROBE_AFTER_UNDONE_PER_EDGE", float("inf"))
+        plain = [enumerate_pmcs(g) for g in graphs]
+    passes = restart_at_first_backtrack
+    assert passes == []
     assert [enumerate_pmcs(g) for g in graphs] == plain
     assert [len(pmcs) for pmcs in plain[:3]] == [1, 3, 8]
     assert len(passes) > 200
