@@ -482,11 +482,17 @@ def parse_matching(text: str, g: Graph) -> EdgeSet:
     lines = _data_lines(text)
     if not lines or not lines[0].startswith("matching "):
         raise ValueError("matching file must start with 'matching <k>'")
-    _, ks = lines[0].split()
-    k = int(ks)
+    try:
+        _, ks = lines[0].split()
+        k = int(ks)
+    except ValueError:
+        raise ValueError(f"header {lines[0]!r} must be 'matching <k>'") from None
     out = set()
     for ln in lines[1:]:
-        u, v = map(int, ln.split())
+        try:
+            u, v = map(int, ln.split())
+        except ValueError:
+            raise ValueError(f"matching line {ln!r} must be '<u> <v>'") from None
         if not g.has_edge(u, v):
             raise ValueError(f"matching pair {u} {v} is not an edge")
         e = g.edge_id(u, v)
@@ -510,11 +516,17 @@ def parse_cut(text: str, n: int) -> Cut:
     lines = _data_lines(text)
     if not lines or not lines[0].startswith("cut "):
         raise ValueError("cut file must start with 'cut <|A|>'")
-    _, ks = lines[0].split()
-    k = int(ks)
+    try:
+        _, ks = lines[0].split()
+        k = int(ks)
+    except ValueError:
+        raise ValueError(f"header {lines[0]!r} must be 'cut <|A|>'") from None
     a = set()
     for ln in lines[1:]:
-        v = int(ln)
+        try:
+            v = int(ln)
+        except ValueError:
+            raise ValueError(f"cut line {ln!r} must be one vertex") from None
         if not 0 <= v < n:
             raise ValueError(f"cut vertex {v} out of range")
         if v in a:

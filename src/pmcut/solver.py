@@ -80,7 +80,13 @@ class _PmcSearch:
       with w on the small side and y on the big side; every other related
       pair was related by an earlier union, which fired the rule on it while
       e and f were already undecided and x unmatched, since assignments and
-      unions are only ever undone together.
+      unions are only ever undone together.  The rule runs only at x with
+      rem[x] >= 3.  With two live edges, pair parity relates w and y
+      opposite itself, either already or later in the same Out step, when x
+      is an end of the edge being propagated, so the rule would queue
+      nothing that pair parity does not decide; with one there is no pair.
+      The ends of an In edge count as matched during its union: the
+      matching rule puts all their other edges Out anyway.
 
     Both rules only queue assignments, and the propagation loop applies the
     queue until it is empty or a conflict shows, so the order of the pushes
@@ -120,7 +126,7 @@ class _PmcSearch:
         size = self.size
         if size[ru] < size[rv]:
             ru, rv = rv, ru
-        state, matched, nbrs = self.state, self.matched, self.nbrs
+        state, matched, nbrs, rem = self.state, self.matched, self.nbrs, self.rem
         small = self.comp_verts[rv]
         for w in small:
             pw = par[w] ^ flip
@@ -129,7 +135,7 @@ class _PmcSearch:
                     continue
                 if root[x] == ru:
                     queue.append(e if pw != par[x] else ~e)
-                if matched[x] != -1:
+                if matched[x] != -1 or rem[x] < 3:
                     continue
                 for f, y in nbrs[x]:
                     if f == e or state[f] or root[y] != ru:
@@ -149,21 +155,10 @@ class _PmcSearch:
         self.trail.append(~rv)
         return True
 
-    def _pair_parity(self, w: int, queue: list) -> bool:
-        """An unmatched vertex with two available edges puts its two potential
-        partners on opposite sides: whichever edge is chosen, the other stays
-        out and keeps its far end on w's side."""
-        state = self.state
-        ends = [x for e, x in self.nbrs[w] if not state[e]]
-        if len(ends) != 2:
-            return True
-        return self._union(ends[0], ends[1], 1, queue)
-
     def _propagate(self, queue: list) -> bool:
         state, eu, ev, inc = self.state, self.eu, self.ev, self.inc
         matched, rem, trail = self.matched, self.rem, self.trail
-        root, par = self.root, self.par
-        union, pair_parity = self._union, self._pair_parity
+        root, par, nbrs, union = self.root, self.par, self.nbrs, self._union
         while queue:
             e = queue.pop()
             if e >= 0:
@@ -180,11 +175,11 @@ class _PmcSearch:
             if val == _IN:
                 if matched[u] != -1 or matched[v] != -1:
                     return False
+                matched[u] = matched[v] = e
                 if root[u] != root[v]:
                     union(u, v, 1, queue)
                 elif par[u] == par[v]:
                     return False
-                matched[u] = matched[v] = e
                 for e2 in inc[u]:
                     if e2 != e and not state[e2]:
                         queue.append(~e2)
@@ -208,15 +203,20 @@ class _PmcSearch:
                                 if state[e2] != _OUT:
                                     queue.append(e2)
                                     break
-                        elif r == 2 and not pair_parity(w, queue):
-                            return False
+                        elif r == 2:
+                            # pair parity: whichever edge w takes, the other
+                            # stays Out, so w's two partners are opposite-side
+                            a, b = [x for e2, x in nbrs[w] if not state[e2]]
+                            if root[a] != root[b]:
+                                union(a, b, 1, queue)
+                            elif par[a] == par[b]:
+                                return False
         return True
 
     def _undo_to(self, mark: int) -> None:
         trail, state, eu, ev = self.trail, self.state, self.eu, self.ev
         matched, rem, root, par, size = self.matched, self.rem, self.root, self.par, self.size
-        while len(trail) > mark:
-            t = trail.pop()
+        for t in reversed(trail[mark:]):
             if t >= 0:
                 u, v = eu[t], ev[t]
                 if state[t] == _IN:
@@ -238,6 +238,7 @@ class _PmcSearch:
                     root[w] = rv
                     par[w] ^= flip
                 del verts[k:]
+        del trail[mark:]
 
     def _root_fixpoint(self) -> bool:
         """Propagate a fresh search's root: a vertex with one edge must use it,
@@ -250,8 +251,10 @@ class _PmcSearch:
         for v, r in enumerate(rem):
             if r == 1:
                 queue.append(self.inc[v][0])
-            elif r == 2 and not self._pair_parity(v, queue):
-                return False
+            elif r == 2:
+                (_, a), (_, b) = self.nbrs[v]
+                if not self._union(a, b, 1, queue):
+                    return False
         return self._propagate(queue)
 
     def _probe(self) -> bool:

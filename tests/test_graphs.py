@@ -544,7 +544,12 @@ def test_parse_errors():
     (lambda t: parse_cut(t, 8), "cut 4\n0\n1\n", "header says 4"),
     (lambda t: parse_cut(t, 8), "cut 2\n0\n0\n", "listed twice"),
     (lambda t: parse_matching(t, cube_graph()), "matching 1\n0 2\n", "not an edge"),
-], ids=["cut-out-of-range", "cut-truncated", "cut-duplicate", "matching-non-edge"])
+    (lambda t: parse_matching(t, cube_graph()), "matching 1\n0 1 2\n", "line '0 1 2' must be '<u> <v>'"),
+    (lambda t: parse_matching(t, cube_graph()), "matching x\n0 1\n", "header 'matching x'"),
+    (lambda t: parse_cut(t, 8), "cut 1\n0 1\n", "line '0 1' must be one vertex"),
+    (lambda t: parse_cut(t, 8), "cut 1 2\n0\n", "header 'cut 1 2'"),
+], ids=["cut-out-of-range", "cut-truncated", "cut-duplicate", "matching-non-edge",
+        "matching-three-fields", "matching-bad-header", "cut-two-fields", "cut-bad-header"])
 def test_cut_and_matching_files_reject_bad_input(parse, text, match):
     with pytest.raises(ValueError, match=match):
         parse(text)

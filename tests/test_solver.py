@@ -27,6 +27,7 @@ from pmcut.graphs import (
 )
 from pmcut.reduction import reduce_formula
 from pmcut.solver import (
+    _IN,
     _OUT,
     BudgetExhausted,
     _PmcSearch,
@@ -222,6 +223,103 @@ def test_undo_restores_fresh_tables():
     assert check_undo_restores_fresh_tables() > 300
 
 
+def naive_closure(g, literals):
+    """Edge labels of the closure of the four propagation rules over the
+    literals (e In, ~e Out), recomputed from scratch, or None on a conflict.
+
+    Each round runs one parity BFS over the decided edges and the pair parity
+    links, then applies matching, parity, pair parity and related partners to
+    the labels the round started with."""
+    state = bytearray(g.m)
+    for lit in literals:
+        e, val = (lit, _IN) if lit >= 0 else (~lit, _OUT)
+        state[e] = val
+    while True:
+        forced = {}
+        links = [[] for _ in range(g.n)]
+
+        def link(x, y, parity):
+            links[x].append((y, parity))
+            links[y].append((x, parity))
+
+        unmatched = []
+        for v in range(g.n):
+            ins = [e for e in g.inc[v] if state[e] == _IN]
+            free = [(e, x) for e, x in zip(g.inc[v], g.adj[v]) if not state[e]]
+            if len(ins) > 1 or not ins and not free:
+                return None
+            if ins:
+                for e, _ in free:
+                    forced.setdefault(e, set()).add(_OUT)
+                continue
+            unmatched.append((v, free))
+            if len(free) == 1:
+                forced.setdefault(free[0][0], set()).add(_IN)
+            elif len(free) == 2:
+                link(free[0][1], free[1][1], 1)
+        for e, (u, v) in enumerate(g.edges):
+            if state[e]:
+                link(u, v, int(state[e] == _IN))
+        comp, side = [-1] * g.n, [0] * g.n
+        for s in range(g.n):
+            if comp[s] != -1:
+                continue
+            comp[s], order = s, [s]
+            for x in order:
+                for y, parity in links[x]:
+                    if comp[y] == -1:
+                        comp[y], side[y] = s, side[x] ^ parity
+                        order.append(y)
+                    elif side[y] != side[x] ^ parity:
+                        return None
+        for e, (u, v) in enumerate(g.edges):
+            if not state[e] and comp[u] == comp[v]:
+                forced.setdefault(e, set()).add(_IN if side[u] != side[v] else _OUT)
+        for x, free in unmatched:
+            for (e, w), (f, y) in itertools.combinations(free, 2):
+                if comp[w] != comp[y]:
+                    continue
+                out = [e, f] if side[w] == side[y] else [h for h, _ in free if h not in (e, f)]
+                for h in out:
+                    forced.setdefault(h, set()).add(_OUT)
+        changed = False
+        for e, vals in forced.items():
+            if len(vals) > 1 or state[e] and state[e] not in vals:
+                return None
+            if not state[e]:
+                state[e] = vals.pop()
+                changed = True
+        if not changed:
+            return state
+
+
+def test_propagation_reaches_the_naive_fixpoint():
+    """The root fixpoint plus up to three random literals, propagated by the
+    kernel, conflicts exactly when the naive closure does, and otherwise
+    labels every edge as it does."""
+    rng = random.Random(1500)
+    clean = 0
+    for k in range(1500):
+        if k % 2:
+            g = random_cubic_graph(rng.choice([8, 10, 12, 14, 16]), rng)
+        else:
+            g = random_bounded_graph(rng.randrange(8, 17, 2), rng.choice([3, 4, 5]), k % 4 == 0, rng)
+        search = _PmcSearch(g)
+        if not search._root_fixpoint():
+            assert naive_closure(g, []) is None
+            continue
+        free = [e for e in range(g.m) if not search.state[e]]
+        literals = [e if rng.random() < 0.5 else ~e
+                    for e in rng.sample(free, min(len(free), rng.randint(0, 3)))]
+        ok = search._propagate(list(literals))
+        closure = naive_closure(g, literals)
+        assert ok == (closure is not None)
+        if ok:
+            assert search.state == closure
+            clean += 1
+    assert clean > 300
+
+
 def test_canonical_search_pinned():
     nodes, m = first_witness(reduce_formula(canonical_n3_formula()).graph)
     assert nodes == 33
@@ -348,21 +446,23 @@ def test_unsat_instance_refuted():
 def test_restart_probes_from_the_last_root_level_state(monkeypatch):
     """The restart keeps the Out decisions taken with an empty decision
     stack, so its probe pass starts with more edges decided than the root
-    fixpoint decides."""
+    fixpoint decides.  The pass on AG(2,3) is pinned exactly: its node, the
+    edges decided and the trail length.  The restart counter reads the trail,
+    so a change to what propagation writes there moves these numbers."""
     g = reduce_formula(ag23_formula()).graph
     fixpoint = _PmcSearch(g)
     assert fixpoint._root_fixpoint()
-    decided = []
+    assert fixpoint.state.count(0) == len(fixpoint.state) == 6534
+    seen = []
     probe = _PmcSearch._probe
 
     def counted(self):
-        decided.append(len(self.state) - self.state.count(0))
+        seen.append((self.nodes, len(self.state) - self.state.count(0), len(self.trail)))
         return probe(self)
 
     monkeypatch.setattr(_PmcSearch, "_probe", counted)
     assert first_witness(g)[1] is None
-    assert len(decided) == 1
-    assert decided[0] > len(fixpoint.state) - fixpoint.state.count(0)
+    assert seen == [(291, 2034, 5517)]
 
 
 @pytest.fixture(params=[0, 0.5])
