@@ -76,7 +76,7 @@ def cmd_validate_formula(args) -> int:
 
 def cmd_solve_nae(args) -> int:
     f = _load(fm.parse_formula, _read(args.formula))
-    a = fm.solve_nae_bruteforce(f)
+    a = fm.solve_nae(f)
     if a is None:
         print("UNSAT")
         return 1
@@ -164,7 +164,7 @@ def cmd_verify_gadgets(args) -> int:
 
 def cmd_roundtrip(args) -> int:
     f = _load(fm.parse_formula, _read(args.formula))
-    a = fm.solve_nae_bruteforce(f)
+    a = fm.solve_nae(f)
     art = _load(reduce_formula, f)
     try:
         m = sv.find_pmc(art.graph, budget=args.budget)
@@ -210,7 +210,7 @@ def main(argv=None) -> int:
     p.add_argument("formula")
     p.set_defaults(fn=cmd_validate_formula)
 
-    p = sub.add_parser("solve-nae", help="brute-force the formula")
+    p = sub.add_parser("solve-nae", help="decide the formula by DPLL")
     p.add_argument("formula")
     p.set_defaults(fn=cmd_solve_nae)
 

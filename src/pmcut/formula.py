@@ -1,4 +1,4 @@
-"""Monotone NAE-3SAT instances: parsing, brute-force solving, cutvertex splitting.
+"""Monotone NAE-3SAT instances: parsing, solving, cutvertex splitting.
 
 A clause is a triple of distinct 1-based variable indices and is satisfied by
 an assignment when its variables are not all on the same side.  Parsed files
@@ -142,6 +142,63 @@ def solve_nae_bruteforce(f: NaeFormula) -> Optional[Assignment]:
         if ok:
             return tuple((bits >> i) & 1 for i in range(f.n))
     return None
+
+
+def solve_nae(f: NaeFormula) -> Optional[Assignment]:
+    """solve_nae_bruteforce's answer, by DPLL, for a formula of any size.
+
+    Variable 1 is pinned to side A, and the search branches on the highest
+    unassigned variable, side A first.  Its one propagation rule: once two
+    variables of a clause are on one side, the third goes to the other.  A
+    branch puts every variable above it on a fixed side, and propagation
+    drops only assignments that break a clause, so the first assignment
+    found is the least with variable n as the most significant bit, the one
+    brute force finds first.
+    """
+    if f.n == 0:
+        return ()
+    clauses_of: list[list[tuple[int, int]]] = [[] for _ in range(f.n + 1)]
+    for x, y, z in f.clauses:
+        clauses_of[x].append((y, z))
+        clauses_of[y].append((x, z))
+        clauses_of[z].append((x, y))
+    side = [-1] * (f.n + 1)
+    trail: list[int] = []
+
+    def assign(x: int, s: int) -> bool:
+        queue = [(x, s)]
+        while queue:
+            x, s = queue.pop()
+            if side[x] != -1:
+                if side[x] != s:
+                    return False
+                continue
+            side[x] = s
+            trail.append(x)
+            for y, z in clauses_of[x]:
+                if side[y] == s:
+                    queue.append((z, 1 - s))
+                elif side[z] == s:
+                    queue.append((y, 1 - s))
+        return True
+
+    stack: list[tuple[int, int]] = []  # (variable, trail mark) whose side B is open
+    ok = assign(1, 0)
+    while True:
+        if ok:
+            x = next((v for v in range(f.n, 1, -1) if side[v] == -1), 0)
+            if not x:
+                return tuple(side[1:])
+            stack.append((x, len(trail)))
+            ok = assign(x, 0)
+            continue
+        if not stack:
+            return None
+        x, mark = stack.pop()
+        for v in trail[mark:]:
+            side[v] = -1
+        del trail[mark:]
+        ok = assign(x, 1)
 
 
 def incidence_graph(f: NaeFormula) -> Graph:

@@ -206,7 +206,9 @@ def _layout_order(f: NaeFormula) -> tuple[tuple[int, ...], tuple[int, ...]]:
     (every clause has 3 variables and every variable 4 clauses, so sums order
     like means; ties keep the current position).  The candidate with the
     fewest crossings wins, and the index order is kept unless beaten
-    strictly (Sugiyama, Tagawa & Toda 1981; Eades & Wormald 1994).
+    strictly (Sugiyama, Tagawa & Toda 1981; Eades & Wormald 1994).  A sweep
+    that leaves both orders as they were is a fixed point: every later sweep
+    would repeat it, so the sweeps stop there.
     """
     var_order = list(range(f.n, 0, -1))
     clause_order = list(range(1, f.m + 1))
@@ -215,6 +217,7 @@ def _layout_order(f: NaeFormula) -> tuple[tuple[int, ...], tuple[int, ...]]:
     best = (tuple(var_order), tuple(clause_order))
     best_q = _crossing_count(f, *best)
     for _ in range(BARYCENTER_SWEEPS):
+        before = (var_order[:], clause_order[:])
         for layer, other, members in ((clause_order, var_order, clause_vars),
                                       (var_order, clause_order, var_clauses)):
             pos = _positions(other)
@@ -222,6 +225,8 @@ def _layout_order(f: NaeFormula) -> tuple[tuple[int, ...], tuple[int, ...]]:
             q = _crossing_count(f, var_order, clause_order)
             if q < best_q:
                 best_q, best = q, (tuple(var_order), tuple(clause_order))
+        if (var_order, clause_order) == before:
+            break
     return best
 
 

@@ -26,13 +26,12 @@ if TYPE_CHECKING:  # pragma: no cover
 
 DEFAULT_BUDGET = 2_000_000
 MAX_BRUTEFORCE_VERTICES = 24
-#: A search restarts with root probing once its backtracking has undone this
-#: many trail entries per edge, about what one probe pass costs: from the last
-#: state with an empty decision stack, a probe pass undid 4.3-7.3 entries per
-#: edge (median 6.2) on the seeded n = 3 and n = 6 reductions of the roundtrip
-#: benchmark, whose whole searches undo 0.74-6.15, while the AG(2,3)
-#: refutation undoes 31 without the restart.
-PROBE_AFTER_UNDONE_PER_EDGE = 6
+#: A search restarts with root probing at its first backtrack after some edge
+#: has been decided In this many times.  Searched without a restart, the 450
+#: seeded n = 3 and n = 6 reductions of the roundtrip benchmark (seeds 1-5)
+#: decide no edge In more than 8 times (6 of them reach 8, 302 never pass 2),
+#: while AG(2,3) reaches 8 at node 204 and 63 in its 1292 nodes.
+PROBE_AFTER_DECISIONS_OF_ONE_EDGE = 8
 #: Vertices whose path parity lemma_oracles checks against the cut, evenly spaced.
 PARITY_SAMPLES = 64
 
@@ -46,10 +45,9 @@ class BudgetExhausted(RuntimeError):
 class _PmcSearch:
     """Backtracking with unit propagation; branches lowest edge first, In before Out.
 
-    A search whose backtracking has undone about what one probe pass costs
-    restarts once after failed-literal probing (_probe) in its last state
-    with no open decision; the rule and why it keeps the solution order are
-    in solutions.
+    A search that thrashes, deciding one edge In again and again, restarts
+    once after failed-literal probing (_probe) in its last state with no open
+    decision; the rule and why it keeps the solution order are in solutions.
 
     Parity is a weighted quick-find.  Every vertex v holds root[v], the root
     of its component, and par[v], its side relative to that root, so a find is
@@ -290,14 +288,20 @@ class _PmcSearch:
         Out branch is still open.  A conflict or a solution pops the deepest
         pair, undoes the trail to its mark and decides that edge Out.
 
-        Rent, then buy: the pops count the trail entries they undo, and once
-        that count passes PROBE_AFTER_UNDONE_PER_EDGE times the edge count,
-        the search restarts once.  It undoes to the last state in which the
-        stack was empty, the mark of its bottom pair (or of the pair just
-        popped, if that emptied it), runs one _probe pass there, and searches
-        again from an empty stack, skipping the solutions yielded since that
-        state was reached.  The trail below it holds the root fixpoint and
-        Out decisions whose In subtrees were searched completely, so the
+        A search that thrashes restarts once.  It counts the In decisions it
+        makes on each edge, and once one edge has been decided In
+        PROBE_AFTER_DECISIONS_OF_ONE_EDGE times, its next pop restarts
+        instead.  One edge decided In again and again is a direct sign of
+        chronological thrashing.  AG(2,3) restarts at node 204 and is refuted
+        in 220 nodes; a trigger on the trail entries undone, the rent paid so
+        far, reached the same restart state only at node 291 and took 307.
+
+        The restart undoes to the last state in which the stack was empty,
+        the mark of its bottom pair (or of the pair just popped, if that
+        emptied it), runs one _probe pass there, and searches again from an
+        empty stack, skipping the solutions yielded since that state was
+        reached.  The trail below it holds the root fixpoint and Out
+        decisions whose In subtrees were searched completely, so the
         solutions left are exactly those that extend it.  They come in the
         lexicographic order of their labels, edge 0 first and In before Out,
         whatever that state has decided, so the restarted search meets the
@@ -308,14 +312,15 @@ class _PmcSearch:
         if not self._root_fixpoint():
             return
         stack: list[tuple[int, int]] = []
-        undone, restart_after, probed = 0, PROBE_AFTER_UNDONE_PER_EDGE * m, False
+        decisions, thrashing, probed, ok = [0] * m, False, False, True
         yielded = skip = level_yielded = 0
-        ok = True
         while True:
             e = state.find(_UNDEC) if ok else -1
             if e >= 0:
                 if not stack:
                     level_yielded = yielded
+                decisions[e] += 1
+                thrashing |= decisions[e] >= PROBE_AFTER_DECISIONS_OF_ONE_EDGE
                 stack.append((e, len(trail)))
                 lit = e
             else:
@@ -328,8 +333,7 @@ class _PmcSearch:
                 if not stack:
                     return
                 e, mark = stack.pop()
-                undone += len(trail) - mark
-                if undone > restart_after and not probed:
+                if thrashing and not probed:
                     probed = True
                     self._undo_to(stack[0][1] if stack else mark)
                     stack.clear()

@@ -225,7 +225,8 @@ def test_repeated_rotation_is_data_error(tmp_path, capsys, command):
 
 
 # A valid E4 formula whose incidence graph is disconnected, which the
-# reduction rejects, and one too large for the brute-force guard.
+# reduction rejects, and one over the brute-force oracle's 24-variable guard,
+# which the CLI's DPLL answers.
 _REJECTED = NaeFormula(6, ((1, 2, 3),) * 4 + ((4, 5, 6),) * 4)
 _TOO_LARGE = random_e4_formula(27, random.Random(1), require_reducible=False)
 _EMPTY = NaeFormula(0, ())
@@ -238,8 +239,8 @@ _EMPTY = NaeFormula(0, ())
     ("reduce", _EMPTY, 65),
     ("roundtrip", _EMPTY, 65),
     ("render", _EMPTY, 65),
-    ("solve-nae", _TOO_LARGE, 70),
-    ("roundtrip", _TOO_LARGE, 70),
+    ("solve-nae", _TOO_LARGE, 0),
+    ("roundtrip", _TOO_LARGE, 0),
 ], ids=["reduce-rejected", "roundtrip-rejected", "render-rejected",
         "reduce-empty", "roundtrip-empty", "render-empty",
         "solve-nae-too-large", "roundtrip-too-large"])
@@ -255,7 +256,7 @@ def test_exit_contract_without_traceback(tmp_path, capsys, command, formula, cod
         got = exc.code
     assert got == code
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert (err.startswith("error: ") and err.count("\n") == 1) if code else err == ""
     assert "Traceback" not in err
 
 

@@ -17,6 +17,7 @@ from pmcut.formula import (
     parse_formula,
     random_e4_formula,
     serialize_formula,
+    solve_nae,
     solve_nae_bruteforce,
     split_variable_cutvertices,
     variable_cutvertices,
@@ -95,6 +96,32 @@ def test_bruteforce_guard():
                              for k in range(40)))
     with pytest.raises(FormulaError, match="guard"):
         solve_nae_bruteforce(f)
+
+
+def test_dpll_agrees_with_bruteforce():
+    """The DPLL returns brute force's first assignment, or None with it, on
+    seeded E4 formulas and on denser random ones, many unsatisfiable."""
+    rng = random.Random(18)
+    unsat = 0
+    for k in range(400):
+        if k % 2:
+            f = random_e4_formula(rng.choice([3, 6, 9, 12, 15, 18]), rng, require_reducible=False)
+        else:
+            n = rng.randint(3, 18)
+            f = NaeFormula(n, tuple(tuple(rng.sample(range(1, n + 1), 3))
+                                    for _ in range(rng.randint(n, 4 * n))))
+        a = solve_nae(f)
+        assert a == solve_nae_bruteforce(f)
+        unsat += a is None
+    assert unsat > 40
+    assert solve_nae(ag23_formula()) is None
+    assert solve_nae(NaeFormula(0, ())) == ()
+
+
+@pytest.mark.parametrize("n", [27, 48, 300])
+def test_dpll_beyond_the_bruteforce_guard(n):
+    f = random_e4_formula(n, random.Random(n), require_reducible=False)
+    assert nae_satisfies(f, solve_nae(f))
 
 
 def test_ag23_is_unsat_e4():
