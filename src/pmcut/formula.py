@@ -218,7 +218,7 @@ def variable_cutvertices(f: NaeFormula) -> tuple[int, ...]:
     return tuple(i for i in range(1, f.n + 1) if len(connected_components(g, i - 1)) > whole)
 
 
-def _renumber(n: int, clauses: list[tuple[int, int, int]]) -> NaeFormula:
+def _renumber(clauses: list[tuple[int, int, int]]) -> NaeFormula:
     used = sorted({x for c in clauses for x in c})
     remap = {x: k + 1 for k, x in enumerate(used)}
     return NaeFormula(len(used), tuple(tuple(remap[x] for x in c) for c in clauses))
@@ -244,7 +244,7 @@ def split_variable_cutvertices(f: NaeFormula) -> list[NaeFormula]:
             nodes = set(comp)
             part = [c for j, c in enumerate(f.clauses) if f.n + j in nodes]
             if part:
-                out.extend(split_variable_cutvertices(_renumber(f.n, part)))
+                out.extend(split_variable_cutvertices(_renumber(part)))
         return out or [NaeFormula(0, ())]
     cuts = variable_cutvertices(f)
     if not cuts:
@@ -255,7 +255,7 @@ def split_variable_cutvertices(f: NaeFormula) -> list[NaeFormula]:
     out: list[NaeFormula] = []
     for part in (part1, part2):
         if part:
-            out.extend(split_variable_cutvertices(_renumber(f.n, part)))
+            out.extend(split_variable_cutvertices(_renumber(part)))
         else:
             out.append(NaeFormula(0, ()))
     return out

@@ -102,8 +102,8 @@ class _FigureBuilder:
             seg = run[a:b + 1]
             self._add_edge(seg, red)
 
-    def ring(self, coords: list[Coord], red: bool = False) -> None:
-        self.path(list(coords) + [coords[0]], red)
+    def ring(self, coords: list[Coord]) -> None:
+        self.path(list(coords) + [coords[0]])
 
     def _add_edge(self, seg: list[Coord], red: bool) -> None:
         u = self.vertex(seg[0])
@@ -485,10 +485,12 @@ def enumerate_local_pmcs(gadget: Gadget) -> list[EdgeSet]:
     """All restrictions that perfectly match the fragment and respect parity.
 
     Connector edges do not exist in the fragment, so ports must be matched
-    internally.  Output is sorted lexicographically by edge indices.
+    internally.  The search yields in ascending order of the sorted edge
+    indices: all perfect matchings of one graph have the same size, and
+    taking the lowest open edge In before Out lists sets of one size in
+    that order.
     """
-    found = enumerate_pmcs(gadget.graph)
-    return sorted(found, key=lambda s: tuple(sorted(s)))
+    return enumerate_pmcs(gadget.graph)
 
 
 def restriction_sides(gadget: Gadget, restriction: EdgeSet) -> tuple[int, ...]:

@@ -293,8 +293,7 @@ class _PmcSearch:
         PROBE_AFTER_DECISIONS_OF_ONE_EDGE times, its next pop restarts
         instead.  One edge decided In again and again is a direct sign of
         chronological thrashing.  AG(2,3) restarts at node 204 and is refuted
-        in 220 nodes; a trigger on the trail entries undone, the rent paid so
-        far, reached the same restart state only at node 291 and took 307.
+        in 220 nodes.
 
         The restart undoes to the last state in which the stack was empty,
         the mark of its bottom pair (or of the pair just popped, if that

@@ -93,24 +93,54 @@ def test_same_gadget_bundles_never_invert():
                     assert (a.exit_slot < b.exit_slot) == (a.entry_slot < b.entry_slot)
 
 
+def _crossings(f, var_order, clause_order):
+    """Two-layer crossings under a layout order, bottom to top: occurrence
+    pairs whose variable and clause positions are in opposite orders."""
+    pv = {x: k for k, x in enumerate(var_order)}
+    pc = {x: k for k, x in enumerate(clause_order)}
+    occ = [(pv[i], pc[j]) for j, clause in enumerate(f.clauses, 1) for i in clause]
+    return sum(1 for a, b in occ for c, d in occ if a < c and b > d)
+
+
 def _index_order_crossings(f):
-    """Two-layer crossings under the index order (variables descending and
-    clauses ascending, bottom to top): occurrence pairs larger in both."""
-    occ = [(i, j) for j, clause in enumerate(f.clauses, 1) for i in clause]
-    return sum(1 for i, j in occ for k, l in occ if i > k and j > l)
+    return _crossings(f, range(f.n, 0, -1), range(1, f.m + 1))
+
+
+def _sweep(f, var_order, clause_order):
+    """One barycenter sweep: clauses by the position sum of their variables,
+    then variables by the position sum of their clauses, both stable."""
+    pv = {x: k for k, x in enumerate(var_order)}
+    clause_order = sorted(clause_order, key=lambda j: sum(pv[i] for i in f.clauses[j - 1]))
+    pc = {x: k for k, x in enumerate(clause_order)}
+    var_order = sorted(var_order, key=lambda i: sum(pc[j] for j in f.occurrences(i)))
+    return tuple(var_order), tuple(clause_order)
+
+
+def _check_fixed_point(f):
+    """The layout is a fixed point of one more sweep and has no more
+    crossings than the index order; returns both crossing counts."""
+    hb = build_h(f)
+    assert _sweep(f, hb.var_order, hb.clause_order) == (hb.var_order, hb.clause_order)
+    q, q0 = _crossings(f, hb.var_order, hb.clause_order), _index_order_crossings(f)
+    assert q <= q0
+    return q, q0
 
 
 def test_barycenter_never_adds_crossings(canonical_artifact):
     assert canonical_artifact.q == _index_order_crossings(canonical_artifact.formula) == 18
+    assert _check_fixed_point(canonical_artifact.formula) == (18, 18)
     rng = random.Random(50)
     before = after = 0
     for k in range(50):
         f = random_e4_formula((6, 9, 12)[k % 3], rng)
-        q, q0 = len(layout(build_h(f)).events), _index_order_crossings(f)
-        assert q <= q0
+        q, q0 = _check_fixed_point(f)
+        assert len(layout(build_h(f)).events) == q
         before += q0
         after += q
     assert after < before
+    for n in (30, 48):  # build_h only: no graph is assembled
+        q, q0 = _check_fixed_point(random_e4_formula(n, random.Random(n)))
+        assert q < q0
 
 
 def test_size_law_and_edge_delta(canonical_artifact):

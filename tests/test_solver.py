@@ -187,6 +187,7 @@ def test_enumeration_agrees_with_bruteforce_beyond_degree_3():
         assert g.is_connected()
         pmcs = enumerate_pmcs(g)
         assert len(set(pmcs)) == len(pmcs)
+        assert pmcs == sorted(pmcs, key=lambda s: tuple(sorted(s)))
         assert set(pmcs) == set(pmcs_bruteforce(g))
         if pmcs:
             assert find_pmc(g) == pmcs[0]
@@ -439,7 +440,7 @@ def test_unsat_instance_refuted():
     assert art.q == 168  # barycenter layout; 305 under the index order
     nodes, m = first_witness(art.graph)
     assert m is None  # complete refutation, no budget excuse
-    # 1292 without the restart, 307 when undone trail entries triggered it
+    # 1292 without the restart
     assert nodes == 220
 
 
@@ -536,8 +537,6 @@ def test_root_probing_puts_every_connector_out(formula):
 
 # (n, seed) -> node count and witness sha256 of searches that ran out of a
 # 15k-node budget without root probing (n = 24 s = 7 did not, in 1231 nodes).
-# A restart triggered by undone trail entries found the same witnesses in
-# 903, 1079 and 1067 nodes.
 SEEDED_SAT_PINS = {
     (24, 1): (492, "0a9afd43c227f925a615f7aa99294e4bddae4d46ba0caec9215d233be955d2d2"),
     (24, 7): (539, "d4a47b0d3caed8afaf49c2ea2eebdb0f97c3dc2a3e4670bdee11805253728891"),
