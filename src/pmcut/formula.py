@@ -90,6 +90,8 @@ def parse_formula(text: str) -> NaeFormula:
             raise FormulaError(f"line {lineno}: bad variable index") from None
         if len(set(c)) != 3:
             raise FormulaError(f"line {lineno}: clause literals must be distinct")
+        if not all(1 <= x <= header[0] for x in c):
+            raise FormulaError(f"line {lineno}: clause {c} out of range for n={header[0]}")
         clauses.append(c)
     if header is None:
         raise FormulaError("empty formula file")
@@ -129,8 +131,6 @@ def solve_nae_bruteforce(f: NaeFormula) -> Optional[Assignment]:
     """
     if f.n > MAX_BRUTEFORCE_VARS:
         raise FormulaError(f"brute force guard: n={f.n} > {MAX_BRUTEFORCE_VARS}")
-    if f.n == 0:
-        return ()
     masks = [(1 << (x - 1)) | (1 << (y - 1)) | (1 << (z - 1)) for x, y, z in f.clauses]
     for bits in range(0, 1 << f.n, 2):  # even => bit 0 clear => variable 1 on side A
         ok = True
@@ -245,20 +245,15 @@ def split_variable_cutvertices(f: NaeFormula) -> list[NaeFormula]:
             part = [c for j, c in enumerate(f.clauses) if f.n + j in nodes]
             if part:
                 out.extend(split_variable_cutvertices(_renumber(part)))
-        return out or [NaeFormula(0, ())]
+        return out
     cuts = variable_cutvertices(f)
     if not cuts:
         return [f]
     x_nodes = set(connected_components(g0, cuts[0] - 1)[0])
     part1 = [c for j, c in enumerate(f.clauses) if f.n + j in x_nodes]
     part2 = [c for j, c in enumerate(f.clauses) if f.n + j not in x_nodes]
-    out: list[NaeFormula] = []
-    for part in (part1, part2):
-        if part:
-            out.extend(split_variable_cutvertices(_renumber(part)))
-        else:
-            out.append(NaeFormula(0, ()))
-    return out
+    return (split_variable_cutvertices(_renumber(part1))
+            + split_variable_cutvertices(_renumber(part2)))
 
 
 def random_e4_formula(n: int, rng: random.Random, require_reducible: bool = True) -> NaeFormula:
@@ -272,17 +267,11 @@ def random_e4_formula(n: int, rng: random.Random, require_reducible: bool = True
     while True:
         slots = [i for i in range(1, n + 1) for _ in range(4)]
         rng.shuffle(slots)
-        clauses = []
-        ok = True
-        for k in range(0, len(slots), 3):
-            c = tuple(slots[k:k + 3])
-            if len(set(c)) != 3:
-                ok = False
-                break
-            clauses.append(c)
-        if not ok:
+        triples = iter(slots)
+        try:
+            f = NaeFormula(n, tuple(zip(triples, triples, triples)))
+        except FormulaError:  # a clause repeats a variable
             continue
-        f = NaeFormula(n, tuple(clauses))
         if not require_reducible:
             return f
         g = incidence_graph(f)

@@ -567,15 +567,9 @@ def random_cubic_graph(n: int, rng: random.Random) -> Graph:
         points = [v for v in range(n) for _ in range(3)]
         rng.shuffle(points)
         pairs = [(points[i], points[i + 1]) for i in range(0, len(points), 2)]
-        seen = set()
-        ok = True
-        for u, v in pairs:
-            if u == v or (min(u, v), max(u, v)) in seen:
-                ok = False
-                break
-            seen.add((min(u, v), max(u, v)))
-        if not ok:
+        try:
+            g = Graph(n, pairs)
+        except ValueError:  # a loop or a parallel pair
             continue
-        g = Graph(n, pairs)
         if g.is_connected():
             return g

@@ -71,12 +71,11 @@ class Bundle:
 
 @dataclass(frozen=True)
 class Drawing:
-    """Gadget placements plus the ordered list of bundle crossings."""
+    """The bundles and the ordered list of their crossings; the gadget
+    layout orders they follow are ``HBuild.var_order`` and ``clause_order``."""
 
     bundles: tuple[Bundle, ...]
     events: tuple[tuple[int, int], ...]  # (lower bundle idx, upper bundle idx)
-    var_order: tuple[int, ...]           # bottom to top
-    clause_order: tuple[int, ...]        # bottom to top
 
 
 @dataclass(frozen=True)
@@ -245,8 +244,9 @@ def wiring_events(tracks: list[int], target: dict | list) -> list[tuple[int, int
     """Bubble the bottom-to-top track order into target order.
 
     Each swap is one crossing of the two bundles involved, recorded as
-    (lower, upper) with the lower bundle moving up; a pair swaps at most once
-    and the number of events equals the inversion count.
+    (lower, upper) with the lower bundle moving up.  Only an inverted pair
+    swaps, and it is in order afterwards, so a pair swaps at most once and the
+    number of events equals the inversion count.
     """
     tracks = list(tracks)
     events: list[tuple[int, int]] = []
@@ -271,21 +271,11 @@ def layout(hb: HBuild) -> Drawing:
 
     events = wiring_events([index[ij] for ij in hb.exit_order],
                            [b.entry_slot for b in bundles])
-    seen_pairs = set()
     for a, b in events:
         ba, bb = bundles[a], bundles[b]
         if ba.var == bb.var or ba.clause == bb.clause:
             raise ReductionError("bundles of a shared gadget may not cross")
-        key = frozenset((a, b))
-        if key in seen_pairs:
-            raise ReductionError("a bundle pair crossed twice")
-        seen_pairs.add(key)
-    return Drawing(
-        bundles=bundles,
-        events=tuple(events),
-        var_order=hb.var_order,
-        clause_order=hb.clause_order,
-    )
+    return Drawing(bundles=bundles, events=tuple(events))
 
 
 def planarize(hb: HBuild, drawing: Drawing) -> ReductionArtifact:

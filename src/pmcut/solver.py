@@ -32,8 +32,6 @@ MAX_BRUTEFORCE_VERTICES = 24
 #: decide no edge In more than 8 times (6 of them reach 8, 302 never pass 2),
 #: while AG(2,3) reaches 8 at node 204 and 63 in its 1292 nodes.
 PROBE_AFTER_DECISIONS_OF_ONE_EDGE = 8
-#: Vertices whose path parity lemma_oracles checks against the cut, evenly spaced.
-PARITY_SAMPLES = 64
 
 _UNDEC, _IN, _OUT = 0, 1, 2
 
@@ -467,12 +465,11 @@ class LemmaReport:
     square_propagation: list = field(default_factory=list)
     hex_three_out: list = field(default_factory=list)
     hex_square_pattern: list = field(default_factory=list)
-    path_parity: list = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
         return not (self.four_cycle or self.square_propagation or self.hex_three_out
-                    or self.hex_square_pattern or self.path_parity)
+                    or self.hex_square_pattern)
 
 
 def induced_four_cycles(g: Graph) -> list[tuple[int, int, int, int]]:
@@ -528,8 +525,10 @@ def six_cycles(g: Graph) -> list[tuple[int, ...]]:
 
 
 def lemma_oracles(g: Graph, m: EdgeSet) -> LemmaReport:
-    """Check the 4-cycle dichotomy, square propagation, both hexagon facts,
-    and path-parity side consistency for a verified perfect matching cut.
+    """Check the paper's four square and hexagon lemmas on a perfect matching
+    cut: the 4-cycle dichotomy, square propagation, three outgoing edges of a
+    hexagon, and the hexagon-with-squares pattern.  The cut itself is decided
+    by cut_from_edge_set, which rejects m here if it is no cutset.
 
     Accepts gadget fragments too (ports of degree 2 with their connector
     edges absent); the checks degrade to the forms the proofs actually use.
@@ -538,8 +537,7 @@ def lemma_oracles(g: Graph, m: EdgeSet) -> LemmaReport:
         raise ValueError("lemma oracles expect maximum degree 3")
     if not is_perfect_matching(g, m):
         raise ValueError("m is not a perfect matching")
-    cut = cut_from_edge_set(g, m)
-    if cut is None:
+    if cut_from_edge_set(g, m) is None:
         raise ValueError("m is not a cutset")
     report = LemmaReport()
     adj, inc, eid, edges = g.adj, g.inc, g.edge_id, g.edges
@@ -615,21 +613,4 @@ def lemma_oracles(g: Graph, m: EdgeSet) -> LemmaReport:
         ]
         if any(all(in_square[k] for k in range(6) if k % 3 != skip) for skip in range(3)):
             report.hex_square_pattern.append(cyc)
-
-    # path parity: BFS tree paths vs the computed cut
-    parity = [0] * g.n
-    seen = bytearray(g.n)
-    seen[0] = 1
-    order = [0]
-    for v in order:
-        for e, w in zip(inc[v], adj[v]):
-            if not seen[w]:
-                seen[w] = 1
-                parity[w] = parity[v] ^ (e in m)
-                order.append(w)
-    step = max(1, g.n // PARITY_SAMPLES)
-    for v in range(0, g.n, step):
-        same = parity[v] == parity[0]
-        if same != cut.same_side(0, v):
-            report.path_parity.append(v)
     return report

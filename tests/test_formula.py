@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations
 
@@ -22,6 +23,7 @@ from pmcut.formula import (
     split_variable_cutvertices,
     variable_cutvertices,
 )
+from pmcut.graphs import random_cubic_graph
 
 N3_TEXT = "nae3sat-e4 3 4\n1 2 3\n1 2 3\n1 2 3\n1 2 3\n"
 
@@ -49,6 +51,8 @@ def test_parse_rejects_wrong_occurrence_count():
 def test_parse_reports_line_numbers():
     with pytest.raises(FormulaError, match="line 3"):
         parse_formula("nae3sat-e4 3 4\n1 2 3\n1 2\n1 2 3\n1 2 3\n")
+    with pytest.raises(FormulaError, match=r"line 5: clause \(1, 2, 4\) out of range for n=3"):
+        parse_formula("nae3sat-e4 3 4\n1 2 3\n1 2 3\n1 2 3\n1 2 4\n")
 
 
 def test_parse_rejects_non_multiple_of_three():
@@ -245,6 +249,31 @@ def test_split_disconnected_components():
     parts = split_variable_cutvertices(f)
     assert len(parts) == 2
     assert all(p == canonical_n3_formula() for p in parts)
+
+
+# sha256 over the reprs of every output of test_seeded_generators_pinned, in order
+GENERATORS_SHA256 = "0509ffe1e9117c94524f38899db6bd7fcfe9d4a2d7adf4df794be194280bc66c"
+
+
+def test_seeded_generators_pinned():
+    """Seeded formulas (both require_reducible values), seeded cubic graphs
+    and the splits of seeded formulas and sub-formulas are pinned, so a change
+    to a generator's or the splitter's checks that re-generates or re-splits
+    any instance moves the digest."""
+    digest = hashlib.sha256()
+    rng = random.Random(0x5EED)
+    parts = 0
+    for k in range(120):
+        n = rng.randrange(3, 49, 3)
+        f = random_e4_formula(n, rng, require_reducible=bool(k % 2))
+        g = random_cubic_graph(rng.randrange(4, 27, 2), rng)
+        drop = (0.3, 0.5, 0.7)[k % 3]
+        sub = NaeFormula(f.n, tuple(c for c in f.clauses if rng.random() >= drop))
+        split = split_variable_cutvertices(f) + split_variable_cutvertices(sub)
+        parts += len(split)
+        digest.update(repr((f, g.n, g.edges, split)).encode())
+    assert parts > 400
+    assert digest.hexdigest() == GENERATORS_SHA256
 
 
 def test_random_e4_profile():

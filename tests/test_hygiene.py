@@ -1,4 +1,4 @@
-"""Every imported name in the package and the tests is used.
+"""Every imported name in the package, the tests and the demos is used.
 
 A standard-library AST scan stands in for a linter: an import binds a name,
 and the module must read that name somewhere (string annotations included).
@@ -10,7 +10,8 @@ import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SCANNED = sorted((ROOT / "src" / "pmcut").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+SCANNED = [path for folder in ("src/pmcut", "tests", "demos")
+           for path in sorted((ROOT / folder).glob("*.py"))]
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
