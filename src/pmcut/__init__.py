@@ -13,6 +13,7 @@ from .formula import (
     parse_formula,
     random_e4_formula,
     serialize_formula,
+    solve_nae,
     solve_nae_bruteforce,
     split_variable_cutvertices,
 )

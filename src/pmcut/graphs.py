@@ -339,9 +339,10 @@ def is_3_connected(g: Graph) -> bool:
 
     In a cubic graph vertex and edge connectivity coincide, so this asks for
     no bridge and no 2-edge-cut, and a bridge needs no test of its own: the
-    other two edges at one of its ends form a 2-edge-cut.  Each back edge of
-    a DFS tree gets a random 64-bit label, and a tree edge the XOR of the
-    back edges covering it.  Every cycle meets a cutset in an even number of
+    other two edges at one of its ends form a 2-edge-cut.  Each non-tree
+    edge of a BFS spanning tree gets a random 64-bit label, and a tree edge
+    the XOR of the non-tree edges whose tree cycles contain it; any rooted
+    spanning tree would do.  Every cycle meets a cutset in an even number of
     edges, so the labels of a cutset XOR to 0: the two edges of a 2-edge-cut
     have equal labels.  Distinct labels therefore mean yes.  Otherwise each
     pair of edges with equal labels is tried as a cutset by the parity walk,
@@ -356,21 +357,17 @@ def is_3_connected(g: Graph) -> bool:
     parent = [-1] * g.n
     parent_edge = [-1] * g.n
     seen = bytearray(g.n)
+    seen[0] = 1
     acc = [0] * g.n
     label = [0] * g.m
-    stack: list[tuple[int, int, int]] = [(0, -1, -1)]
-    visited_order: list[int] = []
-    while stack:
-        v, pe, p = stack.pop()
-        if seen[v]:
-            continue
-        seen[v] = 1
-        parent[v] = p
-        parent_edge[v] = pe
-        visited_order.append(v)
+    visited_order = [0]
+    for v in visited_order:  # grows as it is read: a BFS queue
         for e, w in zip(g.inc[v], g.adj[v]):
             if not seen[w]:
-                stack.append((w, e, v))
+                seen[w] = 1
+                parent[w] = v
+                parent_edge[w] = e
+                visited_order.append(w)
     for e, (u, v) in enumerate(g.edges):
         if parent_edge[u] == e or parent_edge[v] == e:
             continue  # tree edge

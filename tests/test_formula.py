@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pmcut import solve_nae
 from pmcut.formula import (
     FormulaError,
     NaeFormula,
@@ -18,7 +19,6 @@ from pmcut.formula import (
     parse_formula,
     random_e4_formula,
     serialize_formula,
-    solve_nae,
     solve_nae_bruteforce,
     split_variable_cutvertices,
     variable_cutvertices,

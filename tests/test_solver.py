@@ -29,6 +29,7 @@ from pmcut.reduction import build_h, reduce_formula
 from pmcut.solver import (
     _IN,
     _OUT,
+    PROBE_AFTER_DECISIONS_OF_ONE_EDGE,
     BudgetExhausted,
     _PmcSearch,
     assignment_from_pmc,
@@ -444,13 +445,18 @@ def test_unsat_instance_refuted():
     assert nodes == 220
 
 
+def decided(search):
+    return len(search.state) - search.state.count(0)
+
+
 def test_restart_probes_from_the_last_root_level_state(monkeypatch):
     """The restart keeps the Out decisions taken with an empty decision
     stack, so its probe pass starts with more edges decided than the root
     fixpoint decides.  The pass on AG(2,3) is pinned exactly: its node, the
-    edges decided and the trail length.  The trigger counts In decisions, so
-    a change to the branching order or to what propagation decides moves
-    these numbers."""
+    edges decided and the trail length before it, its propagations, its trail
+    entries propagated plus undone, and the edges decided after it.  The
+    trigger counts In decisions, so a change to the branching order or to
+    what propagation decides moves these numbers."""
     g = reduce_formula(ag23_formula()).graph
     fixpoint = _PmcSearch(g)
     assert fixpoint._root_fixpoint()
@@ -458,13 +464,33 @@ def test_restart_probes_from_the_last_root_level_state(monkeypatch):
     seen = []
     probe = _PmcSearch._probe
 
-    def counted(self):
-        seen.append((self.nodes, len(self.state) - self.state.count(0), len(self.trail)))
-        return probe(self)
+    def counted(self, implied):
+        propagate, undo = self._propagate, self._undo_to
+        cost = [0, 0]
+
+        def counted_propagate(queue):
+            mark = len(self.trail)
+            ok = propagate(queue)
+            cost[0] += 1
+            cost[1] += len(self.trail) - mark
+            return ok
+
+        def counted_undo(mark):
+            cost[1] += len(self.trail) - mark
+            undo(mark)
+
+        seen.append((self.nodes, decided(self), len(self.trail)))
+        self._propagate, self._undo_to = counted_propagate, counted_undo
+        ok = probe(self, implied)
+        del self._propagate, self._undo_to
+        seen.append((*cost, decided(self)))
+        return ok
 
     monkeypatch.setattr(_PmcSearch, "_probe", counted)
     assert first_witness(g)[1] is None
-    assert seen == [(204, 2034, 5517)]
+    # 264 propagations and 38712 entries when the pass probes every
+    # undecided edge; it ends with the same 2694 edges decided
+    assert seen == [(204, 2034, 5517), (207, 20790, 2694)]
 
 
 @pytest.fixture(params=[0, 2])
@@ -476,9 +502,9 @@ def forced_restart(request, monkeypatch):
     passes = []
     probe = _PmcSearch._probe
 
-    def counted(self):
+    def counted(self, implied):
         passes.append(1)
-        return probe(self)
+        return probe(self, implied)
 
     monkeypatch.setattr("pmcut.solver.PROBE_AFTER_DECISIONS_OF_ONE_EDGE", request.param)
     monkeypatch.setattr(_PmcSearch, "_probe", counted)
@@ -530,7 +556,7 @@ def test_root_probing_puts_every_connector_out(formula):
     the root shows it for each of them without the search knowing connectors."""
     art = reduce_formula(formula)
     search = _PmcSearch(art.graph)
-    assert search._root_fixpoint() and search._probe()
+    assert search._root_fixpoint() and search._probe(bytearray(len(search.state)))
     connectors = [art.graph.edge_id(u, v) for u, v, _ in art.connectors]
     assert all(search.state[e] == _OUT for e in connectors)
 
@@ -551,6 +577,44 @@ def test_seeded_sat_search_within_budget(n, seed):
     m = next(search.solutions(15_000))
     assert verified(g, m)
     assert (search.nodes, witness_sha256(m)) == SEEDED_SAT_PINS[(n, seed)]
+
+
+@pytest.fixture(scope="module")
+def restarting_graphs():
+    """AG(2,3) and the SEEDED_SAT_PINS reductions, whose searches restart."""
+    formulas = [ag23_formula()]
+    formulas += [random_e4_formula(n, random.Random(seed)) for n, seed in sorted(SEEDED_SAT_PINS)]
+    return [reduce_formula(f).graph for f in formulas]
+
+
+def searched_with_probes(monkeypatch, g, skip):
+    """Nodes, the state after each probe pass and the first witness of one
+    search of g; without skip, the pass probes every undecided edge."""
+    states = []
+    probe = _PmcSearch._probe
+
+    def recorded(self, implied):
+        ok = probe(self, implied if skip else bytearray(len(implied)))
+        states.append(bytes(self.state))
+        return ok
+
+    with monkeypatch.context() as patched:
+        patched.setattr(_PmcSearch, "_probe", recorded)
+        search = _PmcSearch(g)
+        m = next(search.solutions(15_000), None)
+    return search.nodes, states, m
+
+
+@pytest.mark.parametrize("threshold", [PROBE_AFTER_DECISIONS_OF_ONE_EDGE, 0, 2])
+def test_probe_skips_change_only_cost(monkeypatch, restarting_graphs, threshold):
+    """Skipping the edges that the search already propagated In, since the
+    stack was last empty, leaves the probe pass's result and the search as
+    they are when the pass probes every undecided edge."""
+    monkeypatch.setattr("pmcut.solver.PROBE_AFTER_DECISIONS_OF_ONE_EDGE", threshold)
+    for g in restarting_graphs:
+        skipping = searched_with_probes(monkeypatch, g, True)
+        assert len(skipping[1]) == 1
+        assert skipping == searched_with_probes(monkeypatch, g, False)
 
 
 # --- lemma oracles -------------------------------------------------------------
