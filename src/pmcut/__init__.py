@@ -36,7 +36,6 @@ from .graphs import (
     is_3_connected,
     is_bipartite,
     is_cubic,
-    is_cutset_via_cycle_basis,
     is_perfect_matching,
     is_planar_embedding,
     parse_graph,

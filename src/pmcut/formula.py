@@ -119,10 +119,6 @@ def nae_satisfies(f: NaeFormula, a: Assignment) -> bool:
     return True
 
 
-def complement(a: Assignment) -> Assignment:
-    return tuple(1 - b for b in a)
-
-
 def solve_nae_bruteforce(f: NaeFormula) -> Optional[Assignment]:
     """First satisfying assignment with variable 1 pinned to side A, else None.
 

@@ -46,12 +46,6 @@ class Gadget:
     rotations: tuple[tuple[int, ...], ...]
     embedding: PlaneEmbedding
 
-    def vertex_name(self, v: int) -> str:
-        return self.vertex_names[v]
-
-    def port_names(self) -> tuple[str, ...]:
-        return tuple(self.vertex_names[p] for p in self.ports)
-
 
 class FigureError(ValueError):
     pass

@@ -89,10 +89,6 @@ class Graph:
             u, v = v, u
         return (u, v) in self._eid
 
-    def other_end(self, e: int, v: int) -> int:
-        a, b = self.edges[e]
-        return b if v == a else a
-
     def is_connected(self) -> bool:
         if self._connected is None:
             self._connected = len(connected_components(self)) <= 1
@@ -108,16 +104,8 @@ class Cut:
 
     sides: tuple[int, ...]
 
-    def same_side(self, u: int, v: int) -> bool:
-        return self.sides[u] == self.sides[v]
-
     def side_a(self) -> tuple[int, ...]:
         return tuple(v for v, s in enumerate(self.sides) if s == 0)
-
-    def cutset(self, g: Graph) -> EdgeSet:
-        return frozenset(
-            i for i, (u, v) in enumerate(g.edges) if self.sides[u] != self.sides[v]
-        )
 
 
 class PlaneEmbedding:
@@ -309,28 +297,6 @@ def cut_from_edge_set(g: Graph, m: Iterable[int]) -> Optional[Cut]:
     return _parity_sides(g, mset)
 
 
-def is_cutset_via_cycle_basis(g: Graph, emb: PlaneEmbedding, m: Iterable[int]) -> bool:
-    """Cutset test by facial parity: every face meets m in an even number of edges.
-
-    The bounded faces of a plane graph form a cycle basis, and the unbounded
-    face is the sum of the bounded ones, so checking every face walk is
-    equivalent.  Edge e flips the parity of the faces of its darts 2e and
-    2e + 1.  The faces of a non-plane rotation system do not span the cycle
-    space, so it raises ValueError, as is_planar_embedding's errors do.
-    """
-    if not is_planar_embedding(g, emb):
-        raise ValueError("is_cutset_via_cycle_basis requires a plane embedding")
-    mset = set(m)
-    if not mset:
-        return False
-    face = emb.face
-    odd = bytearray(emb.face_count)
-    for e in mset:
-        odd[face[2 * e]] ^= 1
-        odd[face[2 * e + 1]] ^= 1
-    return 1 not in odd
-
-
 # --- 3-connectivity -----------------------------------------------------------
 
 def is_3_connected(g: Graph) -> bool:
@@ -418,6 +384,12 @@ def serialize_graph(g: Graph, emb: Optional[PlaneEmbedding] = None) -> str:
 
 
 def parse_graph(text: str) -> tuple[Graph, Optional[PlaneEmbedding]]:
+    """Graph and optional embedding of a graph file; ValueError on bad input.
+
+    A header with V > 2E is refused before anything is allocated: such a
+    graph has an isolated vertex.  With V <= 2E, and a short file refused as
+    truncated, the memory used stays proportional to the file's size.
+    """
     lines = _data_lines(text)
     if not lines or not lines[0].startswith("graph "):
         raise ValueError("graph file must start with 'graph <V> <E>'")
@@ -428,6 +400,8 @@ def parse_graph(text: str) -> tuple[Graph, Optional[PlaneEmbedding]]:
         raise ValueError(f"header {lines[0]!r} must be 'graph <V> <E>'") from None
     if n < 0 or m < 0:
         raise ValueError(f"negative count in header {lines[0]!r}")
+    if n > 2 * m:
+        raise ValueError(f"header {lines[0]!r} has V > 2E, so a vertex is isolated")
     try:
         edges = [(int(u), int(v)) for u, v in map(str.split, lines[1:1 + m])]
     except ValueError:
@@ -534,7 +508,7 @@ def parse_cut(text: str, n: int) -> Cut:
     return Cut(tuple(0 if v in a else 1 for v in range(n)))
 
 
-# --- helpers used across the package ------------------------------------------
+# --- example graphs -----------------------------------------------------------
 
 def cube_graph() -> Graph:
     """Q3 with vertices 0..3 on the bottom face and 4..7 above them."""
@@ -542,18 +516,6 @@ def cube_graph() -> Graph:
              (4, 5), (5, 6), (6, 7), (4, 7),
              (0, 4), (1, 5), (2, 6), (3, 7)]
     return Graph(8, edges)
-
-
-def cycle_graph(k: int) -> Graph:
-    return Graph(k, [(i, (i + 1) % k) for i in range(k)])
-
-
-def complete_graph(k: int) -> Graph:
-    return Graph(k, [(i, j) for i in range(k) for j in range(i + 1, k)])
-
-
-def complete_bipartite_graph(a: int, b: int) -> Graph:
-    return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
 
 
 def random_cubic_graph(n: int, rng: random.Random) -> Graph:

@@ -86,7 +86,6 @@ class CrossingRecord:
     base: int
     p1_edges: EdgeSet
     p2_edges: EdgeSet
-    squares: dict
 
 
 @dataclass(frozen=True)
@@ -366,8 +365,6 @@ def planarize(hb: HBuild, drawing: Drawing) -> ReductionArtifact:
             base=base,
             p1_edges=edges_to_global(("crossing", k + 1), p1_local),
             p2_edges=edges_to_global(("crossing", k + 1), p2_local),
-            squares={sq: tuple(base + lv for lv in xg.marks[sq])
-                     for sq in ("BL", "BR", "TL", "TR")},
         ))
 
     return ReductionArtifact(

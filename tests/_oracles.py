@@ -1,10 +1,15 @@
-"""Independent oracles used by the tests.
+"""Independent oracles and fixture graphs used by the tests.
 
-These deliberately avoid the implementation paths they check: cutset
-detection is replayed against explicit cycle enumeration, planar embedded
-graphs come from Delaunay triangulations with angle-sorted rotations or
-from networkx's planarity test, and vertex connectivity is answered by
-networkx's flow-based routine.
+The oracles deliberately avoid the implementation paths they check: cutset
+detection is replayed against explicit cycle enumeration and against the
+parity of every face of a plane embedding, planar embedded graphs come from
+Delaunay triangulations with angle-sorted rotations or from networkx's
+planarity test, and vertex connectivity is answered by networkx's
+flow-based routine.
+
+The fixture builders give the small named graphs (cycles, complete and
+complete bipartite graphs) the tests decide by hand, and ``complement``
+flips every variable of an assignment.
 """
 
 from __future__ import annotations
@@ -14,7 +19,23 @@ import random
 
 import networkx as nx
 
-from pmcut.graphs import Graph, PlaneEmbedding
+from pmcut.graphs import Graph, PlaneEmbedding, is_planar_embedding
+
+
+def cycle_graph(k: int) -> Graph:
+    return Graph(k, [(i, (i + 1) % k) for i in range(k)])
+
+
+def complete_graph(k: int) -> Graph:
+    return Graph(k, [(i, j) for i in range(k) for j in range(i + 1, k)])
+
+
+def complete_bipartite_graph(a: int, b: int) -> Graph:
+    return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+
+
+def complement(a: tuple) -> tuple:
+    return tuple(1 - b for b in a)
 
 
 def all_simple_cycles(g: Graph) -> list[list[int]]:
@@ -24,8 +45,7 @@ def all_simple_cycles(g: Graph) -> list[list[int]]:
         stack = [(s, [s], [])]
         while stack:
             v, path_v, path_e = stack.pop()
-            for e in g.inc[v]:
-                w = g.other_end(e, v)
+            for e, w in zip(g.inc[v], g.adj[v]):
                 if w == s and len(path_v) >= 3 and path_v[1] < v:
                     cycles.append(path_e + [e])
                 elif w > s and w not in path_v:
@@ -38,6 +58,28 @@ def cutset_by_cycle_enumeration(g: Graph, m) -> bool:
     if not mset:
         return False
     return all(sum(1 for e in cyc if e in mset) % 2 == 0 for cyc in all_simple_cycles(g))
+
+
+def is_cutset_via_cycle_basis(g: Graph, emb: PlaneEmbedding, m) -> bool:
+    """Cutset test by facial parity: every face meets m in an even number of edges.
+
+    The bounded faces of a plane graph form a cycle basis, and the unbounded
+    face is the sum of the bounded ones, so checking every face walk is
+    equivalent.  Edge e flips the parity of the faces of its darts 2e and
+    2e + 1.  The faces of a non-plane rotation system do not span the cycle
+    space, so it raises ValueError, as is_planar_embedding's errors do.
+    """
+    if not is_planar_embedding(g, emb):
+        raise ValueError("is_cutset_via_cycle_basis requires a plane embedding")
+    mset = set(m)
+    if not mset:
+        return False
+    face = emb.face
+    odd = bytearray(emb.face_count)
+    for e in mset:
+        odd[face[2 * e]] ^= 1
+        odd[face[2 * e + 1]] ^= 1
+    return 1 not in odd
 
 
 def random_connected_graph(n: int, extra: int, rng: random.Random) -> Graph:
@@ -112,9 +154,8 @@ def nx_plane_embedding(g: Graph):
 def planar_rotation_from_coords(g: Graph, coords) -> PlaneEmbedding:
     rotations = []
     for v in range(g.n):
-        incident = list(g.inc[v])
-        incident.sort(key=lambda e: -math.atan2(
-            coords[g.other_end(e, v)][1] - coords[v][1],
-            coords[g.other_end(e, v)][0] - coords[v][0]))
-        rotations.append(tuple(incident))
+        x, y = coords[v]
+        ends = sorted(zip(g.inc[v], g.adj[v]), key=lambda ew: -math.atan2(
+            coords[ew[1]][1] - y, coords[ew[1]][0] - x))
+        rotations.append(tuple(e for e, _ in ends))
     return PlaneEmbedding(g, rotations)

@@ -22,15 +22,11 @@ from pmcut.gadgets import (
     side_relations,
 )
 from pmcut.graphs import (
-    complete_bipartite_graph,
-    complete_graph,
     cube_graph,
     cut_from_edge_set,
-    cycle_graph,
     is_3_connected,
     is_bipartite,
     is_cubic,
-    is_cutset_via_cycle_basis,
     is_perfect_matching,
     is_planar_embedding,
     random_cubic_graph,
@@ -40,7 +36,13 @@ from pmcut.solver import find_pmc, find_pmc_bruteforce, lemma_oracles, \
     assignment_from_pmc, pmc_from_assignment
 
 from _catalog import KNOWN_COUNTS, connected_cubic_catalog
-from _oracles import random_planar_embedded
+from _oracles import (
+    complete_bipartite_graph,
+    complete_graph,
+    cycle_graph,
+    is_cutset_via_cycle_basis,
+    random_planar_embedded,
+)
 
 pytestmark = pytest.mark.acceptance
 

@@ -298,10 +298,9 @@ def _torus_file(k: int) -> str:
 
 
 @pytest.mark.parametrize("text", [
-    "graph 20001 0\n",
     "graph 20002 20001\n" + "".join(f"{v} {v + 1}\n" for v in range(20001)),
     _torus_file(30),
-], ids=["isolated-20001", "path-20002", "torus-30x30"])
+], ids=["path-20002", "torus-30x30"])
 def test_verify_graph_non_cubic_fails_fast(tmp_path, capsys, text):
     p = tmp_path / "g.graph"
     p.write_text(text)
@@ -310,6 +309,24 @@ def test_verify_graph_non_cubic_fails_fast(tmp_path, capsys, text):
     assert time.perf_counter() - start < 1.0
     out = capsys.readouterr().out
     assert "cubic: FAILED" in out and "3-connected: FAILED" in out
+
+
+# A header with V > 2E leaves a vertex isolated and is refused before any
+# vertex is allocated.
+@pytest.mark.parametrize("command", ["verify-graph", "solve-pmc"])
+@pytest.mark.parametrize("header", ["graph 20001 0", "graph 100000000 0"],
+                         ids=["isolated-20001", "isolated-100000000"])
+def test_isolated_vertex_header_is_data_error(tmp_path, capsys, command, header):
+    p = tmp_path / "g.graph"
+    p.write_text(header + "\n")
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(p)])
+    assert time.perf_counter() - start < 1.0
+    assert exc.value.code == 65
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert repr(header) in err and "Traceback" not in err
 
 
 def test_verify_gadgets(capsys):

@@ -5,8 +5,7 @@ The exit-code contract holds for every input: the code is one of those the
 CLI documents, and stderr never holds a traceback.  None of the commands run
 here has a size guard, so no input may exit 70 either.  Generated files are
 either token soup under a well-formed header or a valid file with a few
-lines edited.  Header counts stay at 64 or below, because a graph header's
-vertex count is allocated before any edge line is read.
+lines edited.
 """
 
 import contextlib
@@ -43,6 +42,7 @@ _TOKENS = st.one_of(
 )
 _LINES = st.lists(_TOKENS, max_size=5).map(" ".join)
 _COUNT = st.integers(0, MAX_COUNT)
+_VERTEX_COUNT = st.one_of(_COUNT, st.integers(0, 10 ** 12))
 
 _CUBE = cube_graph()
 _CUBE_EMBEDDING = planar_rotation_from_coords(
@@ -60,9 +60,10 @@ _SEEDED_FORMULAS = st.builds(_seeded_formula, st.sampled_from(range(3, 31, 3)),
                              st.integers(0, 2 ** 16))
 
 
-def _soup(keyword, counts):
-    """A header with small counts, then lines of arbitrary tokens."""
-    header = st.tuples(*[_COUNT] * counts).map(
+def _soup(keyword, *counts):
+    """A header with counts drawn from the given strategies, then lines of
+    arbitrary tokens."""
+    header = st.tuples(*counts).map(
         lambda ks: " ".join([keyword, *map(str, ks)]))
     return st.builds(lambda h, body: "\n".join([h, *body]) + "\n",
                      header, st.lists(_LINES, max_size=12))
@@ -94,9 +95,9 @@ _VALID_GRAPHS = st.one_of(
     st.builds(lambda n, seed: serialize_graph(random_cubic_graph(n, random.Random(seed))),
               st.sampled_from(range(4, 21, 2)), st.integers(0, 2 ** 16)),
 )
-_FORMULA_TEXTS = st.one_of(_soup("nae3sat-e4", 2),
+_FORMULA_TEXTS = st.one_of(_soup("nae3sat-e4", _COUNT, _COUNT),
                            _edited(_SEEDED_FORMULAS.map(serialize_formula)))
-_GRAPH_TEXTS = st.one_of(_soup("graph", 2), _edited(_VALID_GRAPHS))
+_GRAPH_TEXTS = st.one_of(_soup("graph", _VERTEX_COUNT, _COUNT), _edited(_VALID_GRAPHS))
 
 
 @pytest.fixture(scope="module")
@@ -145,7 +146,7 @@ def test_seeded_formulas_are_answered(workdir, f, command):
     assert err == ""
 
 
-@given(st.one_of(_soup("matching", 1), _edited(st.just(serialize_matching(_CUBE, _CUBE_PMC)))))
+@given(st.one_of(_soup("matching", _COUNT), _edited(st.just(serialize_matching(_CUBE, _CUBE_PMC)))))
 @settings(max_examples=100, deadline=None)
 def test_parse_matching_raises_only_value_error(text):
     try:
@@ -154,7 +155,7 @@ def test_parse_matching_raises_only_value_error(text):
         pass
 
 
-@given(st.one_of(_soup("cut", 1),
+@given(st.one_of(_soup("cut", _COUNT),
                  _edited(st.just(serialize_cut(cut_from_edge_set(_CUBE, _CUBE_PMC))))))
 @settings(max_examples=100, deadline=None)
 def test_parse_cut_raises_only_value_error(text):

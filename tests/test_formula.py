@@ -13,7 +13,6 @@ from pmcut.formula import (
     NaeFormula,
     ag23_formula,
     canonical_n3_formula,
-    complement,
     incidence_graph,
     nae_satisfies,
     parse_formula,
@@ -24,6 +23,8 @@ from pmcut.formula import (
     variable_cutvertices,
 )
 from pmcut.graphs import random_cubic_graph
+
+from _oracles import complement
 
 N3_TEXT = "nae3sat-e4 3 4\n1 2 3\n1 2 3\n1 2 3\n1 2 3\n"
 

@@ -58,7 +58,7 @@ def test_local_embeddings_and_exposed_paths(variable_gadget, clause_gadget, cros
 
 def test_port_cyclic_orders(variable_gadget, clause_gadget):
     # variable gadget: anchor pairs adjacent, occurrence slots in cyclic order
-    names = variable_gadget.port_names()
+    names = [variable_gadget.vertex_names[p] for p in variable_gadget.ports]
     ring = {frozenset((names[i], names[(i + 1) % 8])) for i in range(8)}
     for s in "1234":
         assert frozenset((f"t{s}", f"b{s}")) in ring
@@ -67,7 +67,7 @@ def test_port_cyclic_orders(variable_gadget, clause_gadget):
     doubled = order + order
     assert any(doubled[i:i + 4] in ((1, 2, 3, 4), (1, 4, 3, 2)) for i in range(4))
     # clause gadget: each variable's two anchors adjacent on the outer face
-    cnames = clause_gadget.port_names()
+    cnames = [clause_gadget.vertex_names[p] for p in clause_gadget.ports]
     cring = {frozenset((cnames[i], cnames[(i + 1) % 6])) for i in range(6)}
     pairs = {frozenset(("u1", "F6.l")),       # t'b, b'b
              frozenset(("F6.b", "F6'.b")),    # t'c, b'c
@@ -94,8 +94,8 @@ def test_clause_type_sets(clause_gadget):
         mirrored = set()
         for e in ts.l_sets[i]:
             a, b = g.edges[e]
-            na = clause_gadget.vertex_name(a).replace("u", "v")
-            nb = clause_gadget.vertex_name(b).replace("u", "v")
+            na = clause_gadget.vertex_names[a].replace("u", "v")
+            nb = clause_gadget.vertex_names[b].replace("u", "v")
             mirrored.add(g.edge_id(clause_gadget.names[na], clause_gadget.names[nb]))
         assert frozenset(mirrored) == ts.r_sets[i]
 

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from types import SimpleNamespace
 
 import networkx as nx
@@ -12,16 +13,12 @@ from pmcut.graphs import (
     Cut,
     Graph,
     PlaneEmbedding,
-    complete_bipartite_graph,
-    complete_graph,
     cube_graph,
     cut_from_edge_set,
-    cycle_graph,
     face_darts,
     is_3_connected,
     is_bipartite,
     is_cubic,
-    is_cutset_via_cycle_basis,
     is_perfect_matching,
     is_planar_embedding,
     parse_cut,
@@ -36,7 +33,11 @@ from pmcut.reduction import reduce_formula
 
 from _catalog import connected_cubic_catalog
 from _oracles import (
+    complete_bipartite_graph,
+    complete_graph,
     cutset_by_cycle_enumeration,
+    cycle_graph,
+    is_cutset_via_cycle_basis,
     nx_plane_embedding,
     nx_three_connected,
     planar_rotation_from_coords,
@@ -413,6 +414,10 @@ def test_cut_from_edge_set_empty_is_rejected():
     assert cut_from_edge_set(cycle_graph(4), []) is None
 
 
+def _cutset(g: Graph, cut: Cut) -> frozenset:
+    return frozenset(e for e, (u, v) in enumerate(g.edges) if cut.sides[u] != cut.sides[v])
+
+
 def test_cut_matches_cycle_enumeration():
     rng = random.Random(41)
     for _ in range(150):
@@ -425,7 +430,7 @@ def test_cut_matches_cycle_enumeration():
         assert got == want
         if got:
             cut = cut_from_edge_set(g, m)
-            assert cut.cutset(g) == frozenset(m)
+            assert _cutset(g, cut) == frozenset(m)
 
 
 def test_cycle_basis_examples():
@@ -465,10 +470,10 @@ def test_cycle_basis_refuses_non_plane_rotations():
 
 
 def test_same_side():
+    # C4's edges 0 and 2 are 0-1 and 2-3: 1 and 2 share a side, 0 and 1 do not
     c4 = cycle_graph(4)
     cut = cut_from_edge_set(c4, [0, 2])
-    assert cut.same_side(1, 1)
-    assert not cut.same_side(0, 1)
+    assert cut.sides == (0, 1, 1, 0)
 
 
 @given(st.data())
@@ -481,8 +486,7 @@ def test_cut_roundtrip_property(data):
     sides = tuple(data.draw(st.integers(0, 1)) for _ in range(g.n))
     if len(set(sides)) < 2:
         return
-    cut = Cut(sides)
-    m = cut.cutset(g)
+    m = _cutset(g, Cut(sides))
     if not m:
         return
     got = cut_from_edge_set(g, m)
@@ -537,6 +541,16 @@ def test_parse_errors():
         parse_graph("nope")
     with pytest.raises(ValueError):
         parse_matching("nope", cube_graph())
+
+
+def test_header_with_an_isolated_vertex_is_refused_before_allocating():
+    # V > 2E leaves a vertex without an edge; the header alone decides it
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"header 'graph 100000000 0' has V > 2E"):
+        parse_graph("graph 100000000 0\n")
+    assert time.perf_counter() - start < 0.1
+    g, emb = parse_graph("graph 2 1\n0 1\n")  # V = 2E is a matching
+    assert g.edges == ((0, 1),) and emb is None
 
 
 @pytest.mark.parametrize("parse,text,match", [

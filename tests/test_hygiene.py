@@ -1,12 +1,19 @@
-"""Every imported name in the package, the tests and the demos is used.
+"""Standard-library AST scans that stand in for a linter.
 
-A standard-library AST scan stands in for a linter: an import binds a name,
-and the module must read that name somewhere (string annotations included).
-Package ``__init__.py`` files are exempt, because their imports are the
-public re-exports.
+Every imported name in the package, the tests and the demos is used: an
+import binds a name, and the module must read that name somewhere (string
+annotations included).  Package ``__init__.py`` files are exempt, because
+their imports are the public re-exports.
+
+Every public function, class and method of the package has a caller outside
+the tests: a reference elsewhere in the package or in the demos or the
+benchmark, or its name in the CI workflow.  What only tests reach belongs in
+the tests.
 """
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -48,3 +55,58 @@ def test_no_unused_imports():
         unused += [f"{path.relative_to(ROOT)}:{line}: {name}"
                    for name, line in _imported(tree).items() if name not in used]
     assert not unused, "imported but never used:\n" + "\n".join(unused)
+
+
+# Names with no caller outside the tests yet, and why they stay.
+EXEMPT = {
+    "parse_matching": "reads the file of solve-pmc --witness; the planned check-witness calls it",
+    "parse_cut": "reads the file of solve-pmc --cut; the planned check-witness calls it",
+}
+
+
+def _public_definitions(tree: ast.Module):
+    """(name, node) of every public top-level function and class, and
+    (Class.method, node) of every public method of those classes."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name[0] == "_":
+            continue
+        yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{item.name}", item) for item in node.body
+                        if isinstance(item, ast.FunctionDef) and item.name[0] != "_")
+
+
+def _references(node: ast.AST) -> Counter:
+    """Identifiers, attribute names and string constants under node; the
+    benchmark names the functions it drives by string."""
+    refs = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            refs[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            refs[sub.attr] += 1
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            refs[sub.value] += 1
+    return refs
+
+
+def test_package_names_have_a_non_test_caller():
+    package = {path: ast.parse(path.read_text(), filename=str(path))
+               for path in sorted((ROOT / "src/pmcut").glob("*.py"))}
+    in_package = sum(map(_references, package.values()), Counter())
+    outside = Counter()
+    for folder in ("demos", "perfbench"):
+        for path in sorted((ROOT / folder).glob("*.py")):
+            outside += _references(ast.parse(path.read_text(), filename=str(path)))
+    outside.update(re.findall(r"\w+", (ROOT / ".github/workflows/tier1.yml").read_text()))
+    unreached = []
+    for path, tree in package.items():
+        if path.name == "__init__.py":
+            continue
+        for qualname, node in _public_definitions(tree):
+            name = qualname.rpartition(".")[2]
+            if (qualname in EXEMPT or outside[name]
+                    or in_package[name] > _references(node)[name]):
+                continue
+            unreached.append(f"{path.relative_to(ROOT)}: {qualname}")
+    assert not unreached, "reached only from tests:\n" + "\n".join(unreached)

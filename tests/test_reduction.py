@@ -189,16 +189,16 @@ def test_connector_edges_have_labels(canonical_artifact):
         assert 1 <= var <= art.formula.n
 
 
-def test_wire_routes_traverse_even_crossover_squares(canonical_artifact):
+def test_wire_routes_traverse_even_crossover_squares(canonical_artifact, crossing_gadget):
     """Each wire passes an even number of crossover squares, two per spliced
     gadget, along a two-edge subpath of each."""
     art = canonical_artifact
     g = art.graph
     square_of = {}
     for rec in art.crossings:
-        for sq, verts in rec.squares.items():
-            for v in verts:
-                square_of[v] = (rec.index, sq)
+        for sq in ("BL", "BR", "TL", "TR"):
+            for lv in crossing_gadget.marks[sq]:
+                square_of[rec.base + lv] = (rec.index, sq)
     for (i, j, sub), route in art.wire_routes.items():
         assert route[0] == art.anchors[(sub, i, j)]
         assert route[-1] == art.anchors[(sub + "'", i, j)]
