@@ -1,9 +1,13 @@
 """Undirected graphs with indexed edges, rotation-system embeddings, and cut machinery.
 
 Everything here is immutable after construction and safe to share between
-threads.  A ``Graph`` memoises its connectivity in a slot on first use; two
-threads racing on the first call store the same answer.  Edge indices are
-stable: edge ``i`` is ``graph.edges[i]``.
+threads.  A ``Graph`` memoises two answers in slots: its connectivity, on
+first use, and the cut of the last frozenset that ``cut_from_edge_set``
+decided on it, so the several checks of one witness walk it once.  Each slot
+is written by one assignment of an answer that depends on the graph and the
+key alone, so threads racing on a slot store correct answers and readers
+never see half of one.  Edge indices are stable: edge ``i`` is
+``graph.edges[i]``.
 
 Darts.  Edge ``e`` carries two darts: dart ``2e`` leaves ``edges[e][0]`` and
 dart ``2e + 1`` leaves ``edges[e][1]``, so dart ``d`` leaves
@@ -36,9 +40,16 @@ STUB = -1
 
 
 class Graph:
-    """Simple undirected graph; vertices 0..n-1, edges indexed in list order."""
+    """Simple undirected graph; vertices 0..n-1, edges indexed in list order.
 
-    __slots__ = ("n", "edges", "adj", "inc", "_eid", "_connected")
+    Two slots memoise answers about the graph, never part of its structure:
+    ``_connected`` holds is_connected's answer once asked, and ``_cut`` the
+    pair (key, answer) of the last frozenset that cut_from_edge_set decided,
+    the answer being a Cut or None.  Each is replaced by one assignment, so a
+    thread reads either the old pair or the new one, both correct.
+    """
+
+    __slots__ = ("n", "edges", "adj", "inc", "_eid", "_connected", "_cut")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         self.n = n
@@ -56,6 +67,7 @@ class Graph:
         self.edges: tuple[tuple[int, int], ...] = tuple(eid)
         self._eid = eid
         self._connected: Optional[bool] = None
+        self._cut: Optional[tuple[frozenset, Optional[Cut]]] = None
         # Walking the edges in lexicographic order lists each vertex's smaller
         # neighbours and then its larger ones, each ascending, so adj comes
         # out sorted.  One global sort gives that order; on input already in
@@ -274,27 +286,46 @@ def is_planar_embedding(g: Graph, emb: PlaneEmbedding) -> bool:
     return g.n - g.m + max(emb.face_count, 1) == 2
 
 
+def _in_edge_range(g: Graph, ids) -> bool:
+    """True iff every id of the non-empty collection ids is in 0..m-1."""
+    return min(ids) >= 0 and max(ids) < len(g.edges)
+
+
 def is_perfect_matching(g: Graph, m: Iterable[int]) -> bool:
-    hits = [0] * g.n
-    for e in m:
-        u, v = g.edges[e]
-        hits[u] += 1
-        hits[v] += 1
-    return all(h == 1 for h in hits)
+    """True iff m lists edge ids of g that cover every vertex exactly once;
+    an id outside 0..m-1 makes it False."""
+    ids = list(m)
+    if ids and not _in_edge_range(g, ids):
+        return False
+    ends = [x for e in ids for x in g.edges[e]]
+    return len(ends) == g.n and len(set(ends)) == g.n
 
 
 def cut_from_edge_set(g: Graph, m: Iterable[int]) -> Optional[Cut]:
     """The cut whose cutset is m, or None if m is not a cutset.
 
     Parity BFS: crossing an edge of m flips side, any other edge keeps it.
-    The empty set is rejected (a cut must be proper).
+    The empty set is rejected (a cut must be proper), and so is a set with
+    an id outside 0..m-1, which names no edge.  The answer for a frozenset
+    is kept on g, in its ``_cut`` slot (see Graph), so asking again about
+    the last frozenset decided reads the slot instead of walking: the same
+    witness checked by find_pmc, the witness map and the lemma oracles is
+    walked once.  Any other iterable is answered but not stored.
     """
     if not g.is_connected():
         raise ValueError("cut_from_edge_set requires a connected graph")
-    mset = set(m)
-    if not mset:
+    key = m if isinstance(m, frozenset) else None
+    if key is not None:
+        memo = g._cut
+        if memo is not None and (memo[0] is key or memo[0] == key):
+            return memo[1]
+    mset = m if key is not None else set(m)
+    if not mset or not _in_edge_range(g, mset):
         return None
-    return _parity_sides(g, mset)
+    cut = _parity_sides(g, mset)
+    if key is not None:
+        g._cut = (key, cut)
+    return cut
 
 
 # --- 3-connectivity -----------------------------------------------------------

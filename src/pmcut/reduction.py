@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
 from .formula import NaeFormula, incidence_graph, variable_cutvertices
 from .gadgets import (
@@ -122,6 +123,25 @@ class ReductionArtifact:
 @lru_cache(maxsize=1)
 def _templates() -> tuple[Gadget, Gadget, Gadget]:
     return build_variable_gadget(), build_clause_gadget(), build_crossing_gadget()
+
+
+@lru_cache(maxsize=1)
+def _rotation_readers() -> dict[str, tuple[tuple[int, ...], tuple]]:
+    """Template kind -> (stubbed vertices, one itemgetter per vertex).
+
+    A placed copy's row lists the global ids of the template's edges in
+    local edge order, then one slot for each stubbed vertex, in the order
+    given, holding that vertex's connector.  The k-th getter reads local
+    vertex k's rotation out of that row, a stub from its vertex's slot.
+    """
+    readers = {}
+    for t in _templates():
+        stubbed = tuple(v for v, rot in enumerate(t.rotations) if STUB in rot)
+        slot = {v: t.graph.m + k for k, v in enumerate(stubbed)}
+        readers[t.kind] = (stubbed, tuple(
+            itemgetter(*(slot[v] if le == STUB else le for le in rot))
+            for v, rot in enumerate(t.rotations)))
+    return readers
 
 
 def _placements(n: int, m: int, q: int) -> dict[tuple[str, int], tuple[Gadget, int]]:
@@ -330,12 +350,11 @@ def planarize(hb: HBuild, drawing: Drawing) -> ReductionArtifact:
     global_edges = {key: [eid[(base + u, base + v)] for u, v in t.graph.edges]
                     for key, (t, base) in placed.items()}
     rotations: list[tuple[int, ...]] = [()] * g.n
+    readers = _rotation_readers()
     for key, (template, base) in placed.items():
-        ge = global_edges[key]
-        for lv, local_rot in enumerate(template.rotations):
-            gv = base + lv
-            rotations[gv] = tuple(connector_at[gv] if le == STUB else ge[le]
-                                  for le in local_rot)
+        stubbed, getters = readers[template.kind]
+        row = global_edges[key] + [connector_at[base + v] for v in stubbed]
+        rotations[base:base + len(getters)] = [get(row) for get in getters]
     embedding = PlaneEmbedding(g, rotations)
     if not is_planar_embedding(g, embedding):
         raise ReductionError("rotation system failed the Euler certification")

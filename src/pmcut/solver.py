@@ -493,16 +493,21 @@ class LemmaReport:
 def induced_four_cycles(g: Graph) -> list[tuple[int, int, int, int]]:
     """Induced 4-cycles as vertex tuples (a, u, b, w), each found once from its
     least vertex a, with u < w; linear-time on cubic graphs."""
+    adj = g.adj
     out = []
     for a in range(g.n):
-        nbrs = [x for x in g.adj[a] if x > a]
+        adj_a = adj[a]
+        if len(adj_a) < 2 or adj_a[-2] <= a:
+            continue  # a needs two neighbours above it
+        nbrs = [x for x in adj_a if x > a]
         for i in range(len(nbrs)):
             for k in range(i + 1, len(nbrs)):
                 u, w = nbrs[i], nbrs[k]
-                if g.has_edge(u, w):
+                adj_w = adj[w]
+                if u in adj_w:
                     continue
-                for b in g.adj[u]:
-                    if b > a and b in g.adj[w] and not g.has_edge(a, b):
+                for b in adj[u]:
+                    if b > a and b in adj_w and b not in adj_a:
                         out.append((a, u, b, w))
     return out
 
@@ -511,34 +516,46 @@ def six_cycles(g: Graph) -> list[tuple[int, ...]]:
     """All 6-vertex cycles, one orientation each (min vertex first).
 
     A cycle (s, a, b, c, d, w) has s as its least vertex and a < w.  The
-    walk from s runs over ``reversed(adj[...])`` at every depth, so the
-    cycles come out in the pop order of a stack-based depth-first search.
-    It is pruned from the closing end: w must be a neighbour of s above s,
-    d a neighbour of such a w, and c a neighbour of such a d.
+    search meets in the middle: from each s it lists the three-paths
+    s-a-b-c through vertices above s, sorted by their far end c, and pairs
+    two paths s-a-b-c and s-w-d-c with the same c and disjoint interiors,
+    the one with the smaller second vertex as a.  Each cycle is found once,
+    split at c, the vertex opposite s.  A cubic graph has at most 12 such
+    paths from each s, where a depth-five walk has up to 48.
+
+    Each s's cycles are listed in descending order of (a, b, c, d, w).  Every
+    ``adj[v]`` is ascending, so that is the order of their positions in
+    ``reversed(adj[...])`` at every depth: the pop order of a stack-based
+    depth-first search from s.
     """
     adj = g.adj
     out = []
     for s in range(g.n):
-        ends = [w for w in adj[s] if w > s]
-        if len(ends) < 2:
-            continue
-        fifth = {d for w in ends for d in adj[w] if d > s}
-        fourth = {c for d in fifth for c in adj[d] if c > s}
-        for a in reversed(adj[s]):
-            if a <= s:
+        adj_s = adj[s]
+        if len(adj_s) < 2 or adj_s[-2] <= s:
+            continue  # s needs two neighbours above it
+        paths = []
+        for a in adj_s:
+            if a > s:
+                for b in adj[a]:
+                    if b > s:
+                        for c in adj[b]:
+                            if c > s and c != a:
+                                paths.append((c, a, b))
+        paths.sort()
+        found = []
+        start = 0
+        for k in range(1, len(paths)):
+            c, a, b = paths[k]
+            if c != paths[k - 1][0]:
+                start = k
                 continue
-            for b in reversed(adj[a]):
-                if b <= s:
-                    continue
-                for c in reversed(adj[b]):
-                    if c == a or c not in fourth:
-                        continue
-                    for d in reversed(adj[c]):
-                        if d == a or d == b or d not in fifth:
-                            continue
-                        for w in reversed(adj[d]):
-                            if w > a and w != b and w != c and w in ends:
-                                out.append((s, a, b, c, d, w))
+            for _, w, d in paths[start:k]:
+                if w != a and d != a and w != b and d != b:
+                    found.append((s, a, b, c, d, w) if a < w else (s, w, d, c, b, a))
+        if found:
+            found.sort(reverse=True)
+            out += found
     return out
 
 
@@ -546,19 +563,20 @@ def lemma_oracles(g: Graph, m: EdgeSet) -> LemmaReport:
     """Check the paper's four square and hexagon lemmas on a perfect matching
     cut: the 4-cycle dichotomy, square propagation, three outgoing edges of a
     hexagon, and the hexagon-with-squares pattern.  The cut itself is decided
-    by cut_from_edge_set, which rejects m here if it is no cutset.
+    by cut_from_edge_set, which rejects m here if it is no cutset, and which
+    reads its answer off g when m is the last frozenset decided there.
 
     Accepts gadget fragments too (ports of degree 2 with their connector
     edges absent); the checks degrade to the forms the proofs actually use.
     """
-    if any(g.degree(v) > 3 for v in range(g.n)):
+    adj, inc, edges = g.adj, g.inc, g.edges
+    if any(len(a) > 3 for a in adj):
         raise ValueError("lemma oracles expect maximum degree 3")
     if not is_perfect_matching(g, m):
         raise ValueError("m is not a perfect matching")
     if cut_from_edge_set(g, m) is None:
         raise ValueError("m is not a cutset")
     report = LemmaReport()
-    adj, inc, eid, edges = g.adj, g.inc, g.edge_id, g.edges
     mdeg = [0] * g.n  # edges of m at each vertex
     for e in m:
         u, v = edges[e]
@@ -575,7 +593,8 @@ def lemma_oracles(g: Graph, m: EdgeSet) -> LemmaReport:
     squares_by_edge: dict[int, list[tuple[int, ...]]] = {}
     for i, cyc in enumerate(squares):
         a, u, b, w = cyc
-        es = (eid(a, u), eid(u, b), eid(b, w), eid(w, a))
+        es = (inc[a][adj[a].index(u)], inc[u][adj[u].index(b)],
+              inc[b][adj[b].index(w)], inc[w][adj[w].index(a)])
         inside = [k for k in range(4) if es[k] in m]
         # A square has no chord, so its m-degrees count each inside edge of
         # m twice and each outgoing one once.  With maximum degree 3 each
@@ -610,11 +629,20 @@ def lemma_oracles(g: Graph, m: EdgeSet) -> LemmaReport:
                 if square_hit[j] != hit:
                     report.square_propagation.append((c1, squares[j]))
 
+    has = m.__contains__
     for cyc in six_cycles(g):
-        es = [eid(x, y) for x, y in zip(cyc, cyc[1:] + cyc[:1])]
-        outgoing = [e for v in cyc for e, x in zip(inc[v], adj[v]) if x not in cyc]
-        out_in = sum(e in m for e in outgoing)
-        hit = any(e in m for e in es)
+        # es[k] joins cyc[k] and cyc[k + 1]; outgoing lists the edges that
+        # leave the hexagon
+        es = []
+        outgoing = []
+        for v, y in zip(cyc, cyc[1:] + cyc[:1]):
+            for e, x in zip(inc[v], adj[v]):
+                if x == y:
+                    es.append(e)
+                elif x not in cyc:
+                    outgoing.append(e)
+        out_in = sum(map(has, outgoing))
+        hit = any(map(has, es))
         if out_in >= 3 and (hit or out_in != len(outgoing)):
             report.hex_three_out.append(cyc)
         if not hit:
@@ -623,12 +651,14 @@ def lemma_oracles(g: Graph, m: EdgeSet) -> LemmaReport:
         # in an induced 4-cycle that avoids the two hexagon vertices next to
         # the edge's ends, which is what the outgoing-edge argument needs.
         # Edge k joins cyc[k] and cyc[k + 1], so those vertices are cyc[k - 1]
-        # and cyc[k + 2], and the edge opposite edge k is edge k + 3.
+        # and cyc[k + 2] (= cyc[k - 4]), and the edge opposite edge k is
+        # edge k + 3: the pattern holds when two of the three opposite pairs
+        # are in such squares.
         in_square = [
-            any(cyc[k - 1] not in sq and cyc[(k + 2) % 6] not in sq
+            any(cyc[k - 1] not in sq and cyc[k - 4] not in sq
                 for sq in squares_by_edge.get(e, ()))
             for k, e in enumerate(es)
         ]
-        if any(all(in_square[k] for k in range(6) if k % 3 != skip) for skip in range(3)):
+        if sum(in_square[k] and in_square[k + 3] for k in range(3)) >= 2:
             report.hex_square_pattern.append(cyc)
     return report

@@ -7,6 +7,10 @@ Delaunay triangulations with angle-sorted rotations or from networkx's
 planarity test, and vertex connectivity is answered by networkx's
 flow-based routine.
 
+The cycle enumerations ``six_cycles_dfs`` and ``induced_four_cycles_by_has_edge``
+are depth-first forms of the solver's ``six_cycles`` and
+``induced_four_cycles``, kept as references for the order of their lists.
+
 The fixture builders give the small named graphs (cycles, complete and
 complete bipartite graphs) the tests decide by hand, and ``complement``
 flips every variable of an assignment.
@@ -159,3 +163,50 @@ def planar_rotation_from_coords(g: Graph, coords) -> PlaneEmbedding:
             coords[ew[1]][1] - y, coords[ew[1]][0] - x))
         rotations.append(tuple(e for e, _ in ends))
     return PlaneEmbedding(g, rotations)
+
+
+def induced_four_cycles_by_has_edge(g: Graph) -> list[tuple[int, int, int, int]]:
+    """Reference for pmcut.solver.induced_four_cycles: the same loops, with
+    every adjacency asked of Graph.has_edge."""
+    out = []
+    for a in range(g.n):
+        nbrs = [x for x in g.adj[a] if x > a]
+        for i in range(len(nbrs)):
+            for k in range(i + 1, len(nbrs)):
+                u, w = nbrs[i], nbrs[k]
+                if g.has_edge(u, w):
+                    continue
+                for b in g.adj[u]:
+                    if b > a and b in g.adj[w] and not g.has_edge(a, b):
+                        out.append((a, u, b, w))
+    return out
+
+
+def six_cycles_dfs(g: Graph) -> list[tuple[int, ...]]:
+    """Reference for pmcut.solver.six_cycles: a depth-five walk from each
+    least vertex s over ``reversed(adj[...])``, pruned from the closing end,
+    giving the cycles (s, a, b, c, d, w) with a < w in depth-first order."""
+    adj = g.adj
+    out = []
+    for s in range(g.n):
+        ends = [w for w in adj[s] if w > s]
+        if len(ends) < 2:
+            continue
+        fifth = {d for w in ends for d in adj[w] if d > s}
+        fourth = {c for d in fifth for c in adj[d] if c > s}
+        for a in reversed(adj[s]):
+            if a <= s:
+                continue
+            for b in reversed(adj[a]):
+                if b <= s:
+                    continue
+                for c in reversed(adj[b]):
+                    if c == a or c not in fourth:
+                        continue
+                    for d in reversed(adj[c]):
+                        if d == a or d == b or d not in fifth:
+                            continue
+                        for w in reversed(adj[d]):
+                            if w > a and w != b and w != c and w in ends:
+                                out.append((s, a, b, c, d, w))
+    return out

@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+import threading
 import time
 from types import SimpleNamespace
 
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pmcut.graphs as graphs_module
 from pmcut.formula import ag23_formula, canonical_n3_formula, random_e4_formula
 from pmcut.graphs import (
     Cut,
@@ -412,6 +415,100 @@ def test_cut_from_edge_set_examples():
 
 def test_cut_from_edge_set_empty_is_rejected():
     assert cut_from_edge_set(cycle_graph(4), []) is None
+
+
+def test_ids_outside_the_edge_range_name_no_edge():
+    q3 = cube_graph()
+    assert cut_from_edge_set(q3, {99}) is None
+    assert cut_from_edge_set(q3, {-1}) is None
+    assert cut_from_edge_set(q3, frozenset({-1})) is None
+    assert q3._cut is None  # refused before anything is stored
+    assert not is_perfect_matching(q3, [8, 9, 10, -1])  # -1 would index edge 11
+    assert not is_perfect_matching(q3, [99])
+    assert is_perfect_matching(q3, [8, 9, 10, 11])
+
+
+def test_cut_memo_keeps_the_last_frozenset():
+    q3 = cube_graph()
+    vertical = frozenset(q3.edge_id(i, i + 4) for i in range(4))
+    cut = cut_from_edge_set(q3, vertical)
+    assert cut is not None and q3._cut == (vertical, cut)
+    assert cut_from_edge_set(q3, vertical) is cut
+    assert cut_from_edge_set(q3, frozenset(vertical)) is cut  # an equal key reads the slot
+
+    bottom_top = frozenset(q3.edge_id(*e) for e in ((0, 1), (2, 3), (4, 5), (6, 7)))
+    other = cut_from_edge_set(q3, bottom_top)  # a different set walks again
+    assert other is not None and other != cut and q3._cut == (bottom_top, other)
+
+    # a set or a list is answered but not stored
+    assert cut_from_edge_set(q3, set(vertical)) == cut
+    assert cut_from_edge_set(q3, sorted(vertical)) == cut
+    assert q3._cut == (bottom_top, other)
+
+    not_a_cutset = frozenset({q3.edge_id(0, 1)})
+    assert cut_from_edge_set(q3, not_a_cutset) is None
+    assert q3._cut == (not_a_cutset, None)  # a None answer is kept
+    assert cut_from_edge_set(q3, not_a_cutset) is None
+
+
+def test_cut_memo_walks_each_frozenset_once(monkeypatch):
+    q3 = cube_graph()
+    m = frozenset(q3.edge_id(i, i + 4) for i in range(4))
+    walks = []
+    real = graphs_module._parity_sides
+
+    def counted(g, flip):
+        walks.append(flip)
+        return real(g, flip)
+
+    monkeypatch.setattr(graphs_module, "_parity_sides", counted)
+    first = cut_from_edge_set(q3, m)
+    for _ in range(3):
+        assert cut_from_edge_set(q3, m) is first
+    assert walks == [m]
+    cut_from_edge_set(q3, list(m))
+    cut_from_edge_set(q3, list(m))
+    assert len(walks) == 3
+
+
+def test_cut_memo_under_racing_threads():
+    """Threads sharing one graph, each asking about several frozensets in
+    turn, always read the answer a fresh walk gives."""
+    rng = random.Random(7)
+    g = random_cubic_graph(200, rng)
+    keys = [frozenset(_cutset(g, Cut(tuple(rng.randrange(2) for _ in range(g.n)))))
+            for _ in range(4)]
+    keys += [frozenset(rng.sample(range(g.m), 100)) for _ in range(2)]
+    expected = [cut_from_edge_set(g, list(m)) for m in keys]
+    wrong = []
+
+    def ask(offset):
+        for k in range(300):
+            i = (k + offset) % len(keys)
+            if cut_from_edge_set(g, keys[i]) != expected[i]:
+                wrong.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=ask, args=(t,)) for t in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not wrong
+
+
+def test_cut_memo_still_refuses_a_disconnected_graph():
+    two_edges = Graph(4, [(0, 1), (2, 3)])
+    with pytest.raises(ValueError):
+        cut_from_edge_set(two_edges, frozenset({0, 1}))
+    with pytest.raises(ValueError):
+        cut_from_edge_set(two_edges, frozenset({0, 1}))
+    assert two_edges._cut is None
 
 
 def _cutset(g: Graph, cut: Cut) -> frozenset:

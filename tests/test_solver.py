@@ -39,7 +39,14 @@ from pmcut.solver import (
     six_cycles,
 )
 
-from _oracles import complement, complete_bipartite_graph, complete_graph, cycle_graph
+from _oracles import (
+    complement,
+    complete_bipartite_graph,
+    complete_graph,
+    cycle_graph,
+    induced_four_cycles_by_has_edge,
+    six_cycles_dfs,
+)
 
 
 # sha256 of the comma-joined sorted edge ids of find_pmc's canonical n=3 witness
@@ -645,6 +652,21 @@ def test_cycle_enumerators_agree_with_networkx(variable_gadget, clause_gadget, c
         assert sorted(six_cycles(g)) == hexagons
         assert sorted(induced_four_cycles(g)) == squares
     assert sum(len(induced_four_cycles(g)) for g in graphs) > 20
+
+
+@pytest.mark.parametrize("n", [3, 6, 12])
+def test_cycle_enumerations_keep_the_depth_first_order(n, variable_gadget, clause_gadget,
+                                                      crossing_gadget):
+    """The meet-in-the-middle hexagons and the square loops list the same
+    cycles in the same order as the depth-first references."""
+    rng = random.Random(n)
+    graphs = [reduce_formula(random_e4_formula(n, rng)).graph]
+    graphs += [random_cubic_graph(rng.randrange(8, 41, 2), rng) for _ in range(12)]
+    if n == 3:
+        graphs += [cube_graph(), variable_gadget.graph, clause_gadget.graph, crossing_gadget.graph]
+    for g in graphs:
+        assert six_cycles(g) == six_cycles_dfs(g)
+        assert induced_four_cycles(g) == induced_four_cycles_by_has_edge(g)
 
 
 def test_oracles_on_q3():
