@@ -1,13 +1,21 @@
 """Undirected graphs with indexed edges, rotation-system embeddings, and cut machinery.
 
 Everything here is immutable after construction and safe to share between
-threads.  A ``Graph`` memoises two answers in slots: its connectivity, on
-first use, and the cut of the last frozenset that ``cut_from_edge_set``
-decided on it, so the several checks of one witness walk it once.  Each slot
-is written by one assignment of an answer that depends on the graph and the
-key alone, so threads racing on a slot store correct answers and readers
-never see half of one.  Edge indices are stable: edge ``i`` is
-``graph.edges[i]``.
+threads.  A ``Graph`` memoises answers in two slots: its connectivity, on
+first use, and the cuts of the last two frozensets that ``cut_from_edge_set``
+decided on it, so the several checks of a witness, and of a second one
+checked between them, walk each once.  Each slot is written by one
+assignment of answers that depend on the graph and the keys alone, so
+threads racing on a slot store correct answers and readers never see half
+of one.  Edge indices are stable: edge ``i`` is ``graph.edges[i]``.
+
+The builders (``Graph``, ``PlaneEmbedding``, ``parse_graph``, and
+``planarize`` and ``reduce_formula`` in ``pmcut.reduction``) pause the
+cyclic garbage collector while they run, because its passes over the tables
+they allocate find nothing to free.  The pause is process-wide: while one
+thread builds, no thread's garbage cycles are collected, and a thread that
+calls ``gc.disable()`` during another thread's build can find the collector
+re-enabled when that build ends.
 
 Darts.  Edge ``e`` carries two darts: dart ``2e`` leaves ``edges[e][0]`` and
 dart ``2e + 1`` leaves ``edges[e][1]``, so dart ``d`` leaves
@@ -26,6 +34,8 @@ lists and embedded graphs get the same exact answer.
 
 from __future__ import annotations
 
+import functools
+import gc
 import random
 from array import array
 from dataclasses import dataclass
@@ -39,18 +49,42 @@ EdgeSet = frozenset  # of edge indices
 STUB = -1
 
 
+def _without_gc(build):
+    """build, run with the cyclic garbage collector paused if it is on.
+
+    The builders wrapped allocate tens of thousands of tuples and lists that
+    live on in what they return, so every pass of the collector during the
+    build walks a heap of acyclic tables and frees nothing.  The collector
+    is re-enabled in a finally, even when build raises; a call made while it
+    is off (a nested build, or a caller that turned it off) leaves it alone.
+    Never wrap a generator: the collector would stay paused across yields.
+    """
+    @functools.wraps(build)
+    def call(*args, **kwargs):
+        if not gc.isenabled():
+            return build(*args, **kwargs)
+        gc.disable()
+        try:
+            return build(*args, **kwargs)
+        finally:
+            gc.enable()
+    return call
+
+
 class Graph:
     """Simple undirected graph; vertices 0..n-1, edges indexed in list order.
 
     Two slots memoise answers about the graph, never part of its structure:
     ``_connected`` holds is_connected's answer once asked, and ``_cut`` the
-    pair (key, answer) of the last frozenset that cut_from_edge_set decided,
-    the answer being a Cut or None.  Each is replaced by one assignment, so a
-    thread reads either the old pair or the new one, both correct.
+    pairs (key, answer) of the last two frozensets that cut_from_edge_set
+    decided, newest first, each answer a Cut or None.  Each slot is replaced
+    by one assignment of one tuple, so a thread reads either the old pairs or
+    the new ones, all correct.
     """
 
     __slots__ = ("n", "edges", "adj", "inc", "_eid", "_connected", "_cut")
 
+    @_without_gc
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         self.n = n
         eid: dict[tuple[int, int], int] = {}
@@ -67,7 +101,7 @@ class Graph:
         self.edges: tuple[tuple[int, int], ...] = tuple(eid)
         self._eid = eid
         self._connected: Optional[bool] = None
-        self._cut: Optional[tuple[frozenset, Optional[Cut]]] = None
+        self._cut: tuple[tuple[frozenset, Optional[Cut]], ...] = ()
         # Walking the edges in lexicographic order lists each vertex's smaller
         # neighbours and then its larger ones, each ascending, so adj comes
         # out sorted.  One global sort gives that order; on input already in
@@ -133,6 +167,7 @@ class PlaneEmbedding:
 
     __slots__ = ("graph", "rotations", "face", "walk", "face_count")
 
+    @_without_gc
     def __init__(self, g: Graph, rotations: Iterable[Iterable[int]]):
         rotations = tuple(map(tuple, rotations))
         succ, order = _dart_successors(g, rotations)
@@ -308,23 +343,25 @@ def cut_from_edge_set(g: Graph, m: Iterable[int]) -> Optional[Cut]:
     The empty set is rejected (a cut must be proper), and so is a set with
     an id outside 0..m-1, which names no edge.  The answer for a frozenset
     is kept on g, in its ``_cut`` slot (see Graph), so asking again about
-    the last frozenset decided reads the slot instead of walking: the same
-    witness checked by find_pmc, the witness map and the lemma oracles is
-    walked once.  Any other iterable is answered but not stored.
+    either of the last two frozensets decided reads the slot instead of
+    walking: a witness checked by find_pmc, the witness map and the lemma
+    oracles is walked once, even when another witness is checked between
+    them.  Any other iterable is answered but not stored.
     """
     if not g.is_connected():
         raise ValueError("cut_from_edge_set requires a connected graph")
     key = m if isinstance(m, frozenset) else None
     if key is not None:
         memo = g._cut
-        if memo is not None and (memo[0] is key or memo[0] == key):
-            return memo[1]
+        for k, cut in memo:
+            if k is key or k == key:
+                return cut
     mset = m if key is not None else set(m)
     if not mset or not _in_edge_range(g, mset):
         return None
     cut = _parity_sides(g, mset)
     if key is not None:
-        g._cut = (key, cut)
+        g._cut = ((key, cut),) + memo[:1]
     return cut
 
 
@@ -414,6 +451,7 @@ def serialize_graph(g: Graph, emb: Optional[PlaneEmbedding] = None) -> str:
     return "\n".join(lines) + "\n"
 
 
+@_without_gc
 def parse_graph(text: str) -> tuple[Graph, Optional[PlaneEmbedding]]:
     """Graph and optional embedding of a graph file; ValueError on bad input.
 

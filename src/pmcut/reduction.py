@@ -47,6 +47,7 @@ from .graphs import (
     EdgeSet,
     Graph,
     PlaneEmbedding,
+    _without_gc,
     is_cubic,
     is_planar_embedding,
 )
@@ -297,6 +298,7 @@ def layout(hb: HBuild) -> Drawing:
     return Drawing(bundles=bundles, events=tuple(events))
 
 
+@_without_gc
 def planarize(hb: HBuild, drawing: Drawing) -> ReductionArtifact:
     """Splice a crossing gadget into each swap and certify the embedding."""
     f = hb.formula
@@ -404,8 +406,13 @@ def planarize(hb: HBuild, drawing: Drawing) -> ReductionArtifact:
     )
 
 
+@_without_gc
 def reduce_formula(f: NaeFormula) -> ReductionArtifact:
-    """Full pipeline; deterministic for a fixed formula."""
+    """Full pipeline; deterministic for a fixed formula.
+
+    The collector is paused for the whole pipeline, not just in planarize:
+    at n = 30, build_h and layout would otherwise each start collections.
+    """
     hb = build_h(f)
     return planarize(hb, layout(hb))
 

@@ -564,7 +564,8 @@ def lemma_oracles(g: Graph, m: EdgeSet) -> LemmaReport:
     cut: the 4-cycle dichotomy, square propagation, three outgoing edges of a
     hexagon, and the hexagon-with-squares pattern.  The cut itself is decided
     by cut_from_edge_set, which rejects m here if it is no cutset, and which
-    reads its answer off g when m is the last frozenset decided there.
+    reads its answer off g when m is one of the last two frozensets decided
+    there.
 
     Accepts gadget fragments too (ports of degree 2 with their connector
     edges absent); the checks degrade to the forms the proofs actually use.

@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 import sys
@@ -11,7 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pmcut.graphs as graphs_module
-from pmcut.formula import ag23_formula, canonical_n3_formula, random_e4_formula
+import pmcut.reduction as reduction_module
+from pmcut.formula import (
+    NaeFormula,
+    ag23_formula,
+    canonical_n3_formula,
+    random_e4_formula,
+    solve_nae_bruteforce,
+)
 from pmcut.graphs import (
     Cut,
     Graph,
@@ -32,7 +40,8 @@ from pmcut.graphs import (
     serialize_graph,
     serialize_matching,
 )
-from pmcut.reduction import reduce_formula
+from pmcut.reduction import build_h, layout, planarize, reduce_formula
+from pmcut.solver import find_pmc, lemma_oracles, pmc_from_assignment
 
 from _catalog import connected_cubic_catalog
 from _oracles import (
@@ -422,32 +431,36 @@ def test_ids_outside_the_edge_range_name_no_edge():
     assert cut_from_edge_set(q3, {99}) is None
     assert cut_from_edge_set(q3, {-1}) is None
     assert cut_from_edge_set(q3, frozenset({-1})) is None
-    assert q3._cut is None  # refused before anything is stored
+    assert q3._cut == ()  # refused before anything is stored
     assert not is_perfect_matching(q3, [8, 9, 10, -1])  # -1 would index edge 11
     assert not is_perfect_matching(q3, [99])
     assert is_perfect_matching(q3, [8, 9, 10, 11])
 
 
-def test_cut_memo_keeps_the_last_frozenset():
+def test_cut_memo_keeps_the_last_two_frozensets():
     q3 = cube_graph()
     vertical = frozenset(q3.edge_id(i, i + 4) for i in range(4))
     cut = cut_from_edge_set(q3, vertical)
-    assert cut is not None and q3._cut == (vertical, cut)
+    assert cut is not None and q3._cut == ((vertical, cut),)
     assert cut_from_edge_set(q3, vertical) is cut
     assert cut_from_edge_set(q3, frozenset(vertical)) is cut  # an equal key reads the slot
 
     bottom_top = frozenset(q3.edge_id(*e) for e in ((0, 1), (2, 3), (4, 5), (6, 7)))
     other = cut_from_edge_set(q3, bottom_top)  # a different set walks again
-    assert other is not None and other != cut and q3._cut == (bottom_top, other)
+    assert other is not None and other != cut
+    assert q3._cut == ((bottom_top, other), (vertical, cut))
+    assert cut_from_edge_set(q3, vertical) is cut  # the older entry still answers
+    assert q3._cut == ((bottom_top, other), (vertical, cut))  # and a read writes nothing
 
     # a set or a list is answered but not stored
     assert cut_from_edge_set(q3, set(vertical)) == cut
     assert cut_from_edge_set(q3, sorted(vertical)) == cut
-    assert q3._cut == (bottom_top, other)
+    assert q3._cut == ((bottom_top, other), (vertical, cut))
 
     not_a_cutset = frozenset({q3.edge_id(0, 1)})
     assert cut_from_edge_set(q3, not_a_cutset) is None
-    assert q3._cut == (not_a_cutset, None)  # a None answer is kept
+    # a None answer is kept, and the oldest entry goes
+    assert q3._cut == ((not_a_cutset, None), (bottom_top, other))
     assert cut_from_edge_set(q3, not_a_cutset) is None
 
 
@@ -469,6 +482,28 @@ def test_cut_memo_walks_each_frozenset_once(monkeypatch):
     cut_from_edge_set(q3, list(m))
     cut_from_edge_set(q3, list(m))
     assert len(walks) == 3
+
+
+def test_cut_memo_walks_a_witness_once_around_a_second_one(monkeypatch):
+    """find_pmc's witness m, the witness w rebuilt from a brute-force
+    assignment, then the lemma oracles on m: one walk per witness."""
+    f = random_e4_formula(6, random.Random(1))
+    art = reduce_formula(f)
+    g = art.graph
+    w = pmc_from_assignment(art, solve_nae_bruteforce(f))
+    walks = []
+    real = graphs_module._parity_sides
+
+    def counted(g, flip):
+        walks.append(flip)
+        return real(g, flip)
+
+    monkeypatch.setattr(graphs_module, "_parity_sides", counted)
+    m = find_pmc(g)
+    assert m is not None and w != m
+    assert cut_from_edge_set(g, w) is not None
+    assert lemma_oracles(g, m).ok
+    assert walks == [m, w]
 
 
 def test_cut_memo_under_racing_threads():
@@ -508,7 +543,7 @@ def test_cut_memo_still_refuses_a_disconnected_graph():
         cut_from_edge_set(two_edges, frozenset({0, 1}))
     with pytest.raises(ValueError):
         cut_from_edge_set(two_edges, frozenset({0, 1}))
-    assert two_edges._cut is None
+    assert two_edges._cut == ()
 
 
 def _cutset(g: Graph, cut: Cut) -> frozenset:
@@ -664,3 +699,119 @@ def test_header_with_an_isolated_vertex_is_refused_before_allocating():
 def test_cut_and_matching_files_reject_bad_input(parse, text, match):
     with pytest.raises(ValueError, match=match):
         parse(text)
+
+
+# --- the collector pause in the builders ---------------------------------------
+
+def _planned(f):
+    hb = build_h(f)
+    return hb, layout(hb)
+
+
+# Each builder once on good input and once on each ValueError it raises,
+# directly or from a nested builder.
+_BUILDS = {
+    "Graph": (lambda: Graph(3, [(0, 1), (1, 2)]), None),
+    "Graph-loop": (lambda: Graph(2, [(0, 0)]), "loop"),
+    # cycle_graph(4) numbers its edges 0-1, 1-2, 2-3, 3-0 as 0, 1, 2, 3
+    "PlaneEmbedding": (lambda: PlaneEmbedding(cycle_graph(4), [(0, 3), (0, 1), (1, 2), (2, 3)]), None),
+    "PlaneEmbedding-not-a-permutation":
+        (lambda: PlaneEmbedding(cycle_graph(4), [(0, 0), (0, 1), (1, 2), (2, 3)]), "permutation"),
+    "parse_graph": (lambda: parse_graph(serialize_graph(*q3_embedded())), None),
+    "parse_graph-V>2E": (lambda: parse_graph("graph 3 1\n0 1\n"), "V > 2E"),
+    "parse_graph-loop": (lambda: parse_graph("graph 2 1\n1 1\n"), "loop"),
+    "parse_graph-not-a-permutation":
+        (lambda: parse_graph("graph 3 2\n0 1\n1 2\nembedding\nrot 0 1 0\nrot 1 2 0 0\nrot 2 1 1\n"),
+         "permutation"),
+    "planarize": (lambda: planarize(*_planned(canonical_n3_formula())), None),
+    "reduce_formula": (lambda: reduce_formula(canonical_n3_formula()), None),
+    "reduce_formula-not-e4": (lambda: reduce_formula(NaeFormula(3, ((1, 2, 3),))), "4n/3"),
+}
+
+
+@pytest.mark.parametrize("collector_on", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("case", list(_BUILDS))
+def test_builders_restore_the_collector_state(case, collector_on):
+    build, error = _BUILDS[case]
+    was_on = gc.isenabled()
+    (gc.enable if collector_on else gc.disable)()
+    try:
+        if error is None:
+            build()
+        else:
+            with pytest.raises(ValueError, match=error):
+                build()
+        assert gc.isenabled() is collector_on
+    finally:
+        (gc.enable if was_on else gc.disable)()
+
+
+def _collector_state_seen_by(monkeypatch, module, name) -> list:
+    seen = []
+    real = getattr(module, name)
+
+    def spy(*args):
+        seen.append(gc.isenabled())
+        return real(*args)
+
+    monkeypatch.setattr(module, name, spy)
+    return seen
+
+
+def test_nested_builds_leave_the_collector_paused(monkeypatch):
+    """planarize calls is_cubic after building its Graph and
+    is_planar_embedding after its PlaneEmbedding; parse_graph builds its
+    PlaneEmbedding after its Graph.  Each must still see the collector off."""
+    assert gc.isenabled()
+    planned = _planned(canonical_n3_formula())
+    after_graph = _collector_state_seen_by(monkeypatch, reduction_module, "is_cubic")
+    after_embedding = _collector_state_seen_by(monkeypatch, reduction_module, "is_planar_embedding")
+    art = planarize(*planned)
+    assert after_graph == [False] and after_embedding == [False] and gc.isenabled()
+
+    text = serialize_graph(art.graph, art.embedding)
+    before_embedding = _collector_state_seen_by(monkeypatch, graphs_module, "PlaneEmbedding")
+    parse_graph(text)
+    assert before_embedding == [False] and gc.isenabled()
+
+
+def test_no_collection_starts_inside_a_builder():
+    """A build of the seeded n = 30 reduction (23992 vertices) starts no
+    collection.  Without the pause each of these builds starts some."""
+    assert gc.isenabled()
+    f = random_e4_formula(30, random.Random(1))
+    planned = _planned(f)
+    art = reduce_formula(f)
+    g, emb = art.graph, art.embedding
+    text = serialize_graph(g, emb)
+    # as lists, so that the constructor makes a tuple of each
+    rotation_lists = [list(r) for r in emb.rotations]
+    builds = {
+        "reduce_formula": lambda: reduce_formula(f),
+        "planarize": lambda: planarize(*planned),
+        "parse_graph": lambda: parse_graph(text),
+        "Graph": lambda: Graph(g.n, g.edges),
+        "PlaneEmbedding": lambda: PlaneEmbedding(g, rotation_lists),
+    }
+    building = []
+    started = []  # (build or None, generation) of each collection started
+
+    def count(phase, info):
+        if phase == "start":
+            started.append((building[-1] if building else None, info["generation"]))
+
+    gc.callbacks.append(count)
+    try:
+        for name, build in builds.items():
+            # A collection owed by earlier allocations would start at the
+            # first allocation of the call, before the pause: pay it first.
+            gc.collect()
+            building.append(name)
+            try:
+                build()
+            finally:
+                building.pop()
+    finally:
+        gc.callbacks.remove(count)
+    assert (None, 2) in started  # the callback saw the explicit collections
+    assert [s for s in started if s[0] is not None] == []
