@@ -84,13 +84,25 @@ class _PmcSearch:
       The ends of an In edge count as matched during its union: the
       matching rule puts all their other edges Out anyway.
 
-    Both rules only queue assignments, and the propagation loop applies the
-    queue until it is empty or a conflict shows, so the order of the pushes
-    changes neither the fixpoint nor whether there is a conflict; the node
+    Both rules only queue assignments.  The propagation loop keeps two
+    stacks: the main queue holds the caller's literals and everything _union
+    pushes, and a second stack holds the matching rule's consequences, the
+    Outs that an In edge forces at its two ends and the In that a vertex with
+    one live edge must take.  The loop pops the second stack first.  A wrong
+    In decision mostly conflicts at or next to its own ends, where the
+    matching rule sees it in O(1), so the conflict shows before the loop
+    applies the closing edges and related partners that the unions queued,
+    each of which may start a union that scans the smaller component (Schulte
+    & Stuckey, TOPLAS 2008: cheap propagators before costly ones).  On
+    AG(2,3) the whole refutation moves 85.0k trail entries (propagated plus
+    undone) where one last-in-first-out queue moves 96.7k.  The loop applies
+    both stacks until they are empty or a conflict shows, so the order of the
+    pops changes neither the fixpoint nor whether there is a conflict, only
+    how much trail a conflicting propagation writes before it stops; the node
     counts and witnesses pinned in the tests check that.  The loop tests
     roots itself and calls _union only to join two components.
 
-    Edges and vertices are ints in flat tables.  The queue and the trail hold
+    Edges and vertices are ints in flat tables.  The stacks and the trail hold
     ints: a queued e means e In, ~e means e Out; a trail entry e >= 0 undoes
     the assignment of e, and ~rv undoes the union of root rv, whose big root
     is root[rv] and whose flip bit is par[rv].  A root's vertex list is as
@@ -155,8 +167,9 @@ class _PmcSearch:
         state, eu, ev, inc = self.state, self.eu, self.ev, self.inc
         matched, rem, trail = self.matched, self.rem, self.trail
         root, par, nbrs, union = self.root, self.par, self.nbrs, self._union
-        while queue:
-            e = queue.pop()
+        forced: list[int] = []
+        while forced or queue:
+            e = forced.pop() if forced else queue.pop()
             if e >= 0:
                 val = _IN
             else:
@@ -178,10 +191,10 @@ class _PmcSearch:
                     return False
                 for e2 in inc[u]:
                     if e2 != e and not state[e2]:
-                        queue.append(~e2)
+                        forced.append(~e2)
                 for e2 in inc[v]:
                     if e2 != e and not state[e2]:
-                        queue.append(~e2)
+                        forced.append(~e2)
             else:
                 rem[u] -= 1
                 rem[v] -= 1
@@ -197,12 +210,19 @@ class _PmcSearch:
                         if r == 1:
                             for e2 in inc[w]:
                                 if state[e2] != _OUT:
-                                    queue.append(e2)
+                                    forced.append(e2)
                                     break
                         elif r == 2:
                             # pair parity: whichever edge w takes, the other
                             # stays Out, so w's two partners are opposite-side
-                            a, b = [x for e2, x in nbrs[w] if not state[e2]]
+                            a = -1
+                            for e2, x in nbrs[w]:
+                                if not state[e2]:
+                                    if a < 0:
+                                        a = x
+                                    else:
+                                        b = x
+                                        break
                             if root[a] != root[b]:
                                 union(a, b, 1, queue)
                             elif par[a] == par[b]:
@@ -316,9 +336,9 @@ class _PmcSearch:
         until the pass has run, each conflict-free propagation marks in
         implied the edges it set In, and the pass does not probe them again;
         implied is emptied at each decision taken with an empty stack.  On AG(2,3) the
-        pass then propagates 207 times and moves 20.8k trail entries
+        pass then propagates 207 times and moves 20.4k trail entries
         (propagated plus undone), where probing every undecided edge takes
-        264 and 38.7k, and it decides the same edges.
+        264 and 38.3k, and it decides the same edges.
         """
         state, trail, m = self.state, self.trail, len(self.state)
         if not self._root_fixpoint():

@@ -20,13 +20,18 @@ KNOWN_COUNTS = {4: 1, 6: 2, 8: 5, 10: 19, 12: 85, 14: 509, 16: 4060}
 
 
 def _refine(n: int, adj: list[tuple[int, ...]], colors: list[int]) -> list[int]:
+    """Colour refinement to the coarsest stable partition, relabelled 0..k-1
+    in the order of the (colour, neighbour colours) keys.  Each key holds the
+    vertex's colour, so a round only splits classes; a round that leaves their
+    number unchanged leaves the partition as it was, and it is stable."""
+    classes = len(set(colors))
     while True:
-        keys = [(colors[v], tuple(sorted([colors[w] for w in adj[v]]))) for v in range(n)]
+        keys = [(colors[v], tuple(sorted(map(colors.__getitem__, adj[v])))) for v in range(n)]
         order = {k: i for i, k in enumerate(sorted(set(keys)))}
         new = [order[k] for k in keys]
-        if new == colors:
-            return colors
-        colors = new
+        if len(order) == classes:
+            return new
+        colors, classes = new, len(order)
 
 
 def _distance_profile(n: int, adj: list[tuple[int, ...]]) -> list[int]:

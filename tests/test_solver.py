@@ -300,6 +300,15 @@ def naive_closure(g, literals):
             return state
 
 
+def propagation_graph(k, rng):
+    """The k-th seeded graph of the propagation tests: cubic for odd k, and
+    of maximum degree 3 to 5 for even k, with a planted perfect matching cut
+    when k is a multiple of 4."""
+    if k % 2:
+        return random_cubic_graph(rng.choice([8, 10, 12, 14, 16]), rng)
+    return random_bounded_graph(rng.randrange(8, 17, 2), rng.choice([3, 4, 5]), k % 4 == 0, rng)
+
+
 def test_propagation_reaches_the_naive_fixpoint():
     """The root fixpoint plus up to three random literals, propagated by the
     kernel, conflicts exactly when the naive closure does, and otherwise
@@ -307,10 +316,7 @@ def test_propagation_reaches_the_naive_fixpoint():
     rng = random.Random(1500)
     clean = 0
     for k in range(1500):
-        if k % 2:
-            g = random_cubic_graph(rng.choice([8, 10, 12, 14, 16]), rng)
-        else:
-            g = random_bounded_graph(rng.randrange(8, 17, 2), rng.choice([3, 4, 5]), k % 4 == 0, rng)
+        g = propagation_graph(k, rng)
         search = _PmcSearch(g)
         if not search._root_fixpoint():
             assert naive_closure(g, []) is None
@@ -325,6 +331,37 @@ def test_propagation_reaches_the_naive_fixpoint():
             assert search.state == closure
             clean += 1
     assert clean > 300
+
+
+def test_propagation_ignores_the_order_of_its_literals():
+    """The root fixpoint plus the same one to six literals, propagated in
+    three shuffled orders, ends with the same labels each time or conflicts
+    each time: pop order moves neither the fixpoint nor the conflict."""
+    rng = random.Random(2024)
+    clean = conflicts = 0
+    for k in range(500):
+        g = propagation_graph(k, rng)
+        fixpoint = _PmcSearch(g)
+        if not fixpoint._root_fixpoint():
+            continue
+        free = [e for e in range(g.m) if not fixpoint.state[e]]
+        if not free:
+            continue
+        literals = [e if rng.random() < 0.5 else ~e
+                    for e in rng.sample(free, min(len(free), rng.randint(1, 6)))]
+        outcomes = set()
+        for _ in range(3):
+            rng.shuffle(literals)
+            search = _PmcSearch(g)
+            assert search._root_fixpoint()
+            outcomes.add(bytes(search.state) if search._propagate(list(literals)) else None)
+        assert len(outcomes) == 1
+        if None in outcomes:
+            conflicts += 1
+        else:
+            clean += 1
+    # the root fixpoint leaves few of these small graphs much to decide
+    assert clean > 20 and conflicts > 200
 
 
 def test_canonical_search_pinned():
@@ -493,9 +530,38 @@ def test_restart_probes_from_the_last_root_level_state(monkeypatch):
 
     monkeypatch.setattr(_PmcSearch, "_probe", counted)
     assert first_witness(g)[1] is None
-    # 264 propagations and 38712 entries when the pass probes every
+    # 264 propagations and 38280 entries when the pass probes every
     # undecided edge; it ends with the same 2694 edges decided
-    assert seen == [(204, 2034, 5517), (207, 20790, 2694)]
+    assert seen == [(204, 2034, 5517), (207, 20358, 2694)]
+
+
+def test_refutation_trail_pinned():
+    """The kernel's cost on AG(2,3): trail entries propagated plus undone
+    over the whole refutation, and those written by propagations that end in
+    a conflict.  The matching rule's consequences are popped before what the
+    unions queue; popping one last-in-first-out queue moves 96707 and 15455."""
+    g = reduce_formula(ag23_formula()).graph
+    search = _PmcSearch(g)
+    propagate, undo = search._propagate, search._undo_to
+    moved = conflicting = 0
+
+    def counted_propagate(queue):
+        nonlocal moved, conflicting
+        mark = len(search.trail)
+        ok = propagate(queue)
+        moved += len(search.trail) - mark
+        if not ok:
+            conflicting += len(search.trail) - mark
+        return ok
+
+    def counted_undo(mark):
+        nonlocal moved
+        moved += len(search.trail) - mark
+        undo(mark)
+
+    search._propagate, search._undo_to = counted_propagate, counted_undo
+    assert next(search.solutions(None), None) is None
+    assert (search.nodes, moved, conflicting) == (220, 85041, 9610)
 
 
 @pytest.fixture(params=[0, 2])
