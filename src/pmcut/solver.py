@@ -66,8 +66,8 @@ class _PmcSearch:
       decided (In if its ends end up opposite-side, Out if same-side) when x
       is on the big side.  Every edge that the union puts inside one
       component joins the two old sides, so it is seen from its small-side
-      end; edges already inside a component were decided or queued when they
-      got there.
+      end; edges already inside a component were decided when they got
+      there.
     * related partners: an unmatched vertex x with two undecided edges
       e = (x, w) and f = (x, y) whose far ends w and y are in one component:
       if w and y are same-side, matching either would make them opposite, so
@@ -76,34 +76,43 @@ class _PmcSearch:
       with w on the small side and y on the big side; every other related
       pair was related by an earlier union, which fired the rule on it while
       e and f were already undecided and x unmatched, since assignments and
-      unions are only ever undone together.  The rule runs only at x with
-      rem[x] >= 3.  With two live edges, pair parity relates w and y
-      opposite itself, either already or later in the same Out step, when x
-      is an end of the edge being propagated, so the rule would queue
-      nothing that pair parity does not decide; with one there is no pair.
-      The ends of an In edge count as matched during its union: the
-      matching rule puts all their other edges Out anyway.
+      unions are only ever undone together.  Once the rule has fired for e,
+      e is Out or x keeps only e and f, so the scan moves to w's next edge.
+      The rule runs only at x with rem[x] >= 3.  With two live edges, the
+      step of the Out that lowered rem[x] to 2 runs pair parity at x, which
+      relates w and y opposite itself, so the rule would decide nothing that
+      pair parity does not; with one there is no pair.  The ends of an In
+      edge count as matched during its union: the matching rule puts all
+      their other edges Out anyway.
 
-    Both rules only queue assignments.  The propagation loop keeps two
-    stacks: the main queue holds the caller's literals and everything _union
-    pushes, and a second stack holds the matching rule's consequences, the
-    Outs that an In edge forces at its two ends and the In that a vertex with
-    one live edge must take.  The loop pops the second stack first.  A wrong
-    In decision mostly conflicts at or next to its own ends, where the
-    matching rule sees it in O(1), so the conflict shows before the loop
-    applies the closing edges and related partners that the unions queued,
-    each of which may start a union that scans the smaller component (Schulte
-    & Stuckey, TOPLAS 2008: cheap propagators before costly ones).  On
-    AG(2,3) the whole refutation moves 85.0k trail entries (propagated plus
-    undone) where one last-in-first-out queue moves 96.7k.  The loop applies
-    both stacks until they are empty or a conflict shows, so the order of the
-    pops changes neither the fixpoint nor whether there is a conflict, only
-    how much trail a conflicting propagation writes before it stops; the node
-    counts and witnesses pinned in the tests check that.  The loop tests
+    A literal is decided when it is queued, as MiniSat's uncheckedEnqueue
+    does (Eén & Sörensson, SAT 2003): its state and trail entry are written
+    at once, an Out lowers rem at both ends, and an In sets matched at both
+    ends, a conflict if either is matched already.  Both rules decide what
+    they find as they scan, so an edge that one of them has decided is
+    skipped by every later test of state.  Two stacks hold the decided
+    literals whose steps are still to run: the parity step at the edge's ends
+    (a union or a check), then the matching rule.  queue holds the caller's
+    literals and what _union decides; forced holds the matching rule's
+    consequences, the Outs that an In edge forces at its two ends and the In
+    that a vertex with one live edge must take.  Each literal is pushed and
+    popped at most once.  The loop pops forced first: a wrong In decision
+    mostly conflicts at or next to its own ends, where the matching rule sees
+    it in O(1), before the loop starts the unions of what queue holds, each
+    of which scans the smaller component (Schulte & Stuckey, TOPLAS 2008:
+    cheap propagators before costly ones).  rem and matched count decided
+    literals whose steps have not run yet, which only brings a consequence
+    forward.  The loop runs both stacks until they are empty or a conflict
+    shows, so the order of the pops changes neither the fixpoint nor whether
+    there is a conflict; the node counts and witnesses pinned in the tests
+    check that.  A conflict leaves the literals it did not reach on the
+    stacks, and _undo_to drops them with their assignments.  On AG(2,3) the
+    whole refutation pops 31.9k literals, where deciding each literal at its
+    pop popped 65.9k, about half of them already decided.  The loop tests
     roots itself and calls _union only to join two components.
 
     Edges and vertices are ints in flat tables.  The stacks and the trail hold
-    ints: a queued e means e In, ~e means e Out; a trail entry e >= 0 undoes
+    ints: a stacked e means e In, ~e means e Out; a trail entry e >= 0 undoes
     the assignment of e, and ~rv undoes the union of root rv, whose big root
     is root[rv] and whose flip bit is par[rv].  A root's vertex list is as
     long as its size, so the sizes alone restore the lists.
@@ -123,9 +132,11 @@ class _PmcSearch:
         self.size = [1] * n
         self.comp_verts: list[list[int]] = [[v] for v in range(n)]
         self.trail: list[int] = []
+        self.queue: list[int] = []
+        self.forced: list[int] = []
         self.nodes = 0
 
-    def _union(self, u: int, v: int, parity: int, queue: list) -> bool:
+    def _union(self, u: int, v: int, parity: int) -> bool:
         root, par = self.root, self.par
         ru, rv = root[u], root[v]
         flip = par[u] ^ par[v] ^ parity
@@ -135,6 +146,7 @@ class _PmcSearch:
         if size[ru] < size[rv]:
             ru, rv = rv, ru
         state, matched, nbrs, rem = self.state, self.matched, self.nbrs, self.rem
+        trail, queue = self.trail, self.queue
         small = self.comp_verts[rv]
         for w in small:
             pw = par[w] ^ flip
@@ -142,64 +154,93 @@ class _PmcSearch:
                 if state[e]:
                     continue
                 if root[x] == ru:
-                    queue.append(e if pw != par[x] else ~e)
+                    if pw != par[x]:
+                        if matched[w] != -1 or matched[x] != -1:
+                            return False
+                        state[e] = _IN
+                        matched[w] = matched[x] = e
+                        queue.append(e)
+                    else:
+                        state[e] = _OUT
+                        rem[w] -= 1
+                        rem[x] -= 1
+                        queue.append(~e)
+                    trail.append(e)
+                    continue  # x's edges into the big side are decided
                 if matched[x] != -1 or rem[x] < 3:
                     continue
                 for f, y in nbrs[x]:
                     if f == e or state[f] or root[y] != ru:
                         continue
                     if pw != par[y]:
-                        for h, _ in nbrs[x]:
+                        for h, z in nbrs[x]:
                             if h != e and h != f and not state[h]:
+                                state[h] = _OUT
+                                rem[x] -= 1
+                                rem[z] -= 1
+                                trail.append(h)
                                 queue.append(~h)
                     else:
-                        queue.append(~e)
-                        queue.append(~f)
+                        state[e] = state[f] = _OUT
+                        rem[x] -= 2
+                        rem[w] -= 1
+                        rem[y] -= 1
+                        trail += e, f
+                        queue += ~e, ~f
+                    break
         for w in small:
             root[w] = ru
             par[w] ^= flip
         self.comp_verts[ru] += small
         size[ru] += size[rv]
-        self.trail.append(~rv)
+        trail.append(~rv)
         return True
 
-    def _propagate(self, queue: list) -> bool:
-        state, eu, ev, inc = self.state, self.eu, self.ev, self.inc
+    def _propagate(self, lits: list) -> bool:
+        state, eu, ev, nbrs = self.state, self.eu, self.ev, self.nbrs
         matched, rem, trail = self.matched, self.rem, self.trail
-        root, par, nbrs, union = self.root, self.par, self.nbrs, self._union
-        forced: list[int] = []
-        while forced or queue:
-            e = forced.pop() if forced else queue.pop()
-            if e >= 0:
-                val = _IN
-            else:
-                e, val = ~e, _OUT
+        root, par, union = self.root, self.par, self._union
+        queue, forced = self.queue, self.forced
+        for lit in lits:
+            e, val = (lit, _IN) if lit >= 0 else (~lit, _OUT)
             if state[e]:
                 if state[e] != val:
                     return False
                 continue
-            state[e] = val
-            trail.append(e)
             u, v = eu[e], ev[e]
             if val == _IN:
                 if matched[u] != -1 or matched[v] != -1:
                     return False
                 matched[u] = matched[v] = e
-                if root[u] != root[v]:
-                    union(u, v, 1, queue)
-                elif par[u] == par[v]:
-                    return False
-                for e2 in inc[u]:
-                    if e2 != e and not state[e2]:
-                        forced.append(~e2)
-                for e2 in inc[v]:
-                    if e2 != e and not state[e2]:
-                        forced.append(~e2)
             else:
                 rem[u] -= 1
                 rem[v] -= 1
+            state[e] = val
+            trail.append(e)
+            queue.append(lit)
+        while forced or queue:
+            e = forced.pop() if forced else queue.pop()
+            if e >= 0:
+                u, v = eu[e], ev[e]
                 if root[u] != root[v]:
-                    union(u, v, 0, queue)
+                    if not union(u, v, 1):
+                        return False
+                elif par[u] == par[v]:
+                    return False
+                for w in (u, v):
+                    for e2, x in nbrs[w]:
+                        if not state[e2]:
+                            state[e2] = _OUT
+                            rem[w] -= 1
+                            rem[x] -= 1
+                            trail.append(e2)
+                            forced.append(~e2)
+            else:
+                e = ~e
+                u, v = eu[e], ev[e]
+                if root[u] != root[v]:
+                    if not union(u, v, 0):
+                        return False
                 elif par[u] != par[v]:
                     return False
                 for w in (u, v):
@@ -208,8 +249,13 @@ class _PmcSearch:
                         if r == 0:
                             return False
                         if r == 1:
-                            for e2 in inc[w]:
-                                if state[e2] != _OUT:
+                            for e2, x in nbrs[w]:
+                                if not state[e2]:
+                                    if matched[x] != -1:
+                                        return False
+                                    state[e2] = _IN
+                                    matched[w] = matched[x] = e2
+                                    trail.append(e2)
                                     forced.append(e2)
                                     break
                         elif r == 2:
@@ -224,7 +270,8 @@ class _PmcSearch:
                                         b = x
                                         break
                             if root[a] != root[b]:
-                                union(a, b, 1, queue)
+                                if not union(a, b, 1):
+                                    return False
                             elif par[a] == par[b]:
                                 return False
         return True
@@ -255,23 +302,26 @@ class _PmcSearch:
                     par[w] ^= flip
                 del verts[k:]
         del trail[mark:]
+        # a conflict leaves the literals it did not reach on the stacks
+        self.queue.clear()
+        self.forced.clear()
 
     def _root_fixpoint(self) -> bool:
         """Propagate a fresh search's root: a vertex with one edge must use it,
         and one with two puts its two partners on opposite sides.  False means
         there is no solution."""
-        rem = self.rem
-        if not rem or 0 in rem:
+        if not self.rem or 0 in self.rem:
             return False
-        queue: list[int] = []
-        for v, r in enumerate(rem):
-            if r == 1:
-                queue.append(self.inc[v][0])
-            elif r == 2:
-                (_, a), (_, b) = self.nbrs[v]
-                if not self._union(a, b, 1, queue):
+        ones = []
+        # by degree: the unions lower rem as they decide closing edges
+        for es, nb in zip(self.inc, self.nbrs):
+            if len(es) == 1:
+                ones.append(es[0])
+            elif len(es) == 2:
+                (_, a), (_, b) = nb
+                if not self._union(a, b, 1):
                     return False
-        return self._propagate(queue)
+        return self._propagate(ones)
 
     def _mark_in(self, mark: int, implied: bytearray) -> None:
         """Mark the edges that the conflict-free propagation since mark set In."""
@@ -336,9 +386,9 @@ class _PmcSearch:
         until the pass has run, each conflict-free propagation marks in
         implied the edges it set In, and the pass does not probe them again;
         implied is emptied at each decision taken with an empty stack.  On AG(2,3) the
-        pass then propagates 207 times and moves 20.4k trail entries
-        (propagated plus undone), where probing every undecided edge takes
-        264 and 38.3k, and it decides the same edges.
+        pass then propagates 207 times and pops 7.7k literals, where probing
+        every undecided edge takes 264 and 15.0k, and it decides the same
+        edges.
         """
         state, trail, m = self.state, self.trail, len(self.state)
         if not self._root_fixpoint():

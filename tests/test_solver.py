@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import itertools
 import random
@@ -364,6 +365,55 @@ def test_propagation_ignores_the_order_of_its_literals():
     assert clean > 20 and conflicts > 200
 
 
+def test_undo_after_a_conflict_restores_the_tables():
+    """A propagation that conflicts leaves decided literals it never popped
+    on the trail, and may stop inside a union's scan, before that union is
+    on the trail.  Undoing to the mark taken before it restores all seven
+    tables and empties the stacks.  Each graph is walked down from its root
+    fixpoint by random literals until both values of one edge conflict."""
+    rng = random.Random(4242)
+    tables = ("root", "par", "size", "comp_verts", "state", "matched", "rem")
+    conflicts = in_scan = 0
+    for k in range(300):
+        g = propagation_graph(k, rng)
+        search = _PmcSearch(g)
+        union = search._union
+
+        def watched(u, v, parity):
+            nonlocal in_scan
+            joining = search.root[u] != search.root[v]
+            ok = union(u, v, parity)
+            in_scan += joining and not ok
+            return ok
+
+        def attempt(propagate, *literals):
+            nonlocal conflicts
+            before = {name: copy.deepcopy(getattr(search, name)) for name in tables}
+            mark = len(search.trail)
+            if propagate(*literals):
+                return True
+            conflicts += 1
+            search._undo_to(mark)
+            assert len(search.trail) == mark
+            assert search.queue == search.forced == []
+            for name in tables:
+                assert getattr(search, name) == before[name], name
+            return False
+
+        search._union = watched
+        if not attempt(search._root_fixpoint):
+            continue
+        propagate = search._propagate
+        while not all(search.state):
+            free = [e for e in range(g.m) if not search.state[e]]
+            literals = [e if rng.random() < 0.5 else ~e
+                        for e in rng.sample(free, min(len(free), rng.randint(1, 3)))]
+            if not (attempt(propagate, literals) or attempt(propagate, literals[:1])
+                    or attempt(propagate, [~literals[0]])):
+                break
+    assert conflicts > 400 and in_scan > 100
+
+
 def test_canonical_search_pinned():
     nodes, m = first_witness(reduce_formula(canonical_n3_formula()).graph)
     assert nodes == 33
@@ -530,28 +580,37 @@ def test_restart_probes_from_the_last_root_level_state(monkeypatch):
 
     monkeypatch.setattr(_PmcSearch, "_probe", counted)
     assert first_witness(g)[1] is None
-    # 264 propagations and 38280 entries when the pass probes every
+    # 264 propagations and 40248 entries when the pass probes every
     # undecided edge; it ends with the same 2694 edges decided
-    assert seen == [(204, 2034, 5517), (207, 20358, 2694)]
+    assert seen == [(204, 2034, 5517), (207, 22326, 2694)]
 
 
 def test_refutation_trail_pinned():
-    """The kernel's cost on AG(2,3): trail entries propagated plus undone
-    over the whole refutation, and those written by propagations that end in
-    a conflict.  The matching rule's consequences are popped before what the
-    unions queue; popping one last-in-first-out queue moves 96707 and 15455."""
+    """The kernel's cost on AG(2,3) over the whole refutation: trail entries
+    propagated plus undone, those written by propagations that end in a
+    conflict, and literals popped.  A literal is decided when it is queued,
+    so the trail holds the literals a conflict leaves unpopped too; each
+    decided literal is pushed once and popped unless a conflict stops the
+    propagation first.  Deciding each literal at its pop instead popped 65876
+    literals, 31619 of them already decided, and moved 85041 and 9610."""
     g = reduce_formula(ag23_formula()).graph
     search = _PmcSearch(g)
     propagate, undo = search._propagate, search._undo_to
-    moved = conflicting = 0
+    moved = conflicting = popped = 0
+
+    def pending():
+        return len(search.queue) + len(search.forced)
 
     def counted_propagate(queue):
-        nonlocal moved, conflicting
-        mark = len(search.trail)
+        nonlocal moved, conflicting, popped
+        mark, before = len(search.trail), pending()
         ok = propagate(queue)
-        moved += len(search.trail) - mark
+        written = search.trail[mark:]
+        moved += len(written)
         if not ok:
-            conflicting += len(search.trail) - mark
+            conflicting += len(written)
+        # entries >= 0 are decided literals, the rest unions
+        popped += before + sum(t >= 0 for t in written) - pending()
         return ok
 
     def counted_undo(mark):
@@ -561,7 +620,7 @@ def test_refutation_trail_pinned():
 
     search._propagate, search._undo_to = counted_propagate, counted_undo
     assert next(search.solutions(None), None) is None
-    assert (search.nodes, moved, conflicting) == (220, 85041, 9610)
+    assert (search.nodes, moved, conflicting, popped) == (220, 125776, 31285, 31878)
 
 
 @pytest.fixture(params=[0, 2])
