@@ -252,11 +252,11 @@ def split_variable_cutvertices(f: NaeFormula) -> list[NaeFormula]:
             + split_variable_cutvertices(_renumber(part2)))
 
 
-def random_e4_formula(n: int, rng: random.Random, require_reducible: bool = True) -> NaeFormula:
+def random_e4_formula(n: int, rng: random.Random) -> NaeFormula:
     """Random E4 instance on n variables (n a multiple of 3).
 
-    With require_reducible, retries until the incidence graph is connected and
-    has no variable cutvertices, which is what the reduction pipeline expects.
+    Retries until the incidence graph is connected and has no variable
+    cutvertices, which is what the reduction pipeline expects.
     """
     if n % 3 or n <= 0:
         raise FormulaError("n must be a positive multiple of 3")
@@ -268,8 +268,6 @@ def random_e4_formula(n: int, rng: random.Random, require_reducible: bool = True
             f = NaeFormula(n, tuple(zip(triples, triples, triples)))
         except FormulaError:  # a clause repeats a variable
             continue
-        if not require_reducible:
-            return f
         g = incidence_graph(f)
         if g.is_connected() and not variable_cutvertices(f):
             return f

@@ -437,18 +437,24 @@ def serialize_graph(g: Graph, emb: Optional[PlaneEmbedding] = None) -> str:
 
     Edge indices in the embedding block refer to the (sorted) file order.
     """
+    # Each block is joined as soon as it is built, and order is dropped before
+    # the rotation lines are built, so that one block's lines at most are
+    # alive at once.  A list of every line would take ten times the file's
+    # size: 1.8 MB traced for the 0.17 MB file of AG(2,3)'s reduction, where
+    # this takes 0.9 MB.
     order = sorted(range(g.m), key=g.edges.__getitem__)
-    lines = [f"graph {g.n} {g.m}"]
-    lines += [f"{u} {v}" for u, v in map(g.edges.__getitem__, order)]
+    blocks = [f"graph {g.n} {g.m}\n",
+              "".join([f"{u} {v}\n" for u, v in map(g.edges.__getitem__, order)])]
     if emb is not None:
         _own(g, emb)
-        lines.append("embedding")
         label = [""] * g.m  # edge index -> its index in the file, as text
         for new, old in enumerate(order):
             label[old] = str(new)
-        lines += [f"rot {v} {len(rot)} " + " ".join(map(label.__getitem__, rot))
-                  for v, rot in enumerate(emb.rotations)]
-    return "\n".join(lines) + "\n"
+        del order
+        blocks.append("embedding\n")
+        blocks.append("".join([f"rot {v} {len(rot)} {' '.join(map(label.__getitem__, rot))}\n"
+                               for v, rot in enumerate(emb.rotations)]))
+    return "".join(blocks)
 
 
 @_without_gc

@@ -12,8 +12,9 @@ are depth-first forms of the solver's ``six_cycles`` and
 ``induced_four_cycles``, kept as references for the order of their lists.
 
 The fixture builders give the small named graphs (cycles, complete and
-complete bipartite graphs) the tests decide by hand, and ``complement``
-flips every variable of an assignment.
+complete bipartite graphs) the tests decide by hand, ``complement`` flips
+every variable of an assignment, and ``random_e4_formula_unfiltered`` draws
+E4 formulas that the reduction may refuse.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import random
 
 import networkx as nx
 
+from pmcut.formula import FormulaError, NaeFormula
 from pmcut.graphs import Graph, PlaneEmbedding, is_planar_embedding
 
 
@@ -40,6 +42,26 @@ def complete_bipartite_graph(a: int, b: int) -> Graph:
 
 def complement(a: tuple) -> tuple:
     return tuple(1 - b for b in a)
+
+
+def random_e4_formula_unfiltered(n: int, rng: random.Random) -> NaeFormula:
+    """Random E4 instance on n variables (n a multiple of 3), reducible or not.
+
+    It shuffles as pmcut's random_e4_formula does and redraws only a shuffle
+    that puts a variable twice into one clause, so its incidence graph may be
+    disconnected or have variable cutvertices.  Up to its first formula it
+    consumes rng exactly as random_e4_formula does.
+    """
+    if n % 3 or n <= 0:
+        raise FormulaError("n must be a positive multiple of 3")
+    while True:
+        slots = [i for i in range(1, n + 1) for _ in range(4)]
+        rng.shuffle(slots)
+        triples = iter(slots)
+        try:
+            return NaeFormula(n, tuple(zip(triples, triples, triples)))
+        except FormulaError:  # a clause repeats a variable
+            continue
 
 
 def all_simple_cycles(g: Graph) -> list[list[int]]:

@@ -10,10 +10,11 @@ from pmcut.formula import (
     NaeFormula,
     ag23_formula,
     canonical_n3_formula,
-    random_e4_formula,
     serialize_formula,
 )
 from pmcut.graphs import random_cubic_graph, serialize_graph
+
+from _oracles import random_e4_formula_unfiltered
 
 
 @pytest.fixture()
@@ -228,7 +229,7 @@ def test_repeated_rotation_is_data_error(tmp_path, capsys, command):
 # reduction rejects, and one over the brute-force oracle's 24-variable guard,
 # which the CLI's DPLL answers.
 _REJECTED = NaeFormula(6, ((1, 2, 3),) * 4 + ((4, 5, 6),) * 4)
-_TOO_LARGE = random_e4_formula(27, random.Random(1), require_reducible=False)
+_TOO_LARGE = random_e4_formula_unfiltered(27, random.Random(1))
 _EMPTY = NaeFormula(0, ())
 
 

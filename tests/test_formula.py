@@ -24,7 +24,7 @@ from pmcut.formula import (
 )
 from pmcut.graphs import random_cubic_graph
 
-from _oracles import complement
+from _oracles import complement, random_e4_formula_unfiltered
 
 N3_TEXT = "nae3sat-e4 3 4\n1 2 3\n1 2 3\n1 2 3\n1 2 3\n"
 
@@ -110,7 +110,7 @@ def test_dpll_agrees_with_bruteforce():
     unsat = 0
     for k in range(400):
         if k % 2:
-            f = random_e4_formula(rng.choice([3, 6, 9, 12, 15, 18]), rng, require_reducible=False)
+            f = random_e4_formula_unfiltered(rng.choice([3, 6, 9, 12, 15, 18]), rng)
         else:
             n = rng.randint(3, 18)
             f = NaeFormula(n, tuple(tuple(rng.sample(range(1, n + 1), 3))
@@ -125,7 +125,7 @@ def test_dpll_agrees_with_bruteforce():
 
 @pytest.mark.parametrize("n", [27, 48, 300])
 def test_dpll_beyond_the_bruteforce_guard(n):
-    f = random_e4_formula(n, random.Random(n), require_reducible=False)
+    f = random_e4_formula_unfiltered(n, random.Random(n))
     assert nae_satisfies(f, solve_nae(f))
 
 
@@ -224,7 +224,7 @@ def test_variable_cutvertices_agree_with_networkx():
     rng = random.Random(4242)
     with_cuts = 0
     for k in range(600):
-        f = random_e4_formula(rng.choice([3, 6, 9, 12, 15]), rng, require_reducible=False)
+        f = random_e4_formula_unfiltered(rng.choice([3, 6, 9, 12, 15]), rng)
         if k % 2:
             f = NaeFormula(f.n, tuple(c for c in f.clauses if rng.random() >= 0.3))
         g = incidence_graph(f)
@@ -257,7 +257,7 @@ GENERATORS_SHA256 = "0509ffe1e9117c94524f38899db6bd7fcfe9d4a2d7adf4df794be194280
 
 
 def test_seeded_generators_pinned():
-    """Seeded formulas (both require_reducible values), seeded cubic graphs
+    """Seeded formulas (reducible and unfiltered), seeded cubic graphs
     and the splits of seeded formulas and sub-formulas are pinned, so a change
     to a generator's or the splitter's checks that re-generates or re-splits
     any instance moves the digest."""
@@ -266,7 +266,7 @@ def test_seeded_generators_pinned():
     parts = 0
     for k in range(120):
         n = rng.randrange(3, 49, 3)
-        f = random_e4_formula(n, rng, require_reducible=bool(k % 2))
+        f = (random_e4_formula if k % 2 else random_e4_formula_unfiltered)(n, rng)
         g = random_cubic_graph(rng.randrange(4, 27, 2), rng)
         drop = (0.3, 0.5, 0.7)[k % 3]
         sub = NaeFormula(f.n, tuple(c for c in f.clauses if rng.random() >= drop))

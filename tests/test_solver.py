@@ -2,6 +2,7 @@ import copy
 import hashlib
 import itertools
 import random
+import tracemalloc
 
 import networkx as nx
 import pytest
@@ -745,6 +746,24 @@ def test_probe_skips_change_only_cost(monkeypatch, restarting_graphs, threshold)
         skipping = searched_with_probes(monkeypatch, g, True)
         assert len(skipping[1]) == 1
         assert skipping == searched_with_probes(monkeypatch, g, False)
+
+
+def test_search_tables_stay_small(restarting_graphs):
+    """A search holds under 300 bytes per vertex on the seeded n = 30
+    reduction, as tracemalloc counts what its constructor leaves allocated:
+    flat tables and one one-vertex list per vertex, with an edge's far end
+    read from the xor of its ends.  A tuple of (edge, neighbour) pairs per
+    vertex would raise it to about 440."""
+    g = restarting_graphs[-1]
+    assert g.n == 23_992
+    tracemalloc.start()
+    try:
+        search = _PmcSearch(g)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert search.nodes == 0
+    assert held / g.n < 300
 
 
 # --- lemma oracles -------------------------------------------------------------
