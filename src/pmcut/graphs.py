@@ -7,7 +7,8 @@ decided on it, so the several checks of a witness, and of a second one
 checked between them, walk each once.  Each slot is written by one
 assignment of answers that depend on the graph and the keys alone, so
 threads racing on a slot store correct answers and readers never see half
-of one.  Edge indices are stable: edge ``i`` is ``graph.edges[i]``.
+of one.  Edge indices are stable: edge ``i`` is ``graph.edges[i]``, and
+``edge_id`` finds it by bisecting the sorted ``adj``, with no pair table.
 
 The builders (``Graph``, ``PlaneEmbedding``, ``parse_graph``, and
 ``planarize`` and ``reduce_formula`` in ``pmcut.reduction``) pause the
@@ -38,6 +39,7 @@ import functools
 import gc
 import random
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Container, Iterable, Optional
@@ -72,7 +74,9 @@ def _without_gc(build):
 
 
 class Graph:
-    """Simple undirected graph; vertices 0..n-1, edges indexed in list order.
+    """Simple undirected graph; vertices 0..n-1, edges indexed in list order:
+    ``edges[i]`` is edge i's ends (u, v) with u < v, ``adj[v]`` lists v's
+    neighbours ascending and ``inc[v][k]`` is the edge from v to adj[v][k].
 
     Two slots memoise answers about the graph, never part of its structure:
     ``_connected`` holds is_connected's answer once asked, and ``_cut`` the
@@ -82,35 +86,33 @@ class Graph:
     the new ones, all correct.
     """
 
-    __slots__ = ("n", "edges", "adj", "inc", "_eid", "_connected", "_cut")
+    __slots__ = ("n", "edges", "adj", "inc", "_connected", "_cut")
 
     @_without_gc
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         self.n = n
-        eid: dict[tuple[int, int], int] = {}
+        pairs: list[tuple[int, int]] = []
         for u, v in edges:
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range")
-            if u > v:
-                u, v = v, u
-            if (u, v) in eid:
-                raise ValueError(f"parallel edge ({u},{v})")
-            eid[(u, v)] = len(eid)
-        self.edges: tuple[tuple[int, int], ...] = tuple(eid)
-        self._eid = eid
+            pairs.append((u, v) if u < v else (v, u))
+        self.edges: tuple[tuple[int, int], ...] = tuple(pairs)
         self._connected: Optional[bool] = None
         self._cut: tuple[tuple[frozenset, Optional[Cut]], ...] = ()
         # Walking the edges in lexicographic order lists each vertex's smaller
         # neighbours and then its larger ones, each ascending, so adj comes
-        # out sorted.  One global sort gives that order; on input already in
-        # it (planarize and parse_graph) the sort is a single linear pass.
-        order = sorted(range(len(eid)), key=self.edges.__getitem__)
+        # out sorted and a repeated pair lands next to its twin.  On input in
+        # that order (planarize, parse_graph) the sort is one linear pass.
+        order = sorted(range(len(pairs)), key=pairs.__getitem__)
         adj: list[list[int]] = [[] for _ in range(n)]
         inc: list[list[int]] = [[] for _ in range(n)]
+        last = None
         for i in order:
-            u, v = self.edges[i]
+            if pairs[i] == last:
+                raise ValueError(f"parallel edge ({last[0]},{last[1]})")
+            u, v = last = pairs[i]
             adj[u].append(v)
             adj[v].append(u)
             inc[u].append(i)
@@ -126,14 +128,13 @@ class Graph:
         return len(self.adj[v])
 
     def edge_id(self, u: int, v: int) -> int:
-        if u > v:
-            u, v = v, u
-        return self._eid[(u, v)]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        if u > v:
-            u, v = v, u
-        return (u, v) in self._eid
+        """Index of edge {u, v}, bisected from adj[u]; KeyError if there is none."""
+        if 0 <= u < self.n:
+            row = self.adj[u]
+            k = bisect_left(row, v)
+            if k < len(row) and row[k] == v:
+                return self.inc[u][k]
+        raise KeyError((u, v))
 
     def is_connected(self) -> bool:
         if self._connected is None:
@@ -539,9 +540,10 @@ def parse_matching(text: str, g: Graph) -> EdgeSet:
             u, v = map(int, ln.split())
         except ValueError:
             raise ValueError(f"matching line {ln!r} must be '<u> <v>'") from None
-        if not g.has_edge(u, v):
-            raise ValueError(f"matching pair {u} {v} is not an edge")
-        e = g.edge_id(u, v)
+        try:
+            e = g.edge_id(u, v)
+        except KeyError:
+            raise ValueError(f"matching pair {u} {v} is not an edge") from None
         if e in out:
             raise ValueError(f"matching pair {u} {v} listed twice")
         out.add(e)

@@ -342,14 +342,12 @@ def planarize(hb: HBuild, drawing: Drawing) -> ReductionArtifact:
     if g.n != VARIABLE_SIZE * n + CLAUSE_SIZE * m + CROSSING_SIZE * q:
         raise ReductionError("assembled graph failed the size law")
 
-    eid = g._eid  # (u, v) with u < v -> edge index
     connector_at: dict[int, int] = {}
     for u, v, _ in connectors:
-        connector_at[u] = connector_at[v] = eid[(u, v)]
+        connector_at[u] = connector_at[v] = g.edge_id(u, v)
 
-    # global index of each template edge, per placed gadget; a template's
-    # edges are (u, v) with u < v, so their shifted copies are too
-    global_edges = {key: [eid[(base + u, base + v)] for u, v in t.graph.edges]
+    # global index of each template edge, per placed gadget
+    global_edges = {key: [g.edge_id(base + u, base + v) for u, v in t.graph.edges]
                     for key, (t, base) in placed.items()}
     rotations: list[tuple[int, ...]] = [()] * g.n
     readers = _rotation_readers()

@@ -7,7 +7,7 @@ Delaunay triangulations with angle-sorted rotations or from networkx's
 planarity test, and vertex connectivity is answered by networkx's
 flow-based routine.
 
-The cycle enumerations ``six_cycles_dfs`` and ``induced_four_cycles_by_has_edge``
+The cycle enumerations ``six_cycles_dfs`` and ``induced_four_cycles_by_edge_set``
 are depth-first forms of the solver's ``six_cycles`` and
 ``induced_four_cycles``, kept as references for the order of their lists.
 
@@ -187,19 +187,24 @@ def planar_rotation_from_coords(g: Graph, coords) -> PlaneEmbedding:
     return PlaneEmbedding(g, rotations)
 
 
-def induced_four_cycles_by_has_edge(g: Graph) -> list[tuple[int, int, int, int]]:
+def induced_four_cycles_by_edge_set(g: Graph) -> list[tuple[int, int, int, int]]:
     """Reference for pmcut.solver.induced_four_cycles: the same loops, with
-    every adjacency asked of Graph.has_edge."""
+    every adjacency asked of a set of g.edges built here."""
+    pairs = set(g.edges)
+
+    def adjacent(u: int, v: int) -> bool:
+        return (min(u, v), max(u, v)) in pairs
+
     out = []
     for a in range(g.n):
         nbrs = [x for x in g.adj[a] if x > a]
         for i in range(len(nbrs)):
             for k in range(i + 1, len(nbrs)):
                 u, w = nbrs[i], nbrs[k]
-                if g.has_edge(u, w):
+                if adjacent(u, w):
                     continue
                 for b in g.adj[u]:
-                    if b > a and b in g.adj[w] and not g.has_edge(a, b):
+                    if b > a and b in g.adj[w] and not adjacent(a, b):
                         out.append((a, u, b, w))
     return out
 

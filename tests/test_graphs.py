@@ -79,6 +79,16 @@ def test_graph_construction_validates():
         Graph(2, [(0, 1), (1, 0)])
     with pytest.raises(ValueError, match="range"):
         Graph(2, [(0, 2)])
+    # a repeated pair, reversed and not next to its twin in the input
+    with pytest.raises(ValueError, match=r"parallel edge \(2,3\)"):
+        Graph(4, [(2, 3), (0, 1), (3, 2)])
+    q3 = cube_graph()
+    assert q3.edge_id(7, 3) == q3.edge_id(3, 7) == 11
+    # a non-edge, an end out of range, and a negative end that must not wrap
+    # around to adj[-1], where (-1, 3) would find edge (3, 7)
+    for u, v in ((0, 2), (0, 8), (-1, 3)):
+        with pytest.raises(KeyError):
+            q3.edge_id(u, v)
 
 
 def test_adjacency_sorted():
@@ -705,12 +715,15 @@ def test_header_with_an_isolated_vertex_is_refused_before_allocating():
     (lambda t: parse_cut(t, 8), "cut 4\n0\n1\n", "header says 4"),
     (lambda t: parse_cut(t, 8), "cut 2\n0\n0\n", "listed twice"),
     (lambda t: parse_matching(t, cube_graph()), "matching 1\n0 2\n", "not an edge"),
+    (lambda t: parse_matching(t, cube_graph()), "matching 1\n-1 3\n", "not an edge"),
+    (lambda t: parse_matching(t, cube_graph()), "matching 1\n0 99\n", "not an edge"),
     (lambda t: parse_matching(t, cube_graph()), "matching 1\n0 1 2\n", "line '0 1 2' must be '<u> <v>'"),
     (lambda t: parse_matching(t, cube_graph()), "matching x\n0 1\n", "header 'matching x'"),
     (lambda t: parse_cut(t, 8), "cut 1\n0 1\n", "line '0 1' must be one vertex"),
     (lambda t: parse_cut(t, 8), "cut 1 2\n0\n", "header 'cut 1 2'"),
 ], ids=["cut-out-of-range", "cut-truncated", "cut-duplicate", "matching-non-edge",
-        "matching-three-fields", "matching-bad-header", "cut-two-fields", "cut-bad-header"])
+        "matching-negative-end", "matching-end-out-of-range", "matching-three-fields",
+        "matching-bad-header", "cut-two-fields", "cut-bad-header"])
 def test_cut_and_matching_files_reject_bad_input(parse, text, match):
     with pytest.raises(ValueError, match=match):
         parse(text)

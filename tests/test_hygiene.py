@@ -9,6 +9,9 @@ Every public function, class and method of the package has a caller outside
 the tests: a reference elsewhere in the package or in the demos or the
 benchmark, or its name in the CI workflow.  What only tests reach belongs in
 the tests.
+
+A package module reads a private attribute (``obj._name``, not a dunder)
+through anything but ``self`` only if it defines that name itself.
 """
 
 import ast
@@ -110,3 +113,35 @@ def test_package_names_have_a_non_test_caller():
                 continue
             unreached.append(f"{path.relative_to(ROOT)}: {qualname}")
     assert not unreached, "reached only from tests:\n" + "\n".join(unreached)
+
+
+def _private(name: str) -> bool:
+    return name[0] == "_" and not (name[:2] == "__" and name[-2:] == "__")
+
+
+def _defined_private_names(tree: ast.Module) -> set[str]:
+    """Private names a module defines: its functions, classes and methods,
+    and the attributes it assigns."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            out.add(node.attr)
+    return {name for name in out if _private(name)}
+
+
+def test_private_attributes_are_read_where_they_are_defined():
+    """Outside ``self``, a package module reads only the private attributes
+    it defines itself; another module's private state is reached through
+    that module's functions."""
+    foreign = []
+    for path in sorted((ROOT / "src/pmcut").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        defined = _defined_private_names(tree)
+        foreign += [f"{path.relative_to(ROOT)}:{node.lineno}: {ast.unparse(node)}"
+                    for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and _private(node.attr)
+                    and not (isinstance(node.value, ast.Name) and node.value.id == "self")
+                    and node.attr not in defined]
+    assert not foreign, "private attributes read outside their module:\n" + "\n".join(foreign)

@@ -46,7 +46,7 @@ from _oracles import (
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
-    induced_four_cycles_by_has_edge,
+    induced_four_cycles_by_edge_set,
     six_cycles_dfs,
 )
 
@@ -792,7 +792,7 @@ def test_cycle_enumerators_agree_with_networkx(variable_gadget, clause_gadget, c
         cycles = [_canonical_cycle(c) for c in nx.simple_cycles(h, length_bound=6)]
         hexagons = sorted(c for c in cycles if len(c) == 6)
         squares = sorted(c for c in cycles if len(c) == 4
-                         and not g.has_edge(c[0], c[2]) and not g.has_edge(c[1], c[3]))
+                         and not h.has_edge(c[0], c[2]) and not h.has_edge(c[1], c[3]))
         assert sorted(six_cycles(g)) == hexagons
         assert sorted(induced_four_cycles(g)) == squares
     assert sum(len(induced_four_cycles(g)) for g in graphs) > 20
@@ -810,7 +810,7 @@ def test_cycle_enumerations_keep_the_depth_first_order(n, variable_gadget, claus
         graphs += [cube_graph(), variable_gadget.graph, clause_gadget.graph, crossing_gadget.graph]
     for g in graphs:
         assert six_cycles(g) == six_cycles_dfs(g)
-        assert induced_four_cycles(g) == induced_four_cycles_by_has_edge(g)
+        assert induced_four_cycles(g) == induced_four_cycles_by_edge_set(g)
 
 
 def test_oracles_on_q3():
