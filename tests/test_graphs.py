@@ -661,6 +661,26 @@ def test_graph_file_temporaries_stay_small():
     assert peak < 6 * len(text)
 
 
+def test_graph_file_reader_temporaries_stay_small():
+    """Reading AG(2,3)'s reduction (a 0.17 MB file) allocates at most seven
+    times the file beyond what it returns, and returns under 520 bytes a
+    vertex, as tracemalloc counts them.  Holding the line list, a list of
+    parsed pairs and the rotations at once took eleven times, and a fresh
+    int object at every edge end took 540 to 570 bytes a vertex."""
+    art = reduce_formula(ag23_formula())
+    text = serialize_graph(art.graph, art.embedding)
+    del art
+    tracemalloc.start()
+    try:
+        g, emb = parse_graph(text)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(text) == 171962 and emb is not None
+    assert peak - kept < 7 * len(text)
+    assert kept < 520 * g.n
+
+
 def test_graph_file_plain():
     g = cube_graph()
     g2, emb2 = parse_graph(serialize_graph(g))
@@ -698,6 +718,39 @@ def test_parse_errors():
         parse_graph("nope")
     with pytest.raises(ValueError):
         parse_matching("nope", cube_graph())
+
+
+# The path 0-1-2 (edge 0 is 0-1, edge 1 is 1-2), with an embedding block to come.
+_PATH = "graph 3 2\n0 1\n1 2\nembedding\n"
+
+
+@pytest.mark.parametrize("text,message", [
+    ("nope\n", "graph file must start with 'graph <V> <E>'"),
+    ("graph 3\n", "header 'graph 3' must be 'graph <V> <E>'"),
+    ("graph -1 2\n", "negative count in header 'graph -1 2'"),
+    ("graph 3 1\n0 1\n", "header 'graph 3 1' has V > 2E, so a vertex is isolated"),
+    ("graph 3 2\n0 1\n", "graph file truncated"),
+    ("graph 3 2\n0 1\n0 x\n", "edge line '0 x' must be '<u> <v>'"),
+    ("graph 2 1\n1 1\n", "loop at vertex 1"),
+    ("graph 2 1\n0 2\n", "edge (0,2) out of range"),
+    ("graph 2 2\n0 1\n1 0\n", "parallel edge (0,1)"),
+    ("graph 2 1\n0 1\n0 1\n", "unexpected line '0 1'"),
+    (_PATH + "rot 0 1 0\nrotation 1 2 0 1\n", "unexpected line 'rotation 1 2 0 1'"),
+    (_PATH + "rot 0\n", "rotation line 'rot 0' needs 'rot <v> <degree> ...'"),
+    (_PATH + "rot 0 1 y\n", "rotation line 'rot 0 1 y' must hold integers"),
+    (_PATH + "rot 3 1 1\n", "rotation vertex 3 out of range"),
+    (_PATH + "rot 0 1 0\nrot 0 1 0\n", "rotation of vertex 0 listed twice"),
+    (_PATH + "rot 0 2 0\nrot 1 2 0 1\nrot 2 1 1\n", "rotation degree mismatch at vertex 0"),
+    (_PATH + "rot 0 1 1\nrot 1 2 0 1\nrot 2 1 1\n",
+     "rotation at vertex 0 is not a permutation of its incident edges"),
+], ids=["no-header", "short-header", "negative-count", "isolated-vertex", "truncated",
+        "edge-not-int", "loop", "edge-out-of-range", "parallel", "line-after-edges",
+        "line-in-rotations", "short-rot", "rot-not-int", "rot-vertex-out-of-range",
+        "rot-listed-twice", "rot-degree-mismatch", "not-a-permutation"])
+def test_graph_file_errors(text, message):
+    with pytest.raises(ValueError) as exc:
+        parse_graph(text)
+    assert str(exc.value) == message
 
 
 def test_header_with_an_isolated_vertex_is_refused_before_allocating():
