@@ -26,8 +26,10 @@ Surfaces*, §3.2): for the dart ``d`` arriving at ``w`` along ``e``,
 ``succ[d]`` is the dart leaving ``w`` along the edge after ``e`` in
 ``rotations[w]``.  The cycles of ``succ`` are the face walks.
 
-A ``PlaneEmbedding`` is validated and labelled with its faces once, when it
-is built for one ``Graph`` object; its readers look the labels up.
+A ``PlaneEmbedding`` is validated, and its faces counted, once, when it is
+built for one ``Graph`` object: the Euler check reads the count.  No dart
+keeps a face label; ``face_darts`` rebuilds ``succ`` and walks the faces
+whenever it is called.
 
 3-connectivity reads the edge list alone, never an embedding, so plain edge
 lists and embedded graphs get the same exact answer.
@@ -38,7 +40,6 @@ from __future__ import annotations
 import functools
 import gc
 import random
-from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations, islice
@@ -164,33 +165,28 @@ class PlaneEmbedding:
     clockwise cyclic order of the edges at ``v``.
 
     The constructor raises ValueError unless each rotation permutes its
-    vertex's edges, then walks the cycles of ``succ`` once, in the order of
-    ``face_darts``: ``face[d]`` is the face of dart ``d`` and ``walk`` lists
-    the darts face after face, both 32-bit arrays that callers must not
-    change.  Functions given an embedding and another graph raise ValueError.
+    vertex's edges, then counts the cycles of ``succ``, the faces, into
+    ``face_count``; the Euler check needs nothing more, so no dart table
+    outlives it.  ``face_darts`` walks the faces again when they are asked
+    for.  Functions given an embedding and another graph raise ValueError.
     """
 
-    __slots__ = ("graph", "rotations", "face", "walk", "face_count")
+    __slots__ = ("graph", "rotations", "face_count")
 
     @_without_gc
     def __init__(self, g: Graph, rotations: Iterable[Iterable[int]]):
         rotations = tuple(map(tuple, rotations))
-        succ, order = _dart_successors(g, rotations)
-        face = array("i", [-1]) * len(succ)
-        walk = array("i")
+        succ = _dart_successors(g, rotations)
+        seen = bytearray(len(succ))
         f = 0
-        for d in order:
-            if face[d] >= 0:
-                continue
-            while face[d] < 0:
-                face[d] = f
-                walk.append(d)
-                d = succ[d]
-            f += 1
+        for d in range(len(succ)):
+            if not seen[d]:
+                f += 1
+                while not seen[d]:
+                    seen[d] = 1
+                    d = succ[d]
         self.graph = g
         self.rotations = rotations
-        self.face = face
-        self.walk = walk
         self.face_count = f
 
 
@@ -201,10 +197,9 @@ def _own(g: Graph, emb: PlaneEmbedding) -> PlaneEmbedding:
     return emb
 
 
-def _dart_successors(g: Graph, rotations: tuple) -> tuple[list[int], list[int]]:
+def _dart_successors(g: Graph, rotations: tuple) -> list[int]:
     """The dart permutation ``succ`` of the rotation system (see the module
-    docstring), and every dart in rotation order: vertex by vertex, the darts
-    leaving it along its rotation.
+    docstring).
 
     One pass builds and validates it: each rotation has deg(v) entries, each
     entry is an edge at v, and no dart is filled twice, so each rotation
@@ -215,7 +210,6 @@ def _dart_successors(g: Graph, rotations: tuple) -> tuple[list[int], list[int]]:
     edges, inc = g.edges, g.inc
     m = len(edges)
     succ = [-1] * (2 * m)
-    order: list[int] = []
     for w, rot in enumerate(rotations):
         if len(rot) != len(inc[w]):
             raise _not_a_permutation(w)
@@ -237,8 +231,7 @@ def _dart_successors(g: Graph, rotations: tuple) -> tuple[list[int], list[int]]:
                     raise _not_a_permutation(w)
                 succ[prev ^ 1] = d
                 prev = d
-            order += out
-    return succ, order
+    return succ
 
 
 def _not_a_permutation(v: int) -> ValueError:
@@ -305,12 +298,23 @@ def face_darts(g: Graph, emb: PlaneEmbedding) -> list[list[tuple[int, int]]]:
     successor table of the module docstring: from a dart into w along e, the
     next dart leaves w along the edge after e in w's rotation.  Walks start
     at the first unused dart in rotation order (vertex 0's rotation first).
+    The embedding keeps no dart table, so each call rebuilds ``succ``.
     """
-    face = _own(g, emb).face
+    succ = _dart_successors(g, _own(g, emb).rotations)
     edges = g.edges
-    faces: list[list[tuple[int, int]]] = [[] for _ in range(emb.face_count)]
-    for d in emb.walk:
-        faces[face[d]].append((edges[d >> 1][d & 1], d >> 1))
+    seen = bytearray(len(succ))
+    faces: list[list[tuple[int, int]]] = []
+    for w, rot in enumerate(emb.rotations):
+        for e in rot:
+            d = 2 * e + (edges[e][0] != w)  # the dart leaving w along e
+            if seen[d]:
+                continue
+            walk = []
+            while not seen[d]:
+                seen[d] = 1
+                walk.append((edges[d >> 1][d & 1], d >> 1))
+                d = succ[d]
+            faces.append(walk)
     return faces
 
 
@@ -474,10 +478,10 @@ def parse_graph(text: str) -> tuple[Graph, Optional[PlaneEmbedding]]:
     It holds one copy of each table at a time.  The edge lines are parsed
     straight into ``Graph``, with no list of parsed pairs, and freed once
     it is built; the rotation lines are freed once the rotations are
-    parsed, before ``PlaneEmbedding`` builds its dart tables.  So at its
+    parsed, before ``PlaneEmbedding`` builds its dart table.  So at its
     peak it holds the data lines and the graph under construction, or the
-    graph, the rotations and the dart tables: 17 MB traced for the 1.1 MB
-    file of the seeded n = 30 reduction, which keeps 12 MB.
+    graph, the rotations and the dart table: 17 MB traced for the 1.1 MB
+    file of the seeded n = 30 reduction, which keeps 11 MB.
     """
     lines = _data_lines(text)
     if not lines or not lines[0].startswith("graph "):

@@ -300,7 +300,12 @@ def layout(hb: HBuild) -> Drawing:
 
 @_without_gc
 def planarize(hb: HBuild, drawing: Drawing) -> ReductionArtifact:
-    """Splice a crossing gadget into each swap and certify the embedding."""
+    """Splice a crossing gadget into each swap and certify the embedding.
+
+    Every edge, template edge or connector, is listed once, and one sort of
+    that list gives the graph its edge order: an edge's global id is its
+    rank in the sort, and no edge is looked up in the graph for its id.
+    """
     f = hb.formula
     vg, cg, xg = _templates()
     n, m = f.n, f.m
@@ -336,19 +341,35 @@ def planarize(hb: HBuild, drawing: Drawing) -> ReductionArtifact:
                 pairs.append((min(u, v), max(u, v)))
                 connectors.append((min(u, v), max(u, v), i))
 
-    g = Graph(len(vertex_info), sorted(pairs))
+    # Graph numbers its edges in the order given, so the sort fixes every
+    # edge id: pairs[order[r]] becomes edge r.
+    order = sorted(range(len(pairs)), key=pairs.__getitem__)
+    g = Graph(len(vertex_info), map(pairs.__getitem__, order))
     if not is_cubic(g):
         raise ReductionError("assembled graph is not cubic")
     if g.n != VARIABLE_SIZE * n + CLAUSE_SIZE * m + CROSSING_SIZE * q:
         raise ReductionError("assembled graph failed the size law")
 
-    connector_at: dict[int, int] = {}
-    for u, v, _ in connectors:
-        connector_at[u] = connector_at[v] = g.edge_id(u, v)
+    # eid[i] is the id of pairs[i], its rank in the sort, read as the int
+    # object g.inc holds, so the rotations and edge sets kept below share
+    # g's ints instead of adding one per edge.
+    eid = [0] * len(pairs)
+    for row in g.inc:
+        for e in row:
+            eid[order[e]] = e
+    del order, pairs
 
-    # global index of each template edge, per placed gadget
-    global_edges = {key: [g.edge_id(base + u, base + v) for u, v in t.graph.edges]
-                    for key, (t, base) in placed.items()}
+    # global index of each template edge, per placed gadget, in the order
+    # pairs lists them: gadget after gadget, then the connectors
+    global_edges = {}
+    start = 0
+    for key, (t, _) in placed.items():
+        global_edges[key] = eid[start:start + t.graph.m]
+        start += t.graph.m
+    connector_at: dict[int, int] = {}
+    for (u, v, _), e in zip(connectors, eid[start:]):
+        connector_at[u] = connector_at[v] = e
+    del eid
     rotations: list[tuple[int, ...]] = [()] * g.n
     readers = _rotation_readers()
     for key, (template, base) in placed.items():

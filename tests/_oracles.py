@@ -25,7 +25,7 @@ import random
 import networkx as nx
 
 from pmcut.formula import FormulaError, NaeFormula
-from pmcut.graphs import Graph, PlaneEmbedding, is_planar_embedding
+from pmcut.graphs import Graph, PlaneEmbedding, face_darts, is_planar_embedding
 
 
 def cycle_graph(k: int) -> Graph:
@@ -91,21 +91,16 @@ def is_cutset_via_cycle_basis(g: Graph, emb: PlaneEmbedding, m) -> bool:
 
     The bounded faces of a plane graph form a cycle basis, and the unbounded
     face is the sum of the bounded ones, so checking every face walk is
-    equivalent.  Edge e flips the parity of the faces of its darts 2e and
-    2e + 1.  The faces of a non-plane rotation system do not span the cycle
-    space, so it raises ValueError, as is_planar_embedding's errors do.
+    equivalent.  A walk meets edge e once for each of e's darts on it.  The
+    faces of a non-plane rotation system do not span the cycle space, so it
+    raises ValueError, as is_planar_embedding's errors do.
     """
     if not is_planar_embedding(g, emb):
         raise ValueError("is_cutset_via_cycle_basis requires a plane embedding")
     mset = set(m)
     if not mset:
         return False
-    face = emb.face
-    odd = bytearray(emb.face_count)
-    for e in mset:
-        odd[face[2 * e]] ^= 1
-        odd[face[2 * e + 1]] ^= 1
-    return 1 not in odd
+    return all(sum(e in mset for _, e in walk) % 2 == 0 for walk in face_darts(g, emb))
 
 
 def random_connected_graph(n: int, extra: int, rng: random.Random) -> Graph:

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import math
 import random
 import sys
@@ -221,26 +222,68 @@ def test_dart_table_built_once_per_graph_and_embedding(monkeypatch):
     g = cube_graph()
     emb = planar_rotation_from_coords(g, Q3_COORDS)
     assert built == [emb.rotations]
-    # every reader looks the faces up; 3-connectivity reads the edge list
+    # the Euler check reads the stored face count and 3-connectivity the edge
+    # list; only the face walks rebuild the table, once per face_darts call
     vertical = [g.edge_id(i, i + 4) for i in range(4)]
     assert is_planar_embedding(g, emb) and is_3_connected(g)
-    assert is_cutset_via_cycle_basis(g, emb, vertical)
+    assert len(built) == 1
+    assert is_cutset_via_cycle_basis(g, emb, vertical)  # walks the faces
     walks = face_darts(g, emb)
     text = serialize_graph(g, emb)
-    assert len(built) == 1
+    assert len(built) == 3
     # an equal embedding that is another object is built, and validated, again
     twin = PlaneEmbedding(g, emb.rotations)
-    assert face_darts(g, twin) == walks and len(built) == 2
+    assert face_darts(g, twin) == walks and len(built) == 5
     # reading a file builds the embedding read, for the graph read
     g2, emb2 = parse_graph(text)
-    assert emb2.graph is g2 and is_planar_embedding(g2, emb2) and len(built) == 3
+    assert emb2.graph is g2 and is_planar_embedding(g2, emb2) and len(built) == 6
     # an embedding belongs to the Graph object it was built with, even when
     # another object holds the same edges
     for use in (is_planar_embedding, face_darts, serialize_graph,
                 lambda g, emb: is_cutset_via_cycle_basis(g, emb, vertical)):
         with pytest.raises(ValueError, match="another Graph"):
             use(g2, emb)
-    assert len(built) == 3
+    assert len(built) == 6
+
+
+# sha256 of repr(face_darts(g, emb)) for the canonical n = 3 reduction,
+# AG(2,3)'s reduction and the three gadget templates, so that neither the
+# walks nor the order they start in can move
+FACE_DARTS_SHA256 = {
+    "n3": "ea6d36d222d1da6077f8a5e7a52318a73cbd74e3ed806c74575f3164bd0ff04d",
+    "ag23": "ed22a56df549e4a1cb1282c2b19caddf6051d32b5a8511f14772fb4844517ec4",
+    "variable": "ff250d56ecc3d4667a56d898df2f0703e2d2d6d4020b3348e9ec6f3c67dc9c9d",
+    "clause": "8b9d67ea64e8896349d201bc148bc7f1866c98414ebeef11c9801f506df5f616",
+    "crossing": "70e9585521b788ca0e488ac604e001562a48b5c31f4964a70fed19897b65165e",
+}
+
+
+def test_face_walks_pinned(canonical_artifact, variable_gadget, clause_gadget, crossing_gadget):
+    ag23 = reduce_formula(ag23_formula())
+    embeddings = {"n3": canonical_artifact.embedding, "ag23": ag23.embedding}
+    for gadget in (variable_gadget, clause_gadget, crossing_gadget):
+        embeddings[gadget.kind] = gadget.embedding
+    got = {name: hashlib.sha256(repr(face_darts(emb.graph, emb)).encode()).hexdigest()
+           for name, emb in embeddings.items()}
+    assert got == FACE_DARTS_SHA256
+
+
+def test_embedding_keeps_no_dart_table():
+    """An embedding of AG(2,3)'s reduction, built from rotations that are
+    already tuples, keeps under 4 bytes a dart, as tracemalloc counts it:
+    its own tuple of the rotations takes 8 bytes a vertex, 2.7 a dart.  A
+    face label and a walk entry for each dart, two 32-bit arrays, took 10.9
+    bytes a dart."""
+    art = reduce_formula(ag23_formula())
+    g, rotations = art.graph, art.embedding.rotations
+    tracemalloc.start()
+    try:
+        emb = PlaneEmbedding(g, rotations)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert emb.face_count == art.embedding.face_count == g.m - g.n + 2
+    assert kept < 4 * 2 * g.m
 
 
 def test_lone_vertex_is_planar():
