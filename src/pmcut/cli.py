@@ -190,14 +190,10 @@ def cmd_roundtrip(args) -> int:
 
 def cmd_render(args) -> int:
     art = _load(reduce_formula, _load(fm.parse_formula, _read(args.formula)))
-    stem = Path(args.formula).stem
-    out = Path(args.out)
-    if args.format == "svg":
-        _write(out / f"{stem}.svg", rd.render_svg(art))
-        print(f"wrote {out / (stem + '.svg')}")
-    else:
-        _write(out / f"{stem}.dot", rd.render_dot(art))
-        print(f"wrote {out / (stem + '.dot')}")
+    render = rd.render_svg if args.format == "svg" else rd.render_dot
+    path = Path(args.out) / f"{Path(args.formula).stem}.{args.format}"
+    _write(path, render(art))
+    print(f"wrote {path}")
     return 0
 
 

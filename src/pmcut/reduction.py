@@ -111,7 +111,6 @@ class ReductionArtifact:
     q: int
     vertex_info: tuple[tuple[str, int, str], ...]
     connectors: tuple[tuple[int, int, int], ...]
-    anchors: dict
     slots: dict
     s2: dict
     variable_red: dict
@@ -414,7 +413,6 @@ def planarize(hb: HBuild, drawing: Drawing) -> ReductionArtifact:
         q=q,
         vertex_info=vertex_info,
         connectors=tuple(sorted(connectors)),
-        anchors=hb.anchors,
         slots=hb.slots,
         s2=s2,
         variable_red=variable_red,

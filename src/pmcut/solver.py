@@ -49,14 +49,15 @@ class _PmcSearch:
 
     Parity is a weighted quick-find.  Every vertex v holds root[v], the root
     of its component, and par[v], its side relative to that root, so a find is
-    one list index.  A union of roots ru and rv with size[rv] <= size[ru]
-    relabels rv's side, the vertex list comp_verts[rv], into ru, XOR-ing each
+    one list index.  A component's size is the length of its vertex list
+    comp_verts[r].  A union of roots ru and rv whose list is no longer than
+    ru's relabels rv's side, the list comp_verts[rv], into ru, XOR-ing each
     par with the union's flip bit; the flip bit stays readable as par[rv],
-    since rv is on its own list with side 0.  ru's vertex list grows by rv's
-    list, which no later union touches while rv is not a root, so undoing the
-    union relabels the tail slice comp_verts[ru][size[ru]:] back to rv, flips
-    it again and cuts it off.  Each vertex is relabelled O(log n) times along
-    one branch.
+    since rv is on its own list with side 0.  ru's list grows by a copy of
+    rv's, and rv keeps its own list intact: no union touches it while rv is
+    not a root.  So undoing the union relabels the last len(comp_verts[rv])
+    entries of ru's list back to rv, flips them again and cuts them off.
+    Each vertex is relabelled O(log n) times along one branch.
 
     A union fires two rules, both from one scan over the small side's
     incidences, run before the relabel so that root[y] == ru means exactly
@@ -87,10 +88,11 @@ class _PmcSearch:
 
     A literal is decided when it is queued, as MiniSat's uncheckedEnqueue
     does (Eén & Sörensson, SAT 2003): its state and trail entry are written
-    at once, an Out lowers rem at both ends, and an In sets matched at both
-    ends, a conflict if either is matched already.  Both rules decide what
-    they find as they scan, so an edge that one of them has decided is
-    skipped by every later test of state.  Two stacks hold the decided
+    at once, an Out lowers rem at both ends, and an In sets the flag
+    matched[v] at both ends, a conflict if either is matched already.  An In
+    is only ever assigned with both ends unmatched, so undoing it clears both
+    flags.  Both rules decide what they find as they scan, so an edge that
+    one of them has decided is skipped by every later test of state.  Two stacks hold the decided
     literals whose steps are still to run: the parity step at the edge's ends
     (a union or a check), then the matching rule.  queue holds the caller's
     literals and what _union decides; forced holds the matching rule's
@@ -114,31 +116,29 @@ class _PmcSearch:
     Edges and vertices are ints in flat tables, and the search builds no table
     of neighbours: each scan walks the graph's own incidence tuple inc[w] and
     reads the far end of an undecided edge e as xr[e] ^ w, where xr[e] is the
-    xor of e's two ends.  inc[w] lists w's edges in the order of adj[w], so a
+    xor of e's two ends; a popped literal reads its two ends from the graph's
+    own edges tuple.  inc[w] lists w's edges in the order of adj[w], so a
     scan visits the incidences a per-vertex tuple of (edge, neighbour) pairs
     would list, in the same order.  One list of m ints takes the place of
     those tuples: on the seeded n = 30 reduction (23,992 vertices) the
-    constructor leaves 190 bytes per vertex allocated, where the tuples took
-    it to about 440, and the one-vertex lists of comp_verts share root's int
-    objects.  The stacks and the trail hold ints: a stacked e means e In, ~e
-    means e Out; a trail entry e >= 0 undoes the assignment of e, and ~rv
-    undoes the union of root rv, whose big root is root[rv] and whose flip bit
-    is par[rv].  A root's vertex list is as long as its size, so the sizes
-    alone restore the lists.
+    constructor leaves 151-156 bytes per vertex allocated on Python 3.10-3.13,
+    where the tuples took it to about 440, and the one-vertex lists of
+    comp_verts share root's int objects.  The stacks and the trail hold ints:
+    a stacked e means e In, ~e means e Out; a trail entry e >= 0 undoes the
+    assignment of e, and ~rv undoes the union of root rv, whose big root is
+    root[rv] and whose flip bit is par[rv].
     """
 
     def __init__(self, g: Graph):
         n = g.n
-        self.eu = [u for u, _ in g.edges]
-        self.ev = [v for _, v in g.edges]
+        self.edges = g.edges
         self.xr = [u ^ v for u, v in g.edges]
         self.inc = g.inc
         self.state = bytearray(g.m)
-        self.matched = [-1] * n
+        self.matched = [False] * n
         self.rem = [len(es) for es in g.inc]
         self.root = root = list(range(n))
         self.par = [0] * n
-        self.size = [1] * n
         self.comp_verts: list[list[int]] = [[v] for v in root]
         self.trail: list[int] = []
         self.queue: list[int] = []
@@ -151,12 +151,12 @@ class _PmcSearch:
         flip = par[u] ^ par[v] ^ parity
         if ru == rv:
             return not flip
-        size = self.size
-        if size[ru] < size[rv]:
+        comp_verts = self.comp_verts
+        if len(comp_verts[ru]) < len(comp_verts[rv]):
             ru, rv = rv, ru
         state, matched, inc, xr, rem = self.state, self.matched, self.inc, self.xr, self.rem
         trail, queue = self.trail, self.queue
-        small = self.comp_verts[rv]
+        small = comp_verts[rv]
         for w in small:
             pw = par[w] ^ flip
             for e in inc[w]:
@@ -165,10 +165,10 @@ class _PmcSearch:
                 x = xr[e] ^ w
                 if root[x] == ru:
                     if pw != par[x]:
-                        if matched[w] != -1 or matched[x] != -1:
+                        if matched[w] or matched[x]:
                             return False
                         state[e] = _IN
-                        matched[w] = matched[x] = e
+                        matched[w] = matched[x] = True
                         queue.append(e)
                     else:
                         state[e] = _OUT
@@ -177,7 +177,7 @@ class _PmcSearch:
                         queue.append(~e)
                     trail.append(e)
                     continue  # x's edges into the big side are decided
-                if matched[x] != -1 or rem[x] < 3:
+                if matched[x] or rem[x] < 3:
                     continue
                 for f in inc[x]:
                     if f == e or state[f]:
@@ -204,13 +204,12 @@ class _PmcSearch:
         for w in small:
             root[w] = ru
             par[w] ^= flip
-        self.comp_verts[ru] += small
-        size[ru] += size[rv]
+        comp_verts[ru] += small
         trail.append(~rv)
         return True
 
     def _propagate(self, lits: list) -> bool:
-        state, eu, ev, inc, xr = self.state, self.eu, self.ev, self.inc, self.xr
+        state, edges, inc, xr = self.state, self.edges, self.inc, self.xr
         matched, rem, trail = self.matched, self.rem, self.trail
         root, par, union = self.root, self.par, self._union
         queue, forced = self.queue, self.forced
@@ -220,11 +219,11 @@ class _PmcSearch:
                 if state[e] != val:
                     return False
                 continue
-            u, v = eu[e], ev[e]
+            u, v = edges[e]
             if val == _IN:
-                if matched[u] != -1 or matched[v] != -1:
+                if matched[u] or matched[v]:
                     return False
-                matched[u] = matched[v] = e
+                matched[u] = matched[v] = True
             else:
                 rem[u] -= 1
                 rem[v] -= 1
@@ -234,7 +233,7 @@ class _PmcSearch:
         while forced or queue:
             e = forced.pop() if forced else queue.pop()
             if e >= 0:
-                u, v = eu[e], ev[e]
+                u, v = edges[e]
                 if root[u] != root[v]:
                     if not union(u, v, 1):
                         return False
@@ -249,15 +248,14 @@ class _PmcSearch:
                             trail.append(e2)
                             forced.append(~e2)
             else:
-                e = ~e
-                u, v = eu[e], ev[e]
+                u, v = edges[~e]
                 if root[u] != root[v]:
                     if not union(u, v, 0):
                         return False
                 elif par[u] != par[v]:
                     return False
                 for w in (u, v):
-                    if matched[w] == -1:
+                    if not matched[w]:
                         r = rem[w]
                         if r == 0:
                             return False
@@ -265,10 +263,10 @@ class _PmcSearch:
                             for e2 in inc[w]:
                                 if not state[e2]:
                                     x = xr[e2] ^ w
-                                    if matched[x] != -1:
+                                    if matched[x]:
                                         return False
                                     state[e2] = _IN
-                                    matched[w] = matched[x] = e2
+                                    matched[w] = matched[x] = True
                                     trail.append(e2)
                                     forced.append(e2)
                                     break
@@ -291,16 +289,13 @@ class _PmcSearch:
         return True
 
     def _undo_to(self, mark: int) -> None:
-        trail, state, eu, ev = self.trail, self.state, self.eu, self.ev
-        matched, rem, root, par, size = self.matched, self.rem, self.root, self.par, self.size
+        trail, state, edges, comp_verts = self.trail, self.state, self.edges, self.comp_verts
+        matched, rem, root, par = self.matched, self.rem, self.root, self.par
         for t in reversed(trail[mark:]):
             if t >= 0:
-                u, v = eu[t], ev[t]
+                u, v = edges[t]
                 if state[t] == _IN:
-                    if matched[u] == t:
-                        matched[u] = -1
-                    if matched[v] == t:
-                        matched[v] = -1
+                    matched[u] = matched[v] = False
                 else:
                     rem[u] += 1
                     rem[v] += 1
@@ -308,9 +303,8 @@ class _PmcSearch:
             else:
                 rv = ~t
                 ru, flip = root[rv], par[rv]
-                size[ru] -= size[rv]
-                verts = self.comp_verts[ru]
-                k = size[ru]
+                verts = comp_verts[ru]
+                k = len(verts) - len(comp_verts[rv])
                 for w in verts[k:]:
                     root[w] = rv
                     par[w] ^= flip

@@ -194,14 +194,15 @@ def test_wire_routes_traverse_even_crossover_squares(canonical_artifact, crossin
     gadget, along a two-edge subpath of each."""
     art = canonical_artifact
     g = art.graph
+    anchors = build_h(art.formula).anchors
     square_of = {}
     for rec in art.crossings:
         for sq in ("BL", "BR", "TL", "TR"):
             for lv in crossing_gadget.marks[sq]:
                 square_of[rec.base + lv] = (rec.index, sq)
     for (i, j, sub), route in art.wire_routes.items():
-        assert route[0] == art.anchors[(sub, i, j)]
-        assert route[-1] == art.anchors[(sub + "'", i, j)]
+        assert route[0] == anchors[(sub, i, j)]
+        assert route[-1] == anchors[(sub + "'", i, j)]
         squares_on_wire = 0
         for k in range(1, len(route) - 1, 2):
             pin, pout = route[k], route[k + 1]

@@ -207,9 +207,9 @@ def test_enumeration_agrees_with_bruteforce_beyond_degree_3():
 
 def check_undo_restores_fresh_tables():
     """An exhaustive search undone to the empty trail leaves every table as a
-    fresh search has it: labels, sides, sizes, vertex lists and assignments."""
+    fresh search has it: labels, sides, vertex lists and assignments."""
     rng = random.Random(7079)
-    tables = ("root", "par", "size", "comp_verts", "state", "matched", "rem")
+    tables = ("root", "par", "comp_verts", "state", "matched", "rem")
     nodes = 0
     for k in range(200):
         if k % 2:
@@ -369,11 +369,11 @@ def test_propagation_ignores_the_order_of_its_literals():
 def test_undo_after_a_conflict_restores_the_tables():
     """A propagation that conflicts leaves decided literals it never popped
     on the trail, and may stop inside a union's scan, before that union is
-    on the trail.  Undoing to the mark taken before it restores all seven
+    on the trail.  Undoing to the mark taken before it restores all six
     tables and empties the stacks.  Each graph is walked down from its root
     fixpoint by random literals until both values of one edge conflict."""
     rng = random.Random(4242)
-    tables = ("root", "par", "size", "comp_verts", "state", "matched", "rem")
+    tables = ("root", "par", "comp_verts", "state", "matched", "rem")
     conflicts = in_scan = 0
     for k in range(300):
         g = propagation_graph(k, rng)
@@ -522,8 +522,9 @@ def test_anchor_sides_under_witness():
     m = find_pmc(art.graph)
     cut = cut_from_edge_set(art.graph, m)
     for i in range(1, 4):
-        anchors = [art.anchors[(role, i, j)]
-                   for role in ("t", "b", "t'", "b'") for j in f.occurrences(i)]
+        anchors = [end for (var, _, _), route in art.wire_routes.items() if var == i
+                   for end in (route[0], route[-1])]
+        assert len(anchors) == 4 * len(f.occurrences(i))
         assert len({cut.sides[v] for v in anchors}) == 1
 
 
@@ -749,11 +750,13 @@ def test_probe_skips_change_only_cost(monkeypatch, restarting_graphs, threshold)
 
 
 def test_search_tables_stay_small(restarting_graphs):
-    """A search holds under 300 bytes per vertex on the seeded n = 30
+    """A search holds under 170 bytes per vertex on the seeded n = 30
     reduction, as tracemalloc counts what its constructor leaves allocated:
-    flat tables and one one-vertex list per vertex, with an edge's far end
-    read from the xor of its ends.  A tuple of (edge, neighbour) pairs per
-    vertex would raise it to about 440."""
+    flat tables, one flag per vertex for matched and one one-vertex list per
+    vertex, with an edge's far end read from the xor of its ends and its two
+    ends from the graph's edges.  Copying those ends into two lists and
+    keeping a size per vertex took it to 185-190; a tuple of (edge,
+    neighbour) pairs per vertex would raise it to about 440."""
     g = restarting_graphs[-1]
     assert g.n == 23_992
     tracemalloc.start()
@@ -763,7 +766,7 @@ def test_search_tables_stay_small(restarting_graphs):
     finally:
         tracemalloc.stop()
     assert search.nodes == 0
-    assert held / g.n < 300
+    assert held / g.n < 170
 
 
 # --- lemma oracles -------------------------------------------------------------
