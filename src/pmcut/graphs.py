@@ -40,9 +40,10 @@ from __future__ import annotations
 import functools
 import gc
 import random
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import combinations, filterfalse, islice, repeat
 from typing import Container, Iterable, Optional
 
 EdgeSet = frozenset  # of edge indices
@@ -104,26 +105,34 @@ class Graph:
             pairs.append((ids[u], ids[v]) if u < v else (ids[v], ids[u]))
         del ids
         self.edges: tuple[tuple[int, int], ...] = tuple(pairs)
+        del pairs
         self._connected: Optional[bool] = None
         self._cut: tuple[tuple[frozenset, Optional[Cut]], ...] = ()
         # Walking the edges in lexicographic order lists each vertex's smaller
         # neighbours and then its larger ones, each ascending, so adj comes
         # out sorted and a repeated pair lands next to its twin.  On input in
         # that order (planarize, parse_graph) the sort is one linear pass.
-        order = sorted(range(len(pairs)), key=pairs.__getitem__)
+        edges = self.edges
+        order = sorted(range(len(edges)), key=edges.__getitem__)
         adj: list[list[int]] = [[] for _ in range(n)]
         inc: list[list[int]] = [[] for _ in range(n)]
         last = None
         for i in order:
-            if pairs[i] == last:
+            if edges[i] == last:
                 raise ValueError(f"parallel edge ({last[0]},{last[1]})")
-            u, v = last = pairs[i]
+            u, v = last = edges[i]
             adj[u].append(v)
             adj[v].append(u)
             inc[u].append(i)
             inc[v].append(i)
-        self.adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, adj))
-        self.inc: tuple[tuple[int, ...], ...] = tuple(map(tuple, inc))
+        # Each row becomes a tuple in place, which frees its list, so that no
+        # table is held as lists and as tuples at once.
+        del order
+        for v in range(n):
+            adj[v] = tuple(adj[v])
+            inc[v] = tuple(inc[v])
+        self.adj: tuple[tuple[int, ...], ...] = tuple(adj)
+        self.inc: tuple[tuple[int, ...], ...] = tuple(inc)
 
     @property
     def m(self) -> int:
@@ -197,9 +206,10 @@ def _own(g: Graph, emb: PlaneEmbedding) -> PlaneEmbedding:
     return emb
 
 
-def _dart_successors(g: Graph, rotations: tuple) -> list[int]:
+def _dart_successors(g: Graph, rotations: tuple) -> array:
     """The dart permutation ``succ`` of the rotation system (see the module
-    docstring).
+    docstring), as an array of machine ints: 4 bytes a dart, where a list
+    would also hold an int object for nearly every dart.
 
     One pass builds and validates it: each rotation has deg(v) entries, each
     entry is an edge at v, and no dart is filled twice, so each rotation
@@ -209,7 +219,7 @@ def _dart_successors(g: Graph, rotations: tuple) -> list[int]:
         raise ValueError("rotation count differs from vertex count")
     edges, inc = g.edges, g.inc
     m = len(edges)
-    succ = [-1] * (2 * m)
+    succ = array("i", [-1]) * (2 * m)
     for w, rot in enumerate(rotations):
         if len(rot) != len(inc[w]):
             raise _not_a_permutation(w)
@@ -383,7 +393,7 @@ def is_3_connected(g: Graph) -> bool:
     In a cubic graph vertex and edge connectivity coincide, so this asks for
     no bridge and no 2-edge-cut, and a bridge needs no test of its own: the
     other two edges at one of its ends form a 2-edge-cut.  Each non-tree
-    edge of a BFS spanning tree gets a random 64-bit label, and a tree edge
+    edge of a BFS spanning tree gets a random 60-bit label, and a tree edge
     the XOR of the non-tree edges whose tree cycles contain it; any rooted
     spanning tree would do.  Every cycle meets a cutset in an even number of
     edges, so the labels of a cutset XOR to 0: the two edges of a 2-edge-cut
@@ -391,6 +401,11 @@ def is_3_connected(g: Graph) -> bool:
     pair of edges with equal labels is tried as a cutset by the parity walk,
     and the answer is no only if one is.  The answer is exact; only the
     running time depends on the (deterministic) seed.
+
+    The odd and the even labels are checked for repeats in two sets built
+    one after the other, so no set holds more than about half of them.  A
+    60-bit label is a two-digit int, 32 bytes, where a 64-bit one takes 48
+    in the allocator.
     """
     if not is_cubic(g):
         raise ValueError("is_3_connected takes cubic graphs only")
@@ -414,7 +429,7 @@ def is_3_connected(g: Graph) -> bool:
     for e, (u, v) in enumerate(g.edges):
         if parent_edge[u] == e or parent_edge[v] == e:
             continue  # tree edge
-        r = rng.getrandbits(64)
+        r = rng.getrandbits(60)
         label[e] = r
         acc[u] ^= r
         acc[v] ^= r
@@ -424,8 +439,9 @@ def is_3_connected(g: Graph) -> bool:
             continue
         label[pe] = acc[v]
         acc[parent[v]] ^= acc[v]
-    del parent, parent_edge, acc, visited_order, seen  # before the label set
-    if len(set(label)) == g.m:
+    del parent, parent_edge, acc, visited_order, seen  # before the label sets
+    odd = (1).__and__
+    if len(set(filter(odd, label))) + len(set(filterfalse(odd, label))) == g.m:
         return True
     groups: dict[int, list[int]] = {}
     for e, x in enumerate(label):
@@ -475,13 +491,13 @@ def parse_graph(text: str) -> tuple[Graph, Optional[PlaneEmbedding]]:
     graph has an isolated vertex.  With V <= 2E, and a short file refused as
     truncated, the memory used stays proportional to the file's size.
 
-    It holds one copy of each table at a time.  The edge lines are parsed
-    straight into ``Graph``, with no list of parsed pairs, and freed once
-    it is built; the rotation lines are freed once the rotations are
-    parsed, before ``PlaneEmbedding`` builds its dart table.  So at its
-    peak it holds the data lines and the graph under construction, or the
-    graph, the rotations and the dart table: 17 MB traced for the 1.1 MB
-    file of the seeded n = 30 reduction, which keeps 11 MB.
+    It holds one copy of each table at a time.  Lines are popped off the end
+    of the reversed line list, so each is freed once it is parsed; the edge
+    lines go straight into ``Graph``, with no list of parsed pairs.  Each
+    rotation entry is the int object that ``g.inc`` holds for its edge, not
+    an int of its own.  So at its peak it holds the rotation lines and the
+    graph under construction: 11.1 MB traced for the 1.1 MB file of the
+    seeded n = 30 reduction, which keeps 9.4 MB.
     """
     lines = _data_lines(text)
     if not lines or not lines[0].startswith("graph "):
@@ -497,22 +513,29 @@ def parse_graph(text: str) -> tuple[Graph, Optional[PlaneEmbedding]]:
         raise ValueError(f"header {lines[0]!r} has V > 2E, so a vertex is isolated")
     if len(lines) < 1 + m:
         raise ValueError("graph file truncated")
+    lines.reverse()
+    lines.pop()
     try:
-        g = Graph(n, ((int(u), int(v)) for u, v in map(str.split, islice(lines, 1, 1 + m))))
+        g = Graph(n, ((int(u), int(v)) for u, v in map(str.split, map(list.pop, repeat(lines, m)))))
     except ValueError:
-        for ln in islice(lines, 1, 1 + m):
+        for ln in islice(_data_lines(text), 1, 1 + m):
             try:
                 u, v = map(int, ln.split())
             except ValueError:
                 raise ValueError(f"edge line {ln!r} must be '<u> <v>'") from None
         raise
-    if len(lines) == 1 + m:
+    if not lines:
         return g, None
-    if lines[1 + m] != "embedding":
-        raise ValueError(f"unexpected line {lines[1 + m]!r}")
-    del lines[:2 + m]
+    if lines[-1] != "embedding":
+        raise ValueError(f"unexpected line {lines[-1]!r}")
+    lines.pop()
+    ids = [0] * m  # ids[e] is the int object that g.inc holds for edge e
+    for row in g.inc:
+        for e in row:
+            ids[e] = e
     rotations: list[Optional[tuple[int, ...]]] = [None] * n
-    for ln in lines:
+    while lines:
+        ln = lines.pop()
         parts = ln.split()
         if parts[0] != "rot":
             raise ValueError(f"unexpected line {ln!r}")
@@ -529,13 +552,27 @@ def parse_graph(text: str) -> tuple[Graph, Optional[PlaneEmbedding]]:
             raise ValueError(f"rotation of vertex {v} listed twice")
         if len(rot) != d:
             raise ValueError(f"rotation degree mismatch at vertex {v}")
+        # A line with a minus sign is kept as read, because ids[e] would
+        # read a negative e from the end; so is an id >= m.  PlaneEmbedding
+        # refuses both.
+        if "-" not in ln:
+            try:
+                rot = tuple(map(ids.__getitem__, rot))
+            except IndexError:
+                pass
         rotations[v] = rot
-    del lines
+    del ids
     return g, PlaneEmbedding(g, (r or () for r in rotations))
 
 
 def serialize_matching(g: Graph, m: Iterable[int]) -> str:
-    pairs = sorted(g.edges[e] for e in m)
+    """Matching file of the edge ids m: 'matching <k>', then the k edges as
+    lex-sorted 'u v' lines.  Raises ValueError for an id outside 0..m-1,
+    which names no edge."""
+    ids = list(m)
+    if ids and not _in_edge_range(g, ids):
+        raise ValueError(f"matching lists an edge id outside 0..{g.m - 1}")
+    pairs = sorted(map(g.edges.__getitem__, ids))
     lines = [f"matching {len(pairs)}"] + [f"{u} {v}" for u, v in pairs]
     return "\n".join(lines) + "\n"
 

@@ -28,8 +28,10 @@ provenance keep index order.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, product
 from operator import itemgetter
 
 from .formula import NaeFormula, incidence_graph, variable_cutvertices
@@ -80,14 +82,67 @@ class Drawing:
     events: tuple[tuple[int, int], ...]  # (lower bundle idx, upper bundle idx)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CrossingRecord:
+    """One crossing gadget: the two bundles it splices, its first vertex id
+    ``base``, and ``edges``, the global ids of its template's 20 edges in
+    local edge order.  ``p1_edges`` and ``p2_edges``, the global edge sets of
+    the restrictions P1 and P2 (``gadgets.crossing_type_sets``), are read
+    through ``edges`` on each access; no record keeps a set."""
+
     index: int
     lower: tuple[int, int]  # bundle passing left-to-right through u1,u2 -> v1,v2
     upper: tuple[int, int]  # bundle descending through u1',u2' -> v1',v2'
     base: int
-    p1_edges: EdgeSet
-    p2_edges: EdgeSet
+    edges: tuple[int, ...]
+
+    @property
+    def p1_edges(self) -> EdgeSet:
+        return frozenset(map(self.edges.__getitem__, _crossing_local_types()[0]))
+
+    @property
+    def p2_edges(self) -> EdgeSet:
+        return frozenset(map(self.edges.__getitem__, _crossing_local_types()[1]))
+
+
+class VertexInfo(Sequence):
+    """``(kind, index, name)`` of every vertex, as a read-only sequence.
+
+    Vertex ids run through the variable, clause and crossing gadgets in
+    blocks, each block the copies of one template in index order (see
+    ``_placements``), so an entry is computed from its id and never stored.
+    Iteration walks the blocks.  Length, indexing by vertex id and iteration
+    match the tuple of one tuple per vertex that it stands for.
+    """
+
+    __slots__ = ("_blocks", "_len")
+
+    def __init__(self, counts: tuple[int, int, int]):
+        blocks = []
+        start = 0
+        for t, count in zip(_templates(), counts):
+            stop = start + count * len(t.vertex_names)
+            blocks.append((t.kind, count, start, stop, t.vertex_names))
+            start = stop
+        self._blocks = tuple(blocks)
+        self._len = start
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, v: int) -> tuple[str, int, str]:
+        if v < 0:
+            v += self._len
+        if v >= 0:
+            for kind, _, start, stop, names in self._blocks:
+                if v < stop:
+                    k, r = divmod(v - start, len(names))
+                    return kind, k + 1, names[r]
+        raise IndexError("vertex id out of range")
+
+    def __iter__(self):
+        return chain.from_iterable(product((kind,), range(1, count + 1), names)
+                                   for kind, count, _, _, names in self._blocks)
 
 
 @dataclass(frozen=True)
@@ -105,11 +160,19 @@ class HBuild:
 
 @dataclass(frozen=True)
 class ReductionArtifact:
+    """The compiled instance and the provenance of each part of it.
+
+    ``vertex_info`` and each crossing's P1/P2 sets are derived on demand
+    from the block layout and the crossing's edge ids (see ``VertexInfo``
+    and ``CrossingRecord``), so the artifact keeps no table per vertex
+    beyond the graph and its embedding.
+    """
+
     formula: NaeFormula
     graph: Graph
     embedding: PlaneEmbedding
     q: int
-    vertex_info: tuple[tuple[str, int, str], ...]
+    vertex_info: VertexInfo
     connectors: tuple[tuple[int, int, int], ...]
     slots: dict
     s2: dict
@@ -157,6 +220,12 @@ def _placements(n: int, m: int, q: int) -> dict[tuple[str, int], tuple[Gadget, i
             placed[(template.kind, k)] = (template, base)
             base += template.graph.n
     return placed
+
+
+@lru_cache(maxsize=1)
+def _crossing_local_types() -> tuple[EdgeSet, EdgeSet]:
+    """(P1, P2) of the crossing template (local edge ids)."""
+    return crossing_type_sets(_templates()[2])
 
 
 @lru_cache(maxsize=1)
@@ -310,8 +379,7 @@ def planarize(hb: HBuild, drawing: Drawing) -> ReductionArtifact:
     n, m = f.n, f.m
     q = len(drawing.events)
     placed = _placements(n, m, q)
-    vertex_info = tuple((kind, k, name) for (kind, k), (t, _) in placed.items()
-                        for name in t.vertex_names)
+    vertex_info = VertexInfo((n, m, q))
 
     # wire routes through the spliced gadgets
     events_of: dict[int, list[tuple[int, int]]] = {k: [] for k in range(len(drawing.bundles))}
@@ -392,7 +460,6 @@ def planarize(hb: HBuild, drawing: Drawing) -> ReductionArtifact:
     clause_restrictions = {}
     for j in range(1, m + 1):
         clause_restrictions[j] = tuple(edges_to_global(("clause", j), t) for t in (t1, t2, t3))
-    p1_local, p2_local = crossing_type_sets(xg)
     crossings = []
     for k, (lo, hi) in enumerate(drawing.events):
         base = placed[("crossing", k + 1)][1]
@@ -402,8 +469,7 @@ def planarize(hb: HBuild, drawing: Drawing) -> ReductionArtifact:
             lower=(bl.var, bl.clause),
             upper=(bh.var, bh.clause),
             base=base,
-            p1_edges=edges_to_global(("crossing", k + 1), p1_local),
-            p2_edges=edges_to_global(("crossing", k + 1), p2_local),
+            edges=tuple(global_edges[("crossing", k + 1)]),
         ))
 
     return ReductionArtifact(

@@ -705,11 +705,12 @@ def test_graph_file_temporaries_stay_small():
 
 
 def test_graph_file_reader_temporaries_stay_small():
-    """Reading AG(2,3)'s reduction (a 0.17 MB file) allocates at most seven
-    times the file beyond what it returns, and returns under 520 bytes a
-    vertex, as tracemalloc counts them.  Holding the line list, a list of
-    parsed pairs and the rotations at once took eleven times, and a fresh
-    int object at every edge end took 540 to 570 bytes a vertex."""
+    """Reading AG(2,3)'s reduction (a 0.17 MB file) allocates at most three
+    times the file beyond what it returns, and returns under 380 bytes a
+    vertex, as tracemalloc counts them: 1.65-1.86 times and 354-363 bytes on
+    Python 3.10-3.13.  Holding every line until the graph was built, and a
+    graph's lists and tuples at once, took 5.7-6.2 times; a fresh int object
+    at every rotation entry took 406-415 bytes a vertex."""
     art = reduce_formula(ag23_formula())
     text = serialize_graph(art.graph, art.embedding)
     del art
@@ -720,8 +721,15 @@ def test_graph_file_reader_temporaries_stay_small():
     finally:
         tracemalloc.stop()
     assert len(text) == 171962 and emb is not None
-    assert peak - kept < 7 * len(text)
-    assert kept < 520 * g.n
+    assert peak - kept < 3 * len(text)
+    assert kept < 380 * g.n
+
+
+def test_graph_file_rotations_share_the_graphs_ints():
+    art = reduce_formula(ag23_formula())
+    g, emb = parse_graph(serialize_graph(art.graph, art.embedding))
+    held = {id(e) for row in g.inc for e in row}
+    assert all(id(e) in held for rot in emb.rotations for e in rot)
 
 
 def test_graph_file_plain():
@@ -734,6 +742,11 @@ def test_matching_and_cut_files():
     q3 = cube_graph()
     vertical = frozenset(q3.edge_id(i, i + 4) for i in range(4))
     assert parse_matching(serialize_matching(q3, vertical), q3) == vertical
+    # an id outside 0..m-1 names no edge: -1 must not be read as edge 11
+    for ids in ([-1, 0], [12]):
+        with pytest.raises(ValueError, match=r"edge id outside 0\.\.11"):
+            serialize_matching(q3, ids)
+    assert serialize_matching(q3, []) == "matching 0\n"
     cut = cut_from_edge_set(q3, vertical)
     assert parse_cut(serialize_cut(cut), q3.n) in (cut, Cut(tuple(1 - s for s in cut.sides)))
 
@@ -786,10 +799,16 @@ _PATH = "graph 3 2\n0 1\n1 2\nembedding\n"
     (_PATH + "rot 0 2 0\nrot 1 2 0 1\nrot 2 1 1\n", "rotation degree mismatch at vertex 0"),
     (_PATH + "rot 0 1 1\nrot 1 2 0 1\nrot 2 1 1\n",
      "rotation at vertex 0 is not a permutation of its incident edges"),
+    # -1 counted from the end would be edge 1, which is at vertex 1
+    (_PATH + "rot 0 1 0\nrot 1 2 0 -1\nrot 2 1 1\n",
+     "rotation at vertex 1 is not a permutation of its incident edges"),
+    (_PATH + "rot 0 1 0\nrot 1 2 0 2\nrot 2 1 1\n",
+     "rotation at vertex 1 is not a permutation of its incident edges"),
 ], ids=["no-header", "short-header", "negative-count", "isolated-vertex", "truncated",
         "edge-not-int", "loop", "edge-out-of-range", "parallel", "line-after-edges",
         "line-in-rotations", "short-rot", "rot-not-int", "rot-vertex-out-of-range",
-        "rot-listed-twice", "rot-degree-mismatch", "not-a-permutation"])
+        "rot-listed-twice", "rot-degree-mismatch", "not-a-permutation",
+        "rot-negative-id", "rot-id-past-the-end"])
 def test_graph_file_errors(text, message):
     with pytest.raises(ValueError) as exc:
         parse_graph(text)
