@@ -1,7 +1,9 @@
 """Reduction: compile a formula and certify the output is Barnette."""
 
 from pmcut import (
+    build_crossing_gadget,
     build_h,
+    build_variable_gadget,
     canonical_n3_formula,
     is_3_connected,
     is_bipartite,
@@ -39,5 +41,21 @@ print("3-connected (exact, from the edge list):", is_3_connected(g))
 kind, idx, name = art.vertex_info[0]
 print(f"\nvertex 0 sits in {kind} gadget {idx} as {name}")
 print("connector edges:", len(art.connectors))
-print("wire route of variable 1 into clause 1 (t-wire):",
-      art.wire_routes[(1, 1, 't')])
+
+# Trace the t-wire of variable 1 into clause 1 from its variable slot: cross
+# a connector, and inside each crossing gadget step from the port the wire
+# enters to that port's partner, until a connector lands in the clause.
+xg = build_crossing_gadget()
+through = {xg.names[u]: xg.names[v]
+           for u, v in (("u1", "v1"), ("u2", "v2"), ("u1'", "v1'"), ("u2'", "v2'"))}
+mate = {}
+for u, v, _ in art.connectors:
+    mate[u], mate[v] = v, u
+r, _ = art.slots[(1, 1)]
+v = art.vertex_info.start("variable", 1) + build_variable_gadget().names[f"t{r}"]
+wire = [(v, mate[v])]
+while art.vertex_info[mate[v]][0] == "crossing":
+    base = art.vertex_info.start("crossing", art.vertex_info[mate[v]][1])
+    v = base + through[mate[v] - base]
+    wire.append((v, mate[v]))
+print("connectors of the t-wire of variable 1 into clause 1:", wire)

@@ -110,9 +110,13 @@ def serialize_formula(f: NaeFormula) -> str:
 
 
 def nae_satisfies(f: NaeFormula, a: Assignment) -> bool:
-    """True iff every clause sees both sides of the assignment."""
+    """True iff every clause sees both sides of the assignment, whose
+    entries must be 0 or 1."""
     if len(a) != f.n:
         raise FormulaError(f"assignment length {len(a)} != n={f.n}")
+    for i, x in enumerate(a, 1):
+        if x not in (0, 1):
+            raise FormulaError(f"assignment entry {i} is {x!r}, not 0 or 1")
     for x, y, z in f.clauses:
         if a[x - 1] == a[y - 1] == a[z - 1]:
             return False

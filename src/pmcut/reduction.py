@@ -2,8 +2,8 @@
 
 Pipeline: ``build_h`` plans the intermediate graph H, in which variable
 gadgets are wired to clause gadgets by one bundle of two parallel connector
-edges per occurrence; it fixes the layout order, the channel orders, the
-gadget slots and the anchor vertex of every wire end, but assembles no graph.
+edges per occurrence; it fixes the layout order, the channel orders and the
+gadget slots, which name the two ends of every wire, but assembles no graph.
 ``layout`` routes the bundles through the channel between the two gadget
 columns as a wiring diagram whose adjacent swaps are exactly the bundle
 crossings, and ``planarize`` splices a crossing gadget into each swap and
@@ -24,6 +24,9 @@ gadget puts all its anchors on one side, and the three clause types are
 symmetric under relabelling the ports.  ``ReductionArtifact.slots`` records
 the (slot, port) of every occurrence; vertex ids, ``vertex_info`` and
 provenance keep index order.
+
+The artifact keeps one edge table per gadget, ``gadget_edges``, and reads
+every gadget restriction of the witness maps through it.
 """
 
 from __future__ import annotations
@@ -84,35 +87,24 @@ class Drawing:
 
 @dataclass(frozen=True, slots=True)
 class CrossingRecord:
-    """One crossing gadget: the two bundles it splices, its first vertex id
-    ``base``, and ``edges``, the global ids of its template's 20 edges in
-    local edge order.  ``p1_edges`` and ``p2_edges``, the global edge sets of
-    the restrictions P1 and P2 (``gadgets.crossing_type_sets``), are read
-    through ``edges`` on each access; no record keeps a set."""
+    """Crossing gadget ``index`` and the two bundles it splices.  Its
+    vertices start at ``vertex_info.start("crossing", index)``, and its
+    edges are the artifact's ``gadget_edges[("crossing", index)]``."""
 
     index: int
     lower: tuple[int, int]  # bundle passing left-to-right through u1,u2 -> v1,v2
     upper: tuple[int, int]  # bundle descending through u1',u2' -> v1',v2'
-    base: int
-    edges: tuple[int, ...]
-
-    @property
-    def p1_edges(self) -> EdgeSet:
-        return frozenset(map(self.edges.__getitem__, _crossing_local_types()[0]))
-
-    @property
-    def p2_edges(self) -> EdgeSet:
-        return frozenset(map(self.edges.__getitem__, _crossing_local_types()[1]))
 
 
 class VertexInfo(Sequence):
     """``(kind, index, name)`` of every vertex, as a read-only sequence.
 
     Vertex ids run through the variable, clause and crossing gadgets in
-    blocks, each block the copies of one template in index order (see
-    ``_placements``), so an entry is computed from its id and never stored.
-    Iteration walks the blocks.  Length, indexing by vertex id and iteration
-    match the tuple of one tuple per vertex that it stands for.
+    blocks, each block the copies of one template in index order, so an
+    entry is computed from its id and never stored, and ``start`` gives each
+    gadget's first vertex id.  Iteration walks the blocks.  Length, indexing
+    by vertex id and iteration match the tuple of one tuple per vertex that
+    it stands for.
     """
 
     __slots__ = ("_blocks", "_len")
@@ -144,10 +136,21 @@ class VertexInfo(Sequence):
         return chain.from_iterable(product((kind,), range(1, count + 1), names)
                                    for kind, count, _, _, names in self._blocks)
 
+    def start(self, kind: str, k: int) -> int:
+        """The first vertex id of gadget (kind, k), k counted from 1."""
+        for b_kind, count, start, _, names in self._blocks:
+            if b_kind == kind and 1 <= k <= count:
+                return start + (k - 1) * len(names)
+        raise KeyError((kind, k))
+
 
 @dataclass(frozen=True)
 class HBuild:
-    """The plan of H that ``layout`` and ``planarize`` read; no graph is built."""
+    """The plan of H that ``layout`` and ``planarize`` read; no graph is built.
+
+    ``slots`` fixes both ends of every wire: occurrence (i, j) at slot r and
+    port p runs from variable i's ``t{r}``/``b{r}`` to clause j's
+    ``t'{p}``/``b'{p}``."""
 
     formula: NaeFormula
     var_order: tuple[int, ...]     # bottom to top
@@ -155,17 +158,18 @@ class HBuild:
     exit_order: list               # occurrences (var, clause) bottom to top at the variables
     entry_order: list              # the same at the clauses
     slots: dict                    # (var, clause) -> (variable slot 1..4, clause port a/b/c)
-    anchors: dict                  # (t/b/t'/b', var, clause) -> vertex id of that wire end
 
 
 @dataclass(frozen=True)
 class ReductionArtifact:
     """The compiled instance and the provenance of each part of it.
 
-    ``vertex_info`` and each crossing's P1/P2 sets are derived on demand
-    from the block layout and the crossing's edge ids (see ``VertexInfo``
-    and ``CrossingRecord``), so the artifact keeps no table per vertex
-    beyond the graph and its embedding.
+    ``gadget_edges`` maps each gadget (kind, k) to the global ids of its
+    template's edges in local edge order, the int objects ``graph.inc``
+    holds.  The restrictions the witness maps use are read through it and
+    the S2 rings through the block layout of ``vertex_info`` (see
+    ``VertexInfo``), so the artifact keeps no edge set and no table per
+    vertex beyond the graph and its embedding.
     """
 
     formula: NaeFormula
@@ -175,12 +179,21 @@ class ReductionArtifact:
     vertex_info: VertexInfo
     connectors: tuple[tuple[int, int, int], ...]
     slots: dict
-    s2: dict
-    variable_red: dict
-    clause_restrictions: dict
+    gadget_edges: dict
     crossings: tuple[CrossingRecord, ...]
-    wire_routes: dict
     drawing: Drawing
+
+    def restriction(self, kind: str, k: int, t: int) -> EdgeSet:
+        """Global edge set of restriction t of gadget (kind, k): a variable
+        gadget's forced set (t = 1), a clause gadget's type t (1..3), or a
+        crossing gadget's P1 or P2 (t = 1, 2)."""
+        return frozenset(map(self.gadget_edges[(kind, k)].__getitem__,
+                             _local_restrictions()[kind][t]))
+
+    def s2(self, i: int) -> tuple[int, ...]:
+        """Vertex ids of variable i's S2 ring."""
+        base = self.vertex_info.start("variable", i)
+        return tuple(base + lv for lv in _templates()[0].marks["S2"])
 
 
 @lru_cache(maxsize=1)
@@ -207,35 +220,17 @@ def _rotation_readers() -> dict[str, tuple[tuple[int, ...], tuple]]:
     return readers
 
 
-def _placements(n: int, m: int, q: int) -> dict[tuple[str, int], tuple[Gadget, int]]:
-    """(kind, 1-based index) -> (template, base vertex id) for every gadget.
-
-    Vertex ids run through the variable gadgets, then the clause gadgets,
-    then the crossing gadgets, each in index order.
-    """
-    placed = {}
-    base = 0
-    for template, count in zip(_templates(), (n, m, q)):
-        for k in range(1, count + 1):
-            placed[(template.kind, k)] = (template, base)
-            base += template.graph.n
-    return placed
-
-
 @lru_cache(maxsize=1)
-def _crossing_local_types() -> tuple[EdgeSet, EdgeSet]:
-    """(P1, P2) of the crossing template (local edge ids)."""
-    return crossing_type_sets(_templates()[2])
-
-
-@lru_cache(maxsize=1)
-def _clause_local_types() -> tuple[frozenset, frozenset, frozenset]:
-    """The clause census in type order (local edge ids of the template)."""
-    cg = _templates()[1]
+def _local_restrictions() -> dict[str, dict[int, EdgeSet]]:
+    """Template kind -> type -> restriction, in local edge ids: the variable
+    gadget's forced set (1), the clause census by type (1..3) and the
+    crossing's P1 and P2 (1, 2)."""
+    vg, cg, xg = _templates()
     by_type = {clause_type(cg, c): c for c in enumerate_local_pmcs(cg)}
     if set(by_type) != {1, 2, 3}:
         raise ReductionError("clause census does not split into the three types")
-    return by_type[1], by_type[2], by_type[3]
+    return {vg.kind: {1: vg.red_edges}, cg.kind: by_type,
+            xg.kind: dict(enumerate(crossing_type_sets(xg), 1))}
 
 
 def _validate(f: NaeFormula) -> None:
@@ -306,26 +301,12 @@ def _slot_table(exit_order: list, entry_order: list) -> dict:
 
 
 def build_h(f: NaeFormula) -> HBuild:
-    """Plan H: layout and channel orders, gadget slots and wire-end anchors.
-
-    Gadget vertex ids are those of the final graph, where the crossing
-    gadgets come after every variable and clause gadget.
-    """
+    """Plan H: layout and channel orders and gadget slots."""
     _validate(f)
-    vg, cg, _ = _templates()
     var_order, clause_order = _layout_order(f)
     exit_order, entry_order = _channel_orders(f, var_order, clause_order)
     slots = _slot_table(exit_order, entry_order)
-    placed = _placements(f.n, f.m, 0)
-    anchors = {}
-    for (i, j), (r, p) in slots.items():
-        vbase = placed[("variable", i)][1]
-        anchors[("t", i, j)] = vbase + vg.names[f"t{r}"]
-        anchors[("b", i, j)] = vbase + vg.names[f"b{r}"]
-        cbase = placed[("clause", j)][1]
-        anchors[("t'", i, j)] = cbase + cg.names[f"t'{p}"]
-        anchors[("b'", i, j)] = cbase + cg.names[f"b'{p}"]
-    return HBuild(f, var_order, clause_order, exit_order, entry_order, slots, anchors)
+    return HBuild(f, var_order, clause_order, exit_order, entry_order, slots)
 
 
 def wiring_events(tracks: list[int], target: dict | list) -> list[tuple[int, int]]:
@@ -378,10 +359,14 @@ def planarize(hb: HBuild, drawing: Drawing) -> ReductionArtifact:
     vg, cg, xg = _templates()
     n, m = f.n, f.m
     q = len(drawing.events)
-    placed = _placements(n, m, q)
     vertex_info = VertexInfo((n, m, q))
+    # (kind, k) -> (template, first vertex id) for every gadget
+    placed = {(t.kind, k): (t, vertex_info.start(t.kind, k))
+              for t, count in zip((vg, cg, xg), (n, m, q)) for k in range(1, count + 1)}
 
-    # wire routes through the spliced gadgets
+    # A wire runs from its variable slot to its clause port (hb.slots) and
+    # through each crossing on its bundle, from the port it enters to that
+    # port's partner; each hop between gadgets is one connector.
     events_of: dict[int, list[tuple[int, int]]] = {k: [] for k in range(len(drawing.bundles))}
     for e_idx, (lo, hi) in enumerate(drawing.events):
         events_of[lo].append((e_idx, 0))
@@ -390,23 +375,22 @@ def planarize(hb: HBuild, drawing: Drawing) -> ReductionArtifact:
         (0, "b"): ("u1", "v1"), (0, "t"): ("u2", "v2"),
         (1, "b"): ("u1'", "v1'"), (1, "t"): ("u2'", "v2'"),
     }
-    wire_routes: dict[tuple[int, int, str], tuple[int, ...]] = {}
     pairs = [(base + u, base + v) for t, base in placed.values() for u, v in t.graph.edges]
-    connectors: list[tuple[int, int, int]] = []
+    connector_vars: list[int] = []
     for b_idx, bundle in enumerate(drawing.bundles):
         i, j = bundle.var, bundle.clause
+        r, p = hb.slots[(i, j)]
         for sub in ("b", "t"):
-            route = [hb.anchors[(sub, i, j)]]
+            route = [placed[("variable", i)][1] + vg.names[f"{sub}{r}"]]
             for e_idx, role in events_of[b_idx]:
                 base = placed[("crossing", e_idx + 1)][1]
                 pin, pout = port_of[(role, sub)]
                 route += [base + xg.names[pin], base + xg.names[pout]]
-            route.append(hb.anchors[(sub + "'", i, j)])
-            wire_routes[(i, j, sub)] = tuple(route)
+            route.append(placed[("clause", j)][1] + cg.names[f"{sub}'{p}"])
             for k in range(0, len(route), 2):
                 u, v = route[k], route[k + 1]
                 pairs.append((min(u, v), max(u, v)))
-                connectors.append((min(u, v), max(u, v), i))
+            connector_vars += [i] * (len(route) // 2)
 
     # Graph numbers its edges in the order given, so the sort fixes every
     # edge id: pairs[order[r]] becomes edge r.
@@ -418,7 +402,7 @@ def planarize(hb: HBuild, drawing: Drawing) -> ReductionArtifact:
         raise ReductionError("assembled graph failed the size law")
 
     # eid[i] is the id of pairs[i], its rank in the sort, read as the int
-    # object g.inc holds, so the rotations and edge sets kept below share
+    # object g.inc holds, so the rotations and edge tables kept below share
     # g's ints instead of adding one per edge.
     eid = [0] * len(pairs)
     for row in g.inc:
@@ -427,50 +411,33 @@ def planarize(hb: HBuild, drawing: Drawing) -> ReductionArtifact:
     del order, pairs
 
     # global index of each template edge, per placed gadget, in the order
-    # pairs lists them: gadget after gadget, then the connectors
-    global_edges = {}
+    # pairs lists them: gadget after gadget, then the connectors, whose
+    # ends are read from g so that they are g's ints too
+    gadget_edges = {}
     start = 0
     for key, (t, _) in placed.items():
-        global_edges[key] = eid[start:start + t.graph.m]
+        gadget_edges[key] = tuple(eid[start:start + t.graph.m])
         start += t.graph.m
+    connectors: list[tuple[int, int, int]] = []
     connector_at: dict[int, int] = {}
-    for (u, v, _), e in zip(connectors, eid[start:]):
+    for e, i in zip(eid[start:], connector_vars):
+        u, v = g.edges[e]
+        connectors.append((u, v, i))
         connector_at[u] = connector_at[v] = e
     del eid
     rotations: list[tuple[int, ...]] = [()] * g.n
     readers = _rotation_readers()
     for key, (template, base) in placed.items():
         stubbed, getters = readers[template.kind]
-        row = global_edges[key] + [connector_at[base + v] for v in stubbed]
+        row = gadget_edges[key] + tuple(connector_at[base + v] for v in stubbed)
         rotations[base:base + len(getters)] = [get(row) for get in getters]
     embedding = PlaneEmbedding(g, rotations)
     if not is_planar_embedding(g, embedding):
         raise ReductionError("rotation system failed the Euler certification")
 
-    def edges_to_global(key: tuple[str, int], local: frozenset) -> frozenset:
-        return frozenset(map(global_edges[key].__getitem__, local))
-
-    s2 = {}
-    variable_red = {}
-    for i in range(1, n + 1):
-        base = placed[("variable", i)][1]
-        s2[i] = tuple(base + lv for lv in vg.marks["S2"])
-        variable_red[i] = edges_to_global(("variable", i), vg.red_edges)
-    t1, t2, t3 = _clause_local_types()
-    clause_restrictions = {}
-    for j in range(1, m + 1):
-        clause_restrictions[j] = tuple(edges_to_global(("clause", j), t) for t in (t1, t2, t3))
-    crossings = []
-    for k, (lo, hi) in enumerate(drawing.events):
-        base = placed[("crossing", k + 1)][1]
-        bl, bh = drawing.bundles[lo], drawing.bundles[hi]
-        crossings.append(CrossingRecord(
-            index=k + 1,
-            lower=(bl.var, bl.clause),
-            upper=(bh.var, bh.clause),
-            base=base,
-            edges=tuple(global_edges[("crossing", k + 1)]),
-        ))
+    occurrence = [(b.var, b.clause) for b in drawing.bundles]
+    crossings = [CrossingRecord(index=k, lower=occurrence[lo], upper=occurrence[hi])
+                 for k, (lo, hi) in enumerate(drawing.events, 1)]
 
     return ReductionArtifact(
         formula=f,
@@ -480,11 +447,8 @@ def planarize(hb: HBuild, drawing: Drawing) -> ReductionArtifact:
         vertex_info=vertex_info,
         connectors=tuple(sorted(connectors)),
         slots=hb.slots,
-        s2=s2,
-        variable_red=variable_red,
-        clause_restrictions=clause_restrictions,
+        gadget_edges=gadget_edges,
         crossings=tuple(crossings),
-        wire_routes=wire_routes,
         drawing=drawing,
     )
 
@@ -513,6 +477,6 @@ def serialize_provenance(art: ReductionArtifact) -> str:
             f"crossing {rec.index} bundles {rec.lower[0]},{rec.lower[1]} "
             f"{rec.upper[0]},{rec.upper[1]}"
         )
-    for i in sorted(art.s2):
-        lines.append(f"s2 {i} " + " ".join(map(str, art.s2[i])))
+    for i in range(1, art.formula.n + 1):
+        lines.append(f"s2 {i} " + " ".join(map(str, art.s2(i))))
     return "\n".join(lines) + "\n"

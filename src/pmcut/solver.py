@@ -511,8 +511,7 @@ def assignment_from_pmc(artifact: "ReductionArtifact", m: EdgeSet) -> tuple:
         raise ValueError("witness is not a cutset")
     bits = []
     for i in range(1, artifact.formula.n + 1):
-        ring = artifact.s2[i]
-        sides = {cut.sides[v] for v in ring}
+        sides = {cut.sides[v] for v in artifact.s2(i)}
         if len(sides) != 1:
             raise ValueError(f"S2 ring of variable {i} is not monochromatic")
         bits.append(sides.pop())
@@ -523,19 +522,23 @@ def pmc_from_assignment(artifact: "ReductionArtifact", a: tuple) -> EdgeSet:
     """Assemble the witness matching from per-gadget restrictions.
 
     Variable gadgets contribute their forced red sets; a crossing gadget takes
-    its side-preserving restriction iff its two variables agree under a; a
-    clause gadget takes the type separating its minority variable, read
-    through the ports a/b/c of the artifact's slot table.
+    its side-preserving restriction P1 iff its two variables agree under a,
+    else P2; a clause gadget takes the type separating its minority
+    variable, read through the ports a/b/c of the artifact's slot table.
+    Every entry of a must be 0 or 1.
     """
     f = artifact.formula
     if len(a) != f.n:
         raise ValueError("assignment length mismatch")
+    for i, x in enumerate(a, 1):
+        if x not in (0, 1):
+            raise ValueError(f"assignment entry {i} is {x!r}, not 0 or 1")
     chosen: set[int] = set()
     for i in range(1, f.n + 1):
-        chosen |= artifact.variable_red[i]
+        chosen |= artifact.restriction("variable", i, 1)
     for rec in artifact.crossings:
         (i1, _), (i2, _) = rec.lower, rec.upper
-        chosen |= rec.p1_edges if a[i1 - 1] == a[i2 - 1] else rec.p2_edges
+        chosen |= artifact.restriction("crossing", rec.index, 1 if a[i1 - 1] == a[i2 - 1] else 2)
     port_var = {(j, p): i for (i, j), (_, p) in artifact.slots.items()}
     for j in range(1, f.m + 1):
         va, vb, vc = (port_var[(j, p)] for p in "abc")
@@ -543,12 +546,12 @@ def pmc_from_assignment(artifact: "ReductionArtifact", a: tuple) -> EdgeSet:
         if sides[0] == sides[1] == sides[2]:
             raise ValueError(f"clause {j} is not NAE-satisfied")
         if sides[1] != sides[0] and sides[1] != sides[2]:
-            t = 0  # b alone
+            t = 1  # b alone
         elif sides[0] == sides[1]:
-            t = 1  # c alone
+            t = 2  # c alone
         else:
-            t = 2  # a alone
-        chosen |= artifact.clause_restrictions[j][t]
+            t = 3  # a alone
+        chosen |= artifact.restriction("clause", j, t)
     return frozenset(chosen)
 
 

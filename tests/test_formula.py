@@ -79,6 +79,13 @@ def test_nae_satisfies_basics():
     assert not nae_satisfies(f, (1, 1, 1))
 
 
+@pytest.mark.parametrize("a,bad", [((0, 1, 2), "entry 3 is 2"), ((0, 1, -1), "entry 3 is -1"),
+                                   ((0.5, 1, 0), "entry 1 is 0.5")])
+def test_nae_satisfies_rejects_entries_other_than_0_and_1(a, bad):
+    with pytest.raises(FormulaError, match=bad):
+        nae_satisfies(canonical_n3_formula(), a)
+
+
 @settings(max_examples=200)
 @given(st.integers(min_value=0, max_value=2 ** 9 - 1))
 def test_complement_closure(bits):

@@ -5,7 +5,13 @@ import tracemalloc
 import pytest
 
 from pmcut.formula import ag23_formula, canonical_n3_formula, random_e4_formula
-from pmcut.gadgets import build_clause_gadget, build_crossing_gadget, build_variable_gadget
+from pmcut.gadgets import (
+    build_clause_gadget,
+    build_crossing_gadget,
+    build_variable_gadget,
+    clause_type,
+    crossing_type_sets,
+)
 from pmcut.graphs import (
     is_3_connected,
     is_bipartite,
@@ -24,14 +30,57 @@ from pmcut.reduction import (
 )
 
 
+_PASS_THROUGH = {"u1": "v1", "u2": "v2", "u1'": "v1'", "u2'": "v2'"}
+
+
+def _trace_wires(art):
+    """Every wire (i, j, sub), sub in t/b, traced in the graph: the vertices
+    where it meets a gadget boundary, from its variable end through the
+    port it enters and the port it leaves in each crossing to its clause
+    end.  For occurrence (i, j) at slot r and port p, a wire starts at
+    variable i's t{r}/b{r}, crosses the one connector there, steps inside
+    each crossing from the port it enters to that port's pass-through
+    partner, and must stop at clause j's t'{p}/b'{p}."""
+    vg, cg, xg = build_variable_gadget(), build_clause_gadget(), build_crossing_gadget()
+    g, info = art.graph, art.vertex_info
+
+    def hop(v):  # across the one connector at v
+        out = [w for w in g.adj[v] if info[w][:2] != info[v][:2]]
+        assert len(out) == 1
+        return out[0]
+
+    routes = {}
+    for (i, j), (r, p) in art.slots.items():
+        for sub in "tb":
+            route = [info.start("variable", i) + vg.names[f"{sub}{r}"]]
+            w = hop(route[0])
+            while info[w][0] == "crossing":
+                base = info.start("crossing", info[w][1])
+                entered = {base + xg.names[u]: u for u in _PASS_THROUGH}
+                assert w in entered and len(route) <= 2 * art.q
+                route += [w, base + xg.names[_PASS_THROUGH[entered[w]]]]
+                w = hop(route[-1])
+            assert w == info.start("clause", j) + cg.names[f"{sub}'{p}"]
+            route.append(w)
+            routes[(i, j, sub)] = tuple(route)
+    return routes
+
+
 def test_h_bundles_have_two_edges(canonical_artifact):
+    """Each occurrence is two wires, traced in the graph from its variable
+    slot to its clause port, and the connectors they cross are exactly the
+    artifact's connectors, each labelled with its wire's variable."""
     art = canonical_artifact
     occurrences = {(i, j) for j, clause in enumerate(art.formula.clauses, 1) for i in clause}
-    assert set(art.wire_routes) == {(i, j, sub) for i, j in occurrences for sub in "tb"}
-    assert len(art.wire_routes) == 24
-    for (i, j, _), route in art.wire_routes.items():
+    routes = _trace_wires(art)
+    assert set(routes) == {(i, j, sub) for i, j in occurrences for sub in "tb"}
+    assert len(routes) == 24
+    crossed = []
+    for (i, j, _), route in routes.items():
         assert art.vertex_info[route[0]][:2] == ("variable", i)
         assert art.vertex_info[route[-1]][:2] == ("clause", j)
+        crossed += [(min(u, v), max(u, v), i) for u, v in zip(route[::2], route[1::2])]
+    assert sorted(crossed) == list(art.connectors)
 
 
 def test_h_rejects_bad_formulas():
@@ -200,9 +249,61 @@ def test_vertex_info_reads_the_block_layout(canonical_artifact):
                         ("crossing", art.q)):
         for k in range(1, count + 1):
             size = len(names[kind])
+            assert info.start(kind, k) == base
             assert entries[base:base + size] == tuple((kind, k, name) for name in names[kind])
             base += size
+        for k in (0, count + 1):
+            with pytest.raises(KeyError):
+                info.start(kind, k)
     assert base == len(info)
+
+
+@pytest.mark.parametrize("formula", [canonical_n3_formula, ag23_formula])
+def test_gadget_edges_are_the_graphs_edge_ids(formula):
+    """gadget_edges[(kind, k)][le] is the global id of template edge le of
+    gadget (kind, k), the int object g.inc holds, for every gadget."""
+    art = reduce_formula(formula())
+    g = art.graph
+    templates = {t.kind: t for t in (build_variable_gadget(), build_clause_gadget(),
+                                     build_crossing_gadget())}
+    counts = {"variable": art.formula.n, "clause": art.formula.m, "crossing": art.q}
+    assert set(art.gadget_edges) == {(kind, k) for kind, count in counts.items()
+                                     for k in range(1, count + 1)}
+    for (kind, k), edges in art.gadget_edges.items():
+        base = art.vertex_info.start(kind, k)
+        t = templates[kind]
+        assert len(edges) == t.graph.m
+        for le, (u, v) in enumerate(t.graph.edges):
+            assert edges[le] == g.edge_id(base + u, base + v)
+            assert any(e is edges[le] for e in g.inc[base + u])
+
+
+def test_restrictions_read_through_gadget_edges(canonical_artifact, variable_gadget,
+                                                clause_gadget, crossing_gadget):
+    """Each restriction is its template's local set mapped through the
+    gadget's edge table: the variable's forced set, clause types 1-3 and the
+    crossing's P1 and P2; each S2 ring is the template's, moved to the
+    gadget's first vertex."""
+    art = canonical_artifact
+
+    def local(kind, k, t):  # restriction t of gadget (kind, k) in template edge ids
+        edges = art.restriction(kind, k, t)
+        return {le for le, e in enumerate(art.gadget_edges[(kind, k)]) if e in edges}
+
+    for i in range(1, art.formula.n + 1):
+        assert local("variable", i, 1) == variable_gadget.red_edges
+        base = art.vertex_info.start("variable", i)
+        assert art.s2(i) == tuple(base + lv for lv in variable_gadget.marks["S2"])
+    for j in range(1, art.formula.m + 1):
+        for t in (1, 2, 3):
+            assert clause_type(clause_gadget, local("clause", j, t)) == t
+    p1_p2 = crossing_type_sets(crossing_gadget)
+    for rec in art.crossings:
+        assert (local("crossing", rec.index, 1), local("crossing", rec.index, 2)) == p1_p2
+    for kind, k, t in (("variable", 1, 0), ("variable", 1, 2), ("clause", 1, 4),
+                       ("crossing", 1, 3), ("crossing", art.q + 1, 1)):
+        with pytest.raises(KeyError):
+            art.restriction(kind, k, t)
 
 
 # sha256 of what a reduction returns and writes, taken before vertex_info and
@@ -231,7 +332,8 @@ def test_reduction_outputs_pinned():
     got = {}
     for name, f in formulas.items():
         art = reduce_formula(f)
-        p1_p2 = [(sorted(rec.p1_edges), sorted(rec.p2_edges)) for rec in art.crossings]
+        p1_p2 = [tuple(sorted(art.restriction("crossing", rec.index, t)) for t in (1, 2))
+                 for rec in art.crossings]
         texts = (repr(tuple(art.vertex_info)), repr(p1_p2),
                  serialize_graph(art.graph, art.embedding), serialize_provenance(art))
         got[name] = tuple(hashlib.sha256(t.encode()).hexdigest() for t in texts)
@@ -239,10 +341,13 @@ def test_reduction_outputs_pinned():
 
 
 def test_reduction_artifact_stays_small():
-    """The artifact of the seeded n = 30 reduction keeps under 500 bytes a
+    """The artifact of the seeded n = 30 reduction keeps under 440 bytes a
     vertex, as tracemalloc counts what reduce_formula leaves allocated:
-    447 on Python 3.10 and 457-459 on 3.11-3.13.  A (kind, index, name)
-    tuple per vertex and two frozensets per crossing took 586-595."""
+    423.5 on Python 3.10 and 433.3-433.4 on 3.11-3.13.  Forced sets and
+    clause types mapped in advance, a tuple of edge ids per crossing record,
+    and wire routes and connectors with ints of their own took 447 on 3.10
+    and 459 on 3.11-3.13, and a (kind, index, name) tuple per vertex with
+    two frozensets per crossing 586-595."""
     f = random_e4_formula(30, random.Random(1))
     reduce_formula(canonical_n3_formula())  # the templates are built once, and cached
     tracemalloc.start()
@@ -251,7 +356,7 @@ def test_reduction_artifact_stays_small():
         kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert kept < 500 * art.graph.n
+    assert kept < 440 * art.graph.n
 
 
 def test_connector_edges_have_labels(canonical_artifact):
@@ -264,20 +369,26 @@ def test_connector_edges_have_labels(canonical_artifact):
         assert 1 <= var <= art.formula.n
 
 
+def test_connectors_share_the_graphs_ints(canonical_artifact):
+    """A connector's ends are the int objects the graph holds for them."""
+    g = canonical_artifact.graph
+    for u, v, _ in canonical_artifact.connectors:
+        a, b = g.edges[g.edge_id(u, v)]
+        assert a is u and b is v
+
+
 def test_wire_routes_traverse_even_crossover_squares(canonical_artifact, crossing_gadget):
     """Each wire passes an even number of crossover squares, two per spliced
     gadget, along a two-edge subpath of each."""
     art = canonical_artifact
     g = art.graph
-    anchors = build_h(art.formula).anchors
     square_of = {}
     for rec in art.crossings:
+        base = art.vertex_info.start("crossing", rec.index)
         for sq in ("BL", "BR", "TL", "TR"):
             for lv in crossing_gadget.marks[sq]:
-                square_of[rec.base + lv] = (rec.index, sq)
-    for (i, j, sub), route in art.wire_routes.items():
-        assert route[0] == anchors[(sub, i, j)]
-        assert route[-1] == anchors[(sub + "'", i, j)]
+                square_of[base + lv] = (rec.index, sq)
+    for route in _trace_wires(art).values():
         squares_on_wire = 0
         for k in range(1, len(route) - 1, 2):
             pin, pout = route[k], route[k + 1]
@@ -326,16 +437,17 @@ def test_gadget_adjacency_multigraph_bridgeless(canonical_artifact):
 def test_crossing_records_match_splice_orientation(canonical_artifact):
     art = canonical_artifact
     xg = build_crossing_gadget()
+    routes = _trace_wires(art)
     for rec in art.crossings:
-        base = rec.base
+        base = art.vertex_info.start("crossing", rec.index)
         for wire, route_key in (("u1", "b"), ("u2", "t")):
             port = base + xg.names[wire]
             i, j = rec.lower
-            assert port in art.wire_routes[(i, j, route_key)]
+            assert port in routes[(i, j, route_key)]
         for wire, route_key in (("u1'", "b"), ("u2'", "t")):
             port = base + xg.names[wire]
             i, j = rec.upper
-            assert port in art.wire_routes[(i, j, route_key)]
+            assert port in routes[(i, j, route_key)]
 
 
 def test_random_instances_certify(random_instances):

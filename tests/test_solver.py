@@ -14,7 +14,7 @@ from pmcut.formula import (
     random_e4_formula,
     solve_nae_bruteforce,
 )
-from pmcut.gadgets import enumerate_local_pmcs
+from pmcut.gadgets import build_clause_gadget, build_variable_gadget, enumerate_local_pmcs
 from pmcut.graphs import (
     Cut,
     Graph,
@@ -466,7 +466,8 @@ def test_roundtrip_canonical():
     assert verified(art.graph, m2)
     assert nae_satisfies(f, assignment_from_pmc(art, m2))
     for i in range(1, 4):
-        assert art.variable_red[i] <= m2  # solver witness restricts to the red sets
+        # the solver's witness restricts to each variable gadget's forced set
+        assert art.restriction("variable", i, 1) <= m2
 
 
 def test_pmc_from_complement_assignment():
@@ -477,13 +478,21 @@ def test_pmc_from_complement_assignment():
     m2 = pmc_from_assignment(art, complement(a))
     assert verified(art.graph, m1) and verified(art.graph, m2)
     for i in range(1, 4):
-        assert art.variable_red[i] <= m1 and art.variable_red[i] <= m2
+        red = art.restriction("variable", i, 1)
+        assert red <= m1 and red <= m2
 
 
 def test_pmc_from_all_equal_assignment_fails():
     art = reduce_formula(canonical_n3_formula())
     with pytest.raises(ValueError, match="NAE"):
         pmc_from_assignment(art, (0, 0, 0))
+
+
+@pytest.mark.parametrize("a,bad", [((0, 1, 2), "entry 3 is 2"), ((0, 1, -1), "entry 3 is -1"),
+                                   ((0.5, 1, 0), "entry 1 is 0.5")])
+def test_pmc_from_assignment_rejects_entries_other_than_0_and_1(canonical_artifact, a, bad):
+    with pytest.raises(ValueError, match=bad):
+        pmc_from_assignment(canonical_artifact, a)
 
 
 def test_assignment_from_non_pmc_rejected():
@@ -521,9 +530,15 @@ def test_anchor_sides_under_witness():
     art = reduce_formula(f)
     m = find_pmc(art.graph)
     cut = cut_from_edge_set(art.graph, m)
+    vg, cg = build_variable_gadget(), build_clause_gadget()
     for i in range(1, 4):
-        anchors = [end for (var, _, _), route in art.wire_routes.items() if var == i
-                   for end in (route[0], route[-1])]
+        vbase = art.vertex_info.start("variable", i)
+        anchors = []
+        for (var, j), (r, p) in art.slots.items():
+            if var == i:  # both ends of the occurrence's two wires
+                cbase = art.vertex_info.start("clause", j)
+                anchors += [vbase + vg.names[f"t{r}"], vbase + vg.names[f"b{r}"],
+                            cbase + cg.names[f"t'{p}"], cbase + cg.names[f"b'{p}"]]
         assert len(anchors) == 4 * len(f.occurrences(i))
         assert len({cut.sides[v] for v in anchors}) == 1
 
