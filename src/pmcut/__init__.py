@@ -22,8 +22,8 @@ from .gadgets import (
     build_clause_gadget,
     build_crossing_gadget,
     build_variable_gadget,
+    census_types,
     clause_type,
-    clause_type_sets,
     crossing_type_sets,
     enumerate_local_pmcs,
     side_relations,

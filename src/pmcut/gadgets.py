@@ -6,9 +6,10 @@ stub leaves.  The rotation system (clockwise around each vertex) is computed
 from that geometry, so the local embeddings are planar by construction and
 the assembled instance can be certified by an Euler check alone.
 
-Correctness of the transcription is not assumed: the census and side-relation
-tests pin down vertex counts, degree profiles, bipartiteness, the number of
-admissible local restrictions, and their traces.
+Correctness of the transcription is not assumed: ``census_types`` checks each
+gadget's census of admissible local restrictions against the census theorem,
+the one place the theorem is checked, and the tests pin down vertex counts,
+degree profiles, bipartiteness and the side relations.
 """
 
 from __future__ import annotations
@@ -47,8 +48,9 @@ class Gadget:
     embedding: PlaneEmbedding
 
 
-class FigureError(ValueError):
-    pass
+class FigureError(RuntimeError):
+    """A gadget drawing or its census is wrong; the drawings are constants,
+    so this is always a bug."""
 
 
 class _FigureBuilder:
@@ -427,7 +429,7 @@ def crossing_type_sets(gadget: Gadget) -> tuple[EdgeSet, EdgeSet]:
     return frozenset(p1), frozenset(p2)
 
 
-# --- clause type sets ------------------------------------------------------------
+# --- clause types -----------------------------------------------------------------
 
 _L_PAIRS = {
     1: [(1, 2), (3, 4), (5, 19), (6, 20), (7, 8), (9, 10),
@@ -439,37 +441,16 @@ _L_PAIRS = {
 }
 
 
-@dataclass(frozen=True)
-class ClauseTypeSets:
-    l_sets: tuple[EdgeSet, EdgeSet, EdgeSet]
-    r_sets: tuple[EdgeSet, EdgeSet, EdgeSet]
-
-
-def clause_type_sets(gadget: Gadget) -> ClauseTypeSets:
-    """The L1..L3 sets on the u-vertices and their mirrors on the v-vertices."""
-    if gadget.kind != "clause":
-        raise ValueError("clause_type_sets needs a clause gadget")
-    g = gadget.graph
-    ls, rs = [], []
-    for i in (1, 2, 3):
-        l = frozenset(g.edge_id(gadget.names[f"u{a}"], gadget.names[f"u{b}"])
-                      for a, b in _L_PAIRS[i])
-        r = frozenset(g.edge_id(gadget.names[f"v{a}"], gadget.names[f"v{b}"])
-                      for a, b in _L_PAIRS[i])
-        ls.append(l)
-        rs.append(r)
-    return ClauseTypeSets(tuple(ls), tuple(rs))
-
-
 def clause_type(gadget: Gadget, restriction: EdgeSet) -> Optional[int]:
-    """Type 1..3 whose L/R sets equal the restriction's trace on the U/V edges, else None."""
-    ts = clause_type_sets(gadget)
+    """Type i in 1..3 if the restriction's trace on the U and V edges is the
+    set L_i on the u-vertices and its mirror R_i on the v-vertices, else None."""
+    g, names = gadget.graph, gadget.names
     uv = set(gadget.marks["U"]) | set(gadget.marks["V"])
-    edges = gadget.graph.edges
-    trace = frozenset(e for e in restriction if edges[e][0] in uv and edges[e][1] in uv)
-    for i in range(3):
-        if trace == ts.l_sets[i] | ts.r_sets[i]:
-            return i + 1
+    trace = {e for e in restriction if g.edges[e][0] in uv and g.edges[e][1] in uv}
+    for i, pairs in _L_PAIRS.items():
+        if trace == {g.edge_id(names[f"{s}{a}"], names[f"{s}{b}"])
+                     for s in "uv" for a, b in pairs}:
+            return i
     return None
 
 
@@ -487,18 +468,38 @@ def enumerate_local_pmcs(gadget: Gadget) -> list[EdgeSet]:
     return enumerate_pmcs(gadget.graph)
 
 
-def restriction_sides(gadget: Gadget, restriction: EdgeSet) -> tuple[int, ...]:
-    """Side bit of every fragment vertex under an admissible restriction."""
+# Number of admissible local restrictions of each gadget, by the census theorem.
+CENSUS_SIZES = {"variable": 1, "clause": 3, "crossing": 8}
+
+
+def census_types(gadget: Gadget, census: list[EdgeSet]) -> dict[int, EdgeSet]:
+    """Check a gadget's census against the census theorem and return the
+    restrictions the reduction uses, keyed by type.
+
+    The variable gadget's census is its forced red set alone (type 1).  The
+    clause gadget's holds one restriction of each clause type 1..3, keyed in
+    census order.  The crossing gadget's holds P1 and P2 (types 1 and 2)
+    among its elements.  Any other census raises FigureError.
+    """
+    if gadget.kind == "clause":
+        types = {clause_type(gadget, c): c for c in census}
+        typed = set(types) == set(_L_PAIRS)
+    else:
+        sets = (gadget.red_edges,) if gadget.kind == "variable" else crossing_type_sets(gadget)
+        types = dict(enumerate(sets, 1))
+        typed = set(sets) <= set(census)
+    if len(census) != CENSUS_SIZES[gadget.kind] or not typed:
+        raise FigureError(f"{gadget.kind} gadget: its census of {len(census)} "
+                          "restrictions fails the census theorem")
+    return types
+
+
+def side_relations(gadget: Gadget, restriction: EdgeSet) -> dict[str, int]:
+    """Side bit of every named port under an admissible restriction."""
     g = gadget.graph
     if not is_perfect_matching(g, restriction):
         raise ValueError("restriction is not a perfect matching of the fragment")
     cut = cut_from_edge_set(g, restriction)
     if cut is None:
         raise ValueError("restriction is not parity-consistent")
-    return cut.sides
-
-
-def side_relations(gadget: Gadget, restriction: EdgeSet) -> dict[str, int]:
-    """Side bit of every named port under an admissible restriction."""
-    side = restriction_sides(gadget, restriction)
-    return {name: side[v] for name, v in gadget.names.items() if v in gadget.ports}
+    return {name: cut.sides[v] for name, v in gadget.names.items() if v in gadget.ports}

@@ -43,8 +43,7 @@ from .gadgets import (
     build_clause_gadget,
     build_crossing_gadget,
     build_variable_gadget,
-    clause_type,
-    crossing_type_sets,
+    census_types,
     enumerate_local_pmcs,
 )
 from .graphs import (
@@ -63,7 +62,8 @@ CROSSING_SIZE = 16
 
 
 class ReductionError(ValueError):
-    pass
+    """A formula the reduction refuses; a failed check of what the
+    reduction builds is a RuntimeError instead."""
 
 
 @dataclass(frozen=True)
@@ -222,15 +222,9 @@ def _rotation_readers() -> dict[str, tuple[tuple[int, ...], tuple]]:
 
 @lru_cache(maxsize=1)
 def _local_restrictions() -> dict[str, dict[int, EdgeSet]]:
-    """Template kind -> type -> restriction, in local edge ids: the variable
-    gadget's forced set (1), the clause census by type (1..3) and the
-    crossing's P1 and P2 (1, 2)."""
-    vg, cg, xg = _templates()
-    by_type = {clause_type(cg, c): c for c in enumerate_local_pmcs(cg)}
-    if set(by_type) != {1, 2, 3}:
-        raise ReductionError("clause census does not split into the three types")
-    return {vg.kind: {1: vg.red_edges}, cg.kind: by_type,
-            xg.kind: dict(enumerate(crossing_type_sets(xg), 1))}
+    """Template kind -> type -> restriction, in local edge ids, as
+    ``census_types`` reads them from each template's checked census."""
+    return {t.kind: census_types(t, enumerate_local_pmcs(t)) for t in _templates()}
 
 
 def _validate(f: NaeFormula) -> None:
@@ -343,7 +337,7 @@ def layout(hb: HBuild) -> Drawing:
     for a, b in events:
         ba, bb = bundles[a], bundles[b]
         if ba.var == bb.var or ba.clause == bb.clause:
-            raise ReductionError("bundles of a shared gadget may not cross")
+            raise RuntimeError("bundles of a shared gadget may not cross")
     return Drawing(bundles=bundles, events=tuple(events))
 
 
@@ -397,9 +391,9 @@ def planarize(hb: HBuild, drawing: Drawing) -> ReductionArtifact:
     order = sorted(range(len(pairs)), key=pairs.__getitem__)
     g = Graph(len(vertex_info), map(pairs.__getitem__, order))
     if not is_cubic(g):
-        raise ReductionError("assembled graph is not cubic")
+        raise RuntimeError("assembled graph is not cubic")
     if g.n != VARIABLE_SIZE * n + CLAUSE_SIZE * m + CROSSING_SIZE * q:
-        raise ReductionError("assembled graph failed the size law")
+        raise RuntimeError("assembled graph failed the size law")
 
     # eid[i] is the id of pairs[i], its rank in the sort, read as the int
     # object g.inc holds, so the rotations and edge tables kept below share
@@ -433,7 +427,7 @@ def planarize(hb: HBuild, drawing: Drawing) -> ReductionArtifact:
         rotations[base:base + len(getters)] = [get(row) for get in getters]
     embedding = PlaneEmbedding(g, rotations)
     if not is_planar_embedding(g, embedding):
-        raise ReductionError("rotation system failed the Euler certification")
+        raise RuntimeError("rotation system failed the Euler certification")
 
     occurrence = [(b.var, b.clause) for b in drawing.bundles]
     crossings = [CrossingRecord(index=k, lower=occurrence[lo], upper=occurrence[hi])

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import re
 import time
@@ -12,6 +13,7 @@ from pmcut.formula import (
     canonical_n3_formula,
     serialize_formula,
 )
+from pmcut.gadgets import build_variable_gadget
 from pmcut.graphs import random_cubic_graph, serialize_graph
 
 from _oracles import random_e4_formula_unfiltered
@@ -110,6 +112,16 @@ def test_solve_pmc_failed_witness_check_is_internal_error(tmp_path, capsys, monk
     monkeypatch.setattr("pmcut.solver.cut_from_edge_set", lambda g, m: None)
     assert main(["solve-pmc", str(q3)]) == 70
     assert "RuntimeError" in capsys.readouterr().err
+
+
+def test_failed_reduction_check_is_internal_error(n3_file, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("pmcut.reduction.is_cubic", lambda g: False)
+    for argv in (["reduce", str(n3_file), "--out", str(tmp_path / "o")],
+                 ["render", str(n3_file), "--out", str(tmp_path / "r")],
+                 ["roundtrip", str(n3_file)]):
+        assert main(argv) == 70, argv
+        err = capsys.readouterr().err
+        assert err == "error: internal: RuntimeError: assembled graph is not cubic\n", argv
 
 
 def test_verify_graph_without_embedding_block(n3_file, tmp_path, capsys):
@@ -336,6 +348,17 @@ def test_verify_gadgets(capsys):
     assert "gadget variable census 1 expected 1 PASS" in out
     assert "gadget clause census 3 expected 3 PASS" in out
     assert "gadget crossing census 8 expected 8 PASS" in out
+
+
+def test_verify_gadgets_fails_on_a_wrong_forced_set(capsys, monkeypatch):
+    good = build_variable_gadget()
+    mutant = dataclasses.replace(good, red_edges=good.red_edges - {min(good.red_edges)})
+    monkeypatch.setattr("pmcut.gadgets.build_variable_gadget", lambda: mutant)
+    assert main(["verify-gadgets"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("gadget variable census 1 expected 1 FAIL ")
+    assert lines[1:] == ["gadget clause census 3 expected 3 PASS",
+                         "gadget crossing census 8 expected 8 PASS"]
 
 
 def test_roundtrip_command(n3_file, tmp_path, capsys):

@@ -1,16 +1,17 @@
+import dataclasses
 from collections import Counter
 
 import pytest
 
 from pmcut.gadgets import (
+    FigureError,
+    census_types,
     clause_type,
-    clause_type_sets,
     crossing_type_sets,
     enumerate_local_pmcs,
-    restriction_sides,
     side_relations,
 )
-from pmcut.graphs import face_darts, is_bipartite, is_perfect_matching
+from pmcut.graphs import cut_from_edge_set, face_darts, is_bipartite, is_perfect_matching
 
 
 # --- shape ---------------------------------------------------------------------
@@ -80,24 +81,57 @@ def test_port_cyclic_orders(variable_gadget, clause_gadget):
 def test_variable_census_is_red_set(variable_gadget):
     census = enumerate_local_pmcs(variable_gadget)
     assert census == [variable_gadget.red_edges]
+    assert census_types(variable_gadget, census) == {1: variable_gadget.red_edges}
 
 
 def test_clause_type_sets(clause_gadget):
-    ts = clause_type_sets(clause_gadget)
+    """The type-i restriction's edges inside U are a set L_i of 10 edges
+    covering U, and its edges inside V are L_i's mirror R_i."""
     g = clause_gadget.graph
+    types = census_types(clause_gadget, enumerate_local_pmcs(clause_gadget))
     u_vertices = set(clause_gadget.marks["U"])
-    for i in range(3):
-        assert len(ts.l_sets[i]) == 10
-        covered = {w for e in ts.l_sets[i] for w in g.edges[e]}
+    v_vertices = set(clause_gadget.marks["V"])
+    for c in types.values():
+        l_set = {e for e in c if set(g.edges[e]) <= u_vertices}
+        r_set = {e for e in c if set(g.edges[e]) <= v_vertices}
+        assert len(l_set) == 10
+        covered = {w for e in l_set for w in g.edges[e]}
         assert covered == u_vertices
         # R mirrors L through the u->v renaming
         mirrored = set()
-        for e in ts.l_sets[i]:
+        for e in l_set:
             a, b = g.edges[e]
             na = clause_gadget.vertex_names[a].replace("u", "v")
             nb = clause_gadget.vertex_names[b].replace("u", "v")
             mirrored.add(g.edge_id(clause_gadget.names[na], clause_gadget.names[nb]))
-        assert frozenset(mirrored) == ts.r_sets[i]
+        assert mirrored == r_set
+
+
+def test_census_types_rejects_a_variable_red_set_off_its_census(variable_gadget):
+    census = enumerate_local_pmcs(variable_gadget)
+    mutant = dataclasses.replace(variable_gadget,
+                                 red_edges=variable_gadget.red_edges - {min(census[0])})
+    with pytest.raises(FigureError, match="variable gadget: its census of 1 "):
+        census_types(mutant, enumerate_local_pmcs(mutant))
+
+
+def test_census_types_rejects_a_crossing_census_without_p1(crossing_gadget):
+    p1, _ = crossing_type_sets(crossing_gadget)
+    census = [c for c in enumerate_local_pmcs(crossing_gadget) if c != p1]
+    with pytest.raises(FigureError, match="crossing gadget: its census of 7 "):
+        census_types(crossing_gadget, census)
+    # the size alone does not pass it: P1 swapped for a second copy of P2
+    census.append(crossing_type_sets(crossing_gadget)[1])
+    with pytest.raises(FigureError, match="crossing gadget: its census of 8 "):
+        census_types(crossing_gadget, census)
+
+
+def test_census_types_rejects_a_repeated_or_fourth_clause_element(clause_gadget):
+    census = enumerate_local_pmcs(clause_gadget)
+    with pytest.raises(FigureError, match="clause gadget: its census of 3 "):
+        census_types(clause_gadget, [census[0], census[0], census[2]])
+    with pytest.raises(FigureError, match="clause gadget: its census of 4 "):
+        census_types(clause_gadget, census + [census[0]])
 
 
 def test_clause_census_three_types(clause_gadget):
@@ -105,6 +139,7 @@ def test_clause_census_three_types(clause_gadget):
     assert len(census) == 3
     types = {clause_type(clause_gadget, c) for c in census}
     assert types == {1, 2, 3}
+    assert list(census_types(clause_gadget, census).values()) == census
     for c in census:
         assert clause_gadget.red_edges <= c  # D block red edges always selected
 
@@ -177,6 +212,7 @@ def test_crossing_census(crossing_gadget):
     assert len(census) == 8
     p1, p2 = crossing_type_sets(crossing_gadget)
     assert p1 in census and p2 in census
+    assert census_types(crossing_gadget, census) == {1: p1, 2: p2}
     g = crossing_gadget.graph
     for c in census:
         for sq in ("BL", "BR", "TL", "TR"):
@@ -221,7 +257,7 @@ def test_clause_side_relations(clause_gadget):
     seen = {}
     for c in census:
         t = clause_type(clause_gadget, c)
-        side = restriction_sides(clause_gadget, c)
+        side = cut_from_edge_set(clause_gadget.graph, c).sides
         u1, u8, u14 = (side[clause_gadget.names[n]] for n in ("u1", "u8", "u14"))
         # exactly one of the three is separated, depending on the type
         seen[t] = (u1, u8, u14)

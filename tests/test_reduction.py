@@ -9,8 +9,8 @@ from pmcut.gadgets import (
     build_clause_gadget,
     build_crossing_gadget,
     build_variable_gadget,
-    clause_type,
-    crossing_type_sets,
+    census_types,
+    enumerate_local_pmcs,
 )
 from pmcut.graphs import (
     is_3_connected,
@@ -280,26 +280,25 @@ def test_gadget_edges_are_the_graphs_edge_ids(formula):
 
 def test_restrictions_read_through_gadget_edges(canonical_artifact, variable_gadget,
                                                 clause_gadget, crossing_gadget):
-    """Each restriction is its template's local set mapped through the
-    gadget's edge table: the variable's forced set, clause types 1-3 and the
-    crossing's P1 and P2; each S2 ring is the template's, moved to the
-    gadget's first vertex."""
+    """Each restriction is its template's typed census element, as
+    census_types reads it, mapped through the gadget's edge table: the
+    variable's forced set, clause types 1-3 and the crossing's P1 and P2;
+    each S2 ring is the template's, moved to the gadget's first vertex."""
     art = canonical_artifact
+    table = {t.kind: census_types(t, enumerate_local_pmcs(t))
+             for t in (variable_gadget, clause_gadget, crossing_gadget)}
 
     def local(kind, k, t):  # restriction t of gadget (kind, k) in template edge ids
         edges = art.restriction(kind, k, t)
         return {le for le, e in enumerate(art.gadget_edges[(kind, k)]) if e in edges}
 
+    assert {kind for kind, _ in art.gadget_edges} == set(table)
+    for kind, k in art.gadget_edges:
+        for t, want in table[kind].items():
+            assert local(kind, k, t) == want
     for i in range(1, art.formula.n + 1):
-        assert local("variable", i, 1) == variable_gadget.red_edges
         base = art.vertex_info.start("variable", i)
         assert art.s2(i) == tuple(base + lv for lv in variable_gadget.marks["S2"])
-    for j in range(1, art.formula.m + 1):
-        for t in (1, 2, 3):
-            assert clause_type(clause_gadget, local("clause", j, t)) == t
-    p1_p2 = crossing_type_sets(crossing_gadget)
-    for rec in art.crossings:
-        assert (local("crossing", rec.index, 1), local("crossing", rec.index, 2)) == p1_p2
     for kind, k, t in (("variable", 1, 0), ("variable", 1, 2), ("clause", 1, 4),
                        ("crossing", 1, 3), ("crossing", art.q + 1, 1)):
         with pytest.raises(KeyError):
