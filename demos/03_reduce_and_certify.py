@@ -23,8 +23,8 @@ print("layout order, bottom to top: variables", hb.var_order, "clauses", hb.clau
 
 # Step 2: route the twelve wire bundles; swaps in the wiring diagram are
 # exactly the bundle crossings.
-drawing = layout(hb)
-print(f"bundles: {len(drawing.bundles)}, crossings q = {len(drawing.events)}")
+crossings = layout(hb)
+print(f"bundles: {len(hb.exit_order)}, crossings q = {len(crossings)}")
 
 # Step 3: splice a 16-vertex gadget into each crossing and certify.
 art = reduce_formula(f)
@@ -51,7 +51,7 @@ through = {xg.names[u]: xg.names[v]
 mate = {}
 for u, v, _ in art.connectors:
     mate[u], mate[v] = v, u
-r, _ = art.slots[(1, 1)]
+r, _ = art.plan.slots[(1, 1)]
 v = art.vertex_info.start("variable", 1) + build_variable_gadget().names[f"t{r}"]
 wire = [(v, mate[v])]
 while art.vertex_info[mate[v]][0] == "crossing":

@@ -21,9 +21,12 @@ the clause figure's own anchor stacking.  Bundles of one gadget therefore
 never cross, and the crossings are exactly the two-layer crossings of the
 incidence graph under the layout order.  Any order is sound: the variable
 gadget puts all its anchors on one side, and the three clause types are
-symmetric under relabelling the ports.  ``ReductionArtifact.slots`` records
-the (slot, port) of every occurrence; vertex ids, ``vertex_info`` and
-provenance keep index order.
+symmetric under relabelling the ports.  ``plan.slots`` records the
+(slot, port) of every occurrence; vertex ids, ``vertex_info`` and provenance
+keep index order.
+
+A bundle is named everywhere by its occurrence (i, j), and a crossing by the
+(lower, upper) pair of the bundles it splices.
 
 The artifact keeps one edge table per gadget, ``gadget_edges``, and reads
 every gadget restriction of the witness maps through it.
@@ -64,36 +67,6 @@ CROSSING_SIZE = 16
 class ReductionError(ValueError):
     """A formula the reduction refuses; a failed check of what the
     reduction builds is a RuntimeError instead."""
-
-
-@dataclass(frozen=True)
-class Bundle:
-    """One occurrence (variable in clause): two parallel wires, t above b."""
-
-    var: int
-    clause: int
-    exit_slot: int
-    entry_slot: int
-
-
-@dataclass(frozen=True)
-class Drawing:
-    """The bundles and the ordered list of their crossings; the gadget
-    layout orders they follow are ``HBuild.var_order`` and ``clause_order``."""
-
-    bundles: tuple[Bundle, ...]
-    events: tuple[tuple[int, int], ...]  # (lower bundle idx, upper bundle idx)
-
-
-@dataclass(frozen=True, slots=True)
-class CrossingRecord:
-    """Crossing gadget ``index`` and the two bundles it splices.  Its
-    vertices start at ``vertex_info.start("crossing", index)``, and its
-    edges are the artifact's ``gadget_edges[("crossing", index)]``."""
-
-    index: int
-    lower: tuple[int, int]  # bundle passing left-to-right through u1,u2 -> v1,v2
-    upper: tuple[int, int]  # bundle descending through u1',u2' -> v1',v2'
 
 
 class VertexInfo(Sequence):
@@ -148,9 +121,11 @@ class VertexInfo(Sequence):
 class HBuild:
     """The plan of H that ``layout`` and ``planarize`` read; no graph is built.
 
-    ``slots`` fixes both ends of every wire: occurrence (i, j) at slot r and
-    port p runs from variable i's ``t{r}``/``b{r}`` to clause j's
-    ``t'{p}``/``b'{p}``."""
+    Each occurrence (i, j) is one bundle of two wires, t above b.  Its
+    positions in ``exit_order`` and ``entry_order`` are its bundle's
+    positions in the two columns, and ``slots`` fixes both ends of its
+    wires: occurrence (i, j) at slot r and port p runs from variable i's
+    ``t{r}``/``b{r}`` to clause j's ``t'{p}``/``b'{p}``."""
 
     formula: NaeFormula
     var_order: tuple[int, ...]     # bottom to top
@@ -164,6 +139,12 @@ class HBuild:
 class ReductionArtifact:
     """The compiled instance and the provenance of each part of it.
 
+    ``plan`` is the ``HBuild`` the instance was assembled from.  Crossing
+    gadget k, k counted from 1, splices the bundles ``crossings[k - 1]``:
+    the lower occurrence passes through its ports u1, u2 -> v1, v2 and the
+    upper one through u1', u2' -> v1', v2'.  Its vertices start at
+    ``vertex_info.start("crossing", k)``.
+
     ``gadget_edges`` maps each gadget (kind, k) to the global ids of its
     template's edges in local edge order, the int objects ``graph.inc``
     holds.  The restrictions the witness maps use are read through it and
@@ -175,13 +156,16 @@ class ReductionArtifact:
     formula: NaeFormula
     graph: Graph
     embedding: PlaneEmbedding
-    q: int
     vertex_info: VertexInfo
     connectors: tuple[tuple[int, int, int], ...]
-    slots: dict
     gadget_edges: dict
-    crossings: tuple[CrossingRecord, ...]
-    drawing: Drawing
+    plan: HBuild
+    crossings: tuple  # (lower, upper) occurrence pair of each crossing gadget
+
+    @property
+    def q(self) -> int:
+        """The number of crossing gadgets."""
+        return len(self.crossings)
 
     def restriction(self, kind: str, k: int, t: int) -> EdgeSet:
         """Global edge set of restriction t of gadget (kind, k): a variable
@@ -303,7 +287,7 @@ def build_h(f: NaeFormula) -> HBuild:
     return HBuild(f, var_order, clause_order, exit_order, entry_order, slots)
 
 
-def wiring_events(tracks: list[int], target: dict | list) -> list[tuple[int, int]]:
+def wiring_events(tracks: list, target: dict | list) -> list[tuple]:
     """Bubble the bottom-to-top track order into target order.
 
     Each swap is one crossing of the two bundles involved, recorded as
@@ -325,24 +309,19 @@ def wiring_events(tracks: list[int], target: dict | list) -> list[tuple[int, int
     return events
 
 
-def layout(hb: HBuild) -> Drawing:
-    """Route bundles as a wiring diagram; swaps are the crossing quadruples."""
-    exit_slot, entry_slot = _positions(hb.exit_order), _positions(hb.entry_order)
-    bundles = tuple(Bundle(i, j, exit_slot[(i, j)], entry_slot[(i, j)])
-                    for i, j in sorted(hb.exit_order))
-    index = {(b.var, b.clause): k for k, b in enumerate(bundles)}
-
-    events = wiring_events([index[ij] for ij in hb.exit_order],
-                           [b.entry_slot for b in bundles])
-    for a, b in events:
-        ba, bb = bundles[a], bundles[b]
-        if ba.var == bb.var or ba.clause == bb.clause:
+def layout(hb: HBuild) -> tuple:
+    """Route the bundles from exit to entry order as a wiring diagram; each
+    swap is one crossing, a (lower, upper) pair of occurrences, in router
+    order."""
+    crossings = tuple(wiring_events(hb.exit_order, _positions(hb.entry_order)))
+    for (i1, j1), (i2, j2) in crossings:
+        if i1 == i2 or j1 == j2:
             raise RuntimeError("bundles of a shared gadget may not cross")
-    return Drawing(bundles=bundles, events=tuple(events))
+    return crossings
 
 
 @_without_gc
-def planarize(hb: HBuild, drawing: Drawing) -> ReductionArtifact:
+def planarize(hb: HBuild, crossings: tuple) -> ReductionArtifact:
     """Splice a crossing gadget into each swap and certify the embedding.
 
     Every edge, template edge or connector, is listed once, and one sort of
@@ -352,7 +331,7 @@ def planarize(hb: HBuild, drawing: Drawing) -> ReductionArtifact:
     f = hb.formula
     vg, cg, xg = _templates()
     n, m = f.n, f.m
-    q = len(drawing.events)
+    q = len(crossings)
     vertex_info = VertexInfo((n, m, q))
     # (kind, k) -> (template, first vertex id) for every gadget
     placed = {(t.kind, k): (t, vertex_info.start(t.kind, k))
@@ -361,23 +340,21 @@ def planarize(hb: HBuild, drawing: Drawing) -> ReductionArtifact:
     # A wire runs from its variable slot to its clause port (hb.slots) and
     # through each crossing on its bundle, from the port it enters to that
     # port's partner; each hop between gadgets is one connector.
-    events_of: dict[int, list[tuple[int, int]]] = {k: [] for k in range(len(drawing.bundles))}
-    for e_idx, (lo, hi) in enumerate(drawing.events):
-        events_of[lo].append((e_idx, 0))
-        events_of[hi].append((e_idx, 1))
+    events_of: dict[tuple, list[tuple[int, int]]] = {ij: [] for ij in hb.exit_order}
+    for k, (lo, hi) in enumerate(crossings, 1):
+        events_of[lo].append((k, 0))
+        events_of[hi].append((k, 1))
     port_of = {
         (0, "b"): ("u1", "v1"), (0, "t"): ("u2", "v2"),
         (1, "b"): ("u1'", "v1'"), (1, "t"): ("u2'", "v2'"),
     }
     pairs = [(base + u, base + v) for t, base in placed.values() for u, v in t.graph.edges]
     connector_vars: list[int] = []
-    for b_idx, bundle in enumerate(drawing.bundles):
-        i, j = bundle.var, bundle.clause
-        r, p = hb.slots[(i, j)]
+    for (i, j), (r, p) in hb.slots.items():
         for sub in ("b", "t"):
             route = [placed[("variable", i)][1] + vg.names[f"{sub}{r}"]]
-            for e_idx, role in events_of[b_idx]:
-                base = placed[("crossing", e_idx + 1)][1]
+            for k, role in events_of[(i, j)]:
+                base = placed[("crossing", k)][1]
                 pin, pout = port_of[(role, sub)]
                 route += [base + xg.names[pin], base + xg.names[pout]]
             route.append(placed[("clause", j)][1] + cg.names[f"{sub}'{p}"])
@@ -429,21 +406,15 @@ def planarize(hb: HBuild, drawing: Drawing) -> ReductionArtifact:
     if not is_planar_embedding(g, embedding):
         raise RuntimeError("rotation system failed the Euler certification")
 
-    occurrence = [(b.var, b.clause) for b in drawing.bundles]
-    crossings = [CrossingRecord(index=k, lower=occurrence[lo], upper=occurrence[hi])
-                 for k, (lo, hi) in enumerate(drawing.events, 1)]
-
     return ReductionArtifact(
         formula=f,
         graph=g,
         embedding=embedding,
-        q=q,
         vertex_info=vertex_info,
         connectors=tuple(sorted(connectors)),
-        slots=hb.slots,
         gadget_edges=gadget_edges,
-        crossings=tuple(crossings),
-        drawing=drawing,
+        plan=hb,
+        crossings=crossings,
     )
 
 
@@ -466,11 +437,8 @@ def serialize_provenance(art: ReductionArtifact) -> str:
         lines.append(f"vertex {vid} {kind} {idx} {name}")
     for u, v, i in art.connectors:
         lines.append(f"connector {u} {v} var {i}")
-    for rec in art.crossings:
-        lines.append(
-            f"crossing {rec.index} bundles {rec.lower[0]},{rec.lower[1]} "
-            f"{rec.upper[0]},{rec.upper[1]}"
-        )
+    for k, ((i1, j1), (i2, j2)) in enumerate(art.crossings, 1):
+        lines.append(f"crossing {k} bundles {i1},{j1} {i2},{j2}")
     for i in range(1, art.formula.n + 1):
         lines.append(f"s2 {i} " + " ".join(map(str, art.s2(i))))
     return "\n".join(lines) + "\n"

@@ -16,52 +16,33 @@ _SLOT_DY = 14.0
 _PAD = 30.0
 
 
-def _bundle_geometry(art: ReductionArtifact):
-    d = art.drawing
-    lines = []
-    for b in d.bundles:
-        y0 = _PAD + (2 * b.exit_slot + 0.5) * _SLOT_DY
-        y1 = _PAD + (2 * b.entry_slot + 0.5) * _SLOT_DY
-        lines.append(((b.var, b.clause), (_VAR_X[1], y0), (_CLAUSE_X[0], y1)))
-    return lines
-
-
-def _crossing_points(art: ReductionArtifact):
-    geom = {key: (p0, p1) for key, p0, p1 in _bundle_geometry(art)}
-    points = []
-    for rec in art.crossings:
-        (x0, ya0), (x1, ya1) = geom[rec.lower]
-        (_, yb0), (_, yb1) = geom[rec.upper]
-        d0, d1 = ya0 - yb0, ya1 - yb1
-        t = d0 / (d0 - d1) if d0 != d1 else 0.5
-        x = x0 + t * (x1 - x0)
-        y = ya0 + t * (ya1 - ya0)
-        points.append((rec.index, x, y))
-    return points
+def _slot_y(slot: int) -> float:
+    return _PAD + (2 * slot + 0.5) * _SLOT_DY
 
 
 def render_svg(art: ReductionArtifact) -> str:
-    d = art.drawing
-    n_slots = 2 * len(d.bundles)
-    height = 2 * _PAD + n_slots * _SLOT_DY
+    plan = art.plan
+    height = 2 * _PAD + 2 * len(plan.exit_order) * _SLOT_DY
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="420" height="{height:.0f}" '
         f'viewBox="0 0 420 {height:.0f}">',
         '<style>text{font:10px sans-serif}</style>',
     ]
-    bundles = _bundle_geometry(art)
-    for (i, j), (x0, y0), (x1, y1) in bundles:
+    # each bundle is a straight line from its exit slot to its entry slot
+    wx0, wx1 = _VAR_X[1], _CLAUSE_X[0]
+    entry_y = {ij: _slot_y(k) for k, ij in enumerate(plan.entry_order)}
+    ends = {ij: (_slot_y(k), entry_y[ij]) for k, ij in enumerate(plan.exit_order)}
+    for (i, j), (y0, y1) in sorted(ends.items()):
         out.append(
-            f'<polyline class="bundle" points="{x0:.1f},{y0:.1f} {x1:.1f},{y1:.1f}" '
+            f'<polyline class="bundle" points="{wx0:.1f},{y0:.1f} {wx1:.1f},{y1:.1f}" '
             f'stroke="#888" fill="none"><title>x{i} in C{j}</title></polyline>'
         )
-    columns = (("var", "exit_slot", _VAR_X, "variable", "#cfe3ff", "#245", "x"),
-               ("clause", "entry_slot", _CLAUSE_X, "clause", "#ffe3cf", "#542", "C"))
-    for key, slot, (x0, x1), cls, fill, stroke, prefix in columns:
+    columns = ((plan.exit_order, 0, _VAR_X, "variable", "#cfe3ff", "#245", "x"),
+               (plan.entry_order, 1, _CLAUSE_X, "clause", "#ffe3cf", "#542", "C"))
+    for order, side, (x0, x1), cls, fill, stroke, prefix in columns:
         slot_y = {}
-        for b in d.bundles:
-            slot_y.setdefault(getattr(b, key), []).append(
-                _PAD + (2 * getattr(b, slot) + 0.5) * _SLOT_DY)
+        for k, ij in enumerate(order):
+            slot_y.setdefault(ij[side], []).append(_slot_y(k))
         for i, ys in sorted(slot_y.items()):
             y0, y1 = min(ys) - 0.6 * _SLOT_DY, max(ys) + 0.6 * _SLOT_DY
             out.append(
@@ -70,10 +51,16 @@ def render_svg(art: ReductionArtifact) -> str:
                 f'fill="{fill}" stroke="{stroke}"/>'
             )
             out.append(f'<text x="{x0 + 6:.1f}" y="{(y0 + y1) / 2:.1f}">{prefix}{i}</text>')
-    for idx, x, y in _crossing_points(art):
+    # a crossing's block sits where its two bundles' lines meet
+    for k, (lo, hi) in enumerate(art.crossings, 1):
+        (ya0, ya1), (yb0, yb1) = ends[lo], ends[hi]
+        d0, d1 = ya0 - yb0, ya1 - yb1
+        t = d0 / (d0 - d1) if d0 != d1 else 0.5
+        x = wx0 + t * (wx1 - wx0)
+        y = ya0 + t * (ya1 - ya0)
         out.append(
             f'<rect class="crossing" x="{x - 4:.1f}" y="{y - 4:.1f}" width="8" height="8" '
-            f'fill="#fff" stroke="#a22"><title>crossing {idx}</title></rect>'
+            f'fill="#fff" stroke="#a22"><title>crossing {k}</title></rect>'
         )
     out.append("</svg>")
     return "\n".join(out) + "\n"

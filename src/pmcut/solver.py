@@ -524,7 +524,7 @@ def pmc_from_assignment(artifact: "ReductionArtifact", a: tuple) -> EdgeSet:
     Variable gadgets contribute their forced red sets; a crossing gadget takes
     its side-preserving restriction P1 iff its two variables agree under a,
     else P2; a clause gadget takes the type separating its minority
-    variable, read through the ports a/b/c of the artifact's slot table.
+    variable, read through the ports a/b/c of the plan's slot table.
     Every entry of a must be 0 or 1.
     """
     f = artifact.formula
@@ -536,10 +536,9 @@ def pmc_from_assignment(artifact: "ReductionArtifact", a: tuple) -> EdgeSet:
     chosen: set[int] = set()
     for i in range(1, f.n + 1):
         chosen |= artifact.restriction("variable", i, 1)
-    for rec in artifact.crossings:
-        (i1, _), (i2, _) = rec.lower, rec.upper
-        chosen |= artifact.restriction("crossing", rec.index, 1 if a[i1 - 1] == a[i2 - 1] else 2)
-    port_var = {(j, p): i for (i, j), (_, p) in artifact.slots.items()}
+    for k, ((i1, _), (i2, _)) in enumerate(artifact.crossings, 1):
+        chosen |= artifact.restriction("crossing", k, 1 if a[i1 - 1] == a[i2 - 1] else 2)
+    port_var = {(j, p): i for (i, j), (_, p) in artifact.plan.slots.items()}
     for j in range(1, f.m + 1):
         va, vb, vc = (port_var[(j, p)] for p in "abc")
         sides = (a[va - 1], a[vb - 1], a[vc - 1])

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import random
 import re
 import time
@@ -15,6 +16,8 @@ from pmcut.formula import (
 )
 from pmcut.gadgets import build_variable_gadget
 from pmcut.graphs import random_cubic_graph, serialize_graph
+from pmcut.reduction import reduce_formula
+from pmcut.render import render_dot, render_svg
 
 from _oracles import random_e4_formula_unfiltered
 
@@ -417,3 +420,20 @@ def test_outputs_deterministic(n3_file, tmp_path):
     main(["render", str(n3_file), "--format", "svg", "--out", str(out1)])
     main(["render", str(n3_file), "--format", "svg", "--out", str(out2)])
     assert (out1 / "n3.svg").read_text() == (out2 / "n3.svg").read_text()
+
+
+# sha256 of render_svg and render_dot, both (svg, dot)
+RENDER_SHA256 = {
+    "n3": ("58c71db0a0db3f77050787fd2be071f358f7ced13b0543775a7a88bad7b1da9d",
+           "d2e09c89a3002cabe5a88463e4fdfcbfdd1448ab5a2029a5de87440d45496899"),
+    "ag23": ("315a74cb138bffe6866e30fcce311d2aa278b0da73333da60216be52c445fd28",
+             "629727e2221df39f5d9dd20eb02d1dd8aad8f88ccd7222d9bc9777716c80e5c7"),
+}
+
+
+@pytest.mark.parametrize("name,formula", [("n3", canonical_n3_formula), ("ag23", ag23_formula)])
+def test_render_outputs_pinned(name, formula):
+    art = reduce_formula(formula())
+    got = tuple(hashlib.sha256(render(art).encode()).hexdigest()
+                for render in (render_svg, render_dot))
+    assert got == RENDER_SHA256[name]

@@ -50,7 +50,7 @@ def _trace_wires(art):
         return out[0]
 
     routes = {}
-    for (i, j), (r, p) in art.slots.items():
+    for (i, j), (r, p) in art.plan.slots.items():
         for sub in "tb":
             route = [info.start("variable", i) + vg.names[f"{sub}{r}"]]
             w = hop(route[0])
@@ -120,28 +120,27 @@ def test_wiring_events_count_inversions():
 
 
 def test_layout_invariants(canonical_artifact):
-    d = canonical_artifact.drawing
-    assert len(d.bundles) == 12
-    assert len(d.events) == 18  # router inversion count for the canonical instance
+    art = canonical_artifact
+    assert len(art.plan.exit_order) == 12
+    assert len(art.crossings) == 18  # router inversion count for the canonical instance
     pairs = set()
-    for lo, hi in d.events:
-        a, b = d.bundles[lo], d.bundles[hi]
-        assert a.var != b.var and a.clause != b.clause
-        pairs.add(frozenset((lo, hi)))
-    assert len(pairs) == len(d.events)
+    for (i1, j1), (i2, j2) in art.crossings:
+        assert i1 != i2 and j1 != j2
+        pairs.add(frozenset(((i1, j1), (i2, j2))))
+    assert len(pairs) == len(art.crossings)
 
 
 def test_same_gadget_bundles_never_invert():
     rng = random.Random(77)
     for n in (6, 9):
         f = random_e4_formula(n, rng)
-        d = layout(build_h(f))
-        bundles = d.bundles
-        for x in range(len(bundles)):
-            for y in range(x + 1, len(bundles)):
-                a, b = bundles[x], bundles[y]
-                if a.var == b.var or a.clause == b.clause:
-                    assert (a.exit_slot < b.exit_slot) == (a.entry_slot < b.entry_slot)
+        hb = build_h(f)
+        entry_slot = {ij: k for k, ij in enumerate(hb.entry_order)}
+        for x, (i1, j1) in enumerate(hb.exit_order):
+            for y in range(x + 1, len(hb.exit_order)):
+                i2, j2 = hb.exit_order[y]
+                if i1 == i2 or j1 == j2:
+                    assert entry_slot[(i1, j1)] < entry_slot[(i2, j2)]
 
 
 def _crossings(f, var_order, clause_order):
@@ -185,7 +184,7 @@ def test_barycenter_never_adds_crossings(canonical_artifact):
     for k in range(50):
         f = random_e4_formula((6, 9, 12)[k % 3], rng)
         q, q0 = _check_fixed_point(f)
-        assert len(layout(build_h(f)).events) == q
+        assert len(layout(build_h(f))) == q
         before += q0
         after += q
     assert after < before
@@ -331,8 +330,8 @@ def test_reduction_outputs_pinned():
     got = {}
     for name, f in formulas.items():
         art = reduce_formula(f)
-        p1_p2 = [tuple(sorted(art.restriction("crossing", rec.index, t)) for t in (1, 2))
-                 for rec in art.crossings]
+        p1_p2 = [tuple(sorted(art.restriction("crossing", k, t)) for t in (1, 2))
+                 for k in range(1, art.q + 1)]
         texts = (repr(tuple(art.vertex_info)), repr(p1_p2),
                  serialize_graph(art.graph, art.embedding), serialize_provenance(art))
         got[name] = tuple(hashlib.sha256(t.encode()).hexdigest() for t in texts)
@@ -340,13 +339,15 @@ def test_reduction_outputs_pinned():
 
 
 def test_reduction_artifact_stays_small():
-    """The artifact of the seeded n = 30 reduction keeps under 440 bytes a
+    """The artifact of the seeded n = 30 reduction keeps under 432 bytes a
     vertex, as tracemalloc counts what reduce_formula leaves allocated:
-    423.5 on Python 3.10 and 433.3-433.4 on 3.11-3.13.  Forced sets and
-    clause types mapped in advance, a tuple of edge ids per crossing record,
-    and wire routes and connectors with ints of their own took 447 on 3.10
-    and 459 on 3.11-3.13, and a (kind, index, name) tuple per vertex with
-    two frozensets per crossing 586-595."""
+    418.7 on Python 3.10, 428.8 on 3.11 and 3.12 and 428.6 on 3.13.  A
+    record object per crossing, and a bundle table with its own copy of the
+    plan's positions, took 423.4 on 3.10 and 433.3-433.4 on 3.11-3.13.
+    Forced sets and clause types mapped in advance, a tuple of edge ids per
+    crossing record, and wire routes and connectors with ints of their own
+    took 447 on 3.10 and 459 on 3.11-3.13, and a (kind, index, name) tuple
+    per vertex with two frozensets per crossing 586-595."""
     f = random_e4_formula(30, random.Random(1))
     reduce_formula(canonical_n3_formula())  # the templates are built once, and cached
     tracemalloc.start()
@@ -355,7 +356,7 @@ def test_reduction_artifact_stays_small():
         kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert kept < 440 * art.graph.n
+    assert kept < 432 * art.graph.n
 
 
 def test_connector_edges_have_labels(canonical_artifact):
@@ -382,11 +383,11 @@ def test_wire_routes_traverse_even_crossover_squares(canonical_artifact, crossin
     art = canonical_artifact
     g = art.graph
     square_of = {}
-    for rec in art.crossings:
-        base = art.vertex_info.start("crossing", rec.index)
+    for k in range(1, art.q + 1):
+        base = art.vertex_info.start("crossing", k)
         for sq in ("BL", "BR", "TL", "TR"):
             for lv in crossing_gadget.marks[sq]:
-                square_of[base + lv] = (rec.index, sq)
+                square_of[base + lv] = (k, sq)
     for route in _trace_wires(art).values():
         squares_on_wire = 0
         for k in range(1, len(route) - 1, 2):
@@ -437,16 +438,14 @@ def test_crossing_records_match_splice_orientation(canonical_artifact):
     art = canonical_artifact
     xg = build_crossing_gadget()
     routes = _trace_wires(art)
-    for rec in art.crossings:
-        base = art.vertex_info.start("crossing", rec.index)
+    for k, ((i1, j1), (i2, j2)) in enumerate(art.crossings, 1):
+        base = art.vertex_info.start("crossing", k)
         for wire, route_key in (("u1", "b"), ("u2", "t")):
             port = base + xg.names[wire]
-            i, j = rec.lower
-            assert port in routes[(i, j, route_key)]
+            assert port in routes[(i1, j1, route_key)]
         for wire, route_key in (("u1'", "b"), ("u2'", "t")):
             port = base + xg.names[wire]
-            i, j = rec.upper
-            assert port in routes[(i, j, route_key)]
+            assert port in routes[(i2, j2, route_key)]
 
 
 def test_random_instances_certify(random_instances):

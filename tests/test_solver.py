@@ -513,7 +513,7 @@ def test_witness_maps_under_reordered_layout(n, seed):
     index_ports = {(i, j): "abc"[k] for j, clause in enumerate(f.clauses, 1)
                    for k, i in enumerate(sorted(clause))}
     assert build_h(f).var_order != tuple(range(n, 0, -1))
-    assert any(art.slots[ij][1] != p for ij, p in index_ports.items())
+    assert any(art.plan.slots[ij][1] != p for ij, p in index_ports.items())
     for a in itertools.product((0, 1), repeat=n):
         if not nae_satisfies(f, a):
             continue
@@ -534,7 +534,7 @@ def test_anchor_sides_under_witness():
     for i in range(1, 4):
         vbase = art.vertex_info.start("variable", i)
         anchors = []
-        for (var, j), (r, p) in art.slots.items():
+        for (var, j), (r, p) in art.plan.slots.items():
             if var == i:  # both ends of the occurrence's two wires
                 cbase = art.vertex_info.start("clause", j)
                 anchors += [vbase + vg.names[f"t{r}"], vbase + vg.names[f"b{r}"],
