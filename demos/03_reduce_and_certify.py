@@ -19,7 +19,10 @@ f = canonical_n3_formula()
 # wires from a variable gadget to a clause gadget; no graph is built yet.
 hb = build_h(f)
 print("occurrences (var, clause), bottom to top at the variables:", hb.exit_order)
-print("layout order, bottom to top: variables", hb.var_order, "clauses", hb.clause_order)
+# Each column lists its bundles gadget by gadget, in layout order.
+variables = tuple(dict.fromkeys(i for i, _ in hb.exit_order))
+clauses = tuple(dict.fromkeys(j for _, j in hb.entry_order))
+print("layout order, bottom to top: variables", variables, "clauses", clauses)
 
 # Step 2: route the twelve wire bundles; swaps in the wiring diagram are
 # exactly the bundle crossings.

@@ -18,11 +18,15 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .graphs import (STUB, EdgeSet, Graph, PlaneEmbedding, cut_from_edge_set, face_darts,
+from .graphs import (EdgeSet, Graph, PlaneEmbedding, cut_from_edge_set, face_darts,
                      is_bipartite, is_perfect_matching, is_planar_embedding)
 from .solver import enumerate_pmcs
 
 Coord = tuple[float, float]
+
+#: Sentinel used in gadget-local rotations for a connector edge that does not
+#: exist yet.  Never appears in a finished PlaneEmbedding.
+STUB = -1
 
 
 @dataclass(frozen=True)

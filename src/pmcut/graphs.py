@@ -48,10 +48,6 @@ from typing import Container, Iterable, Optional
 
 EdgeSet = frozenset  # of edge indices
 
-#: Sentinel used in gadget-local rotations for a connector edge that does not
-#: exist yet.  Never appears in a finished PlaneEmbedding.
-STUB = -1
-
 
 def _without_gc(build):
     """build, run with the cyclic garbage collector paused if it is on.

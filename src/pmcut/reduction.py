@@ -42,6 +42,7 @@ from operator import itemgetter
 
 from .formula import NaeFormula, incidence_graph, variable_cutvertices
 from .gadgets import (
+    STUB,
     Gadget,
     build_clause_gadget,
     build_crossing_gadget,
@@ -50,7 +51,6 @@ from .gadgets import (
     enumerate_local_pmcs,
 )
 from .graphs import (
-    STUB,
     EdgeSet,
     Graph,
     PlaneEmbedding,
@@ -128,8 +128,6 @@ class HBuild:
     ``t{r}``/``b{r}`` to clause j's ``t'{p}``/``b'{p}``."""
 
     formula: NaeFormula
-    var_order: tuple[int, ...]     # bottom to top
-    clause_order: tuple[int, ...]  # bottom to top
     exit_order: list               # occurrences (var, clause) bottom to top at the variables
     entry_order: list              # the same at the clauses
     slots: dict                    # (var, clause) -> (variable slot 1..4, clause port a/b/c)
@@ -284,7 +282,7 @@ def build_h(f: NaeFormula) -> HBuild:
     var_order, clause_order = _layout_order(f)
     exit_order, entry_order = _channel_orders(f, var_order, clause_order)
     slots = _slot_table(exit_order, entry_order)
-    return HBuild(f, var_order, clause_order, exit_order, entry_order, slots)
+    return HBuild(f, exit_order, entry_order, slots)
 
 
 def wiring_events(tracks: list, target: dict | list) -> list[tuple]:

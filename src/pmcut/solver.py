@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, TYPE_CHECKING
 
+from .formula import nae_satisfies
 from .graphs import EdgeSet, Graph, cut_from_edge_set, is_perfect_matching
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -525,14 +526,11 @@ def pmc_from_assignment(artifact: "ReductionArtifact", a: tuple) -> EdgeSet:
     its side-preserving restriction P1 iff its two variables agree under a,
     else P2; a clause gadget takes the type separating its minority
     variable, read through the ports a/b/c of the plan's slot table.
-    Every entry of a must be 0 or 1.
+    a must be a NAE-satisfying assignment with entries 0 and 1.
     """
     f = artifact.formula
-    if len(a) != f.n:
-        raise ValueError("assignment length mismatch")
-    for i, x in enumerate(a, 1):
-        if x not in (0, 1):
-            raise ValueError(f"assignment entry {i} is {x!r}, not 0 or 1")
+    if not nae_satisfies(f, a):
+        raise ValueError("assignment is not NAE-satisfying")
     chosen: set[int] = set()
     for i in range(1, f.n + 1):
         chosen |= artifact.restriction("variable", i, 1)
@@ -542,8 +540,6 @@ def pmc_from_assignment(artifact: "ReductionArtifact", a: tuple) -> EdgeSet:
     for j in range(1, f.m + 1):
         va, vb, vc = (port_var[(j, p)] for p in "abc")
         sides = (a[va - 1], a[vb - 1], a[vc - 1])
-        if sides[0] == sides[1] == sides[2]:
-            raise ValueError(f"clause {j} is not NAE-satisfied")
         if sides[1] != sides[0] and sides[1] != sides[2]:
             t = 1  # b alone
         elif sides[0] == sides[1]:

@@ -16,7 +16,7 @@ from pmcut.formula import (
 )
 from pmcut.gadgets import build_variable_gadget
 from pmcut.graphs import random_cubic_graph, serialize_graph
-from pmcut.reduction import reduce_formula
+from pmcut.reduction import reduce_formula, serialize_provenance
 from pmcut.render import render_dot, render_svg
 
 from _oracles import random_e4_formula_unfiltered
@@ -31,7 +31,7 @@ def n3_file(tmp_path):
 
 def test_validate_formula(n3_file, capsys):
     assert main(["validate-formula", str(n3_file)]) == 0
-    assert "n=3 m=4" in capsys.readouterr().out
+    assert capsys.readouterr().out == "valid nae3sat-e4 instance: n=3 m=4\n"
 
 
 def test_validate_formula_bad_input(tmp_path, capsys):
@@ -67,30 +67,34 @@ def test_usage_error_exit_code(capsys):
 
 def test_solve_nae(n3_file, tmp_path, capsys):
     assert main(["solve-nae", str(n3_file)]) == 0
-    assert capsys.readouterr().out.startswith("SAT ")
+    assert capsys.readouterr().out == "SAT ABA\n"
     unsat = tmp_path / "ag.nae"
     unsat.write_text(serialize_formula(ag23_formula()))
     assert main(["solve-nae", str(unsat)]) == 1
-    assert "UNSAT" in capsys.readouterr().out
+    assert capsys.readouterr().out == "UNSAT\n"
 
 
-def test_reduce_solve_verify_pipeline(n3_file, tmp_path, capsys):
+def test_reduce_solve_verify_pipeline(n3_file, tmp_path, capsys, canonical_artifact):
     out = tmp_path / "out"
     assert main(["reduce", str(n3_file), "--out", str(out)]) == 0
     graph_file = out / "n3.graph"
     prov_file = out / "n3.prov"
-    assert graph_file.exists() and prov_file.exists()
+    # the texts test_reduction_outputs_pinned pins
+    art = canonical_artifact
+    assert graph_file.read_text() == serialize_graph(art.graph, art.embedding)
+    assert prov_file.read_text() == serialize_provenance(art)
     capsys.readouterr()
 
     assert main(["verify-graph", str(graph_file)]) == 0
-    assert "cubic bipartite planar 3-connected: PASS" in capsys.readouterr().out
+    assert capsys.readouterr().out == "cubic bipartite planar 3-connected: PASS\n"
 
     witness = tmp_path / "w.matching"
     cut = tmp_path / "w.cut"
     assert main(["solve-pmc", str(graph_file),
                  "--witness", str(witness), "--cut", str(cut)]) == 0
-    assert witness.read_text().startswith("matching 422")
-    assert cut.read_text().startswith("cut ")
+    assert capsys.readouterr().out == "perfect matching cut with 422 edges\n"
+    assert witness.read_text().startswith("matching 422\n")
+    assert cut.read_text().startswith("cut 422\n")
 
 
 def test_solve_pmc_negative_and_budget(tmp_path, capsys):
@@ -106,6 +110,16 @@ def test_solve_pmc_negative_and_budget(tmp_path, capsys):
     capsys.readouterr()
     assert main(["solve-pmc", str(out / "n3.graph"), "--budget", "3"]) == 2
     assert "budget" in capsys.readouterr().out
+
+    # AG(2,3)'s reduction is refuted in exactly 220 search nodes
+    ag = tmp_path / "ag23.nae"
+    ag.write_text(serialize_formula(ag23_formula()))
+    main(["reduce", str(ag), "--out", str(out)])
+    capsys.readouterr()
+    for budget, code, answer in (("220", 1, "no perfect matching cut\n"),
+                                 ("219", 2, "budget exhausted\n")):
+        assert main(["solve-pmc", str(out / "ag23.graph"), "--budget", budget]) == code
+        assert capsys.readouterr().out == answer
 
 
 def test_solve_pmc_failed_witness_check_is_internal_error(tmp_path, capsys, monkeypatch):
@@ -169,16 +183,22 @@ def test_verify_graph_disconnected_is_fail(tmp_path, capsys, text):
     assert "3-connected: FAILED" in out
 
 
+@pytest.mark.parametrize("command", ["verify-graph", "solve-pmc"])
 @pytest.mark.parametrize("text", [
     "graph -1 0\n",
     "graph 2 1\n0 1\nembedding\nrot 0\n",
     "graph 2 1\n0 1\nembedding\nrot 5 1 0\n",
-], ids=["negative-count", "short-rot", "rot-vertex-out-of-range"])
-def test_solve_pmc_malformed_graph_is_data_error(tmp_path, capsys, text):
+    "graph 3 2\n0 1 2\n1 2\n",
+    "graph 3 3\n0 1\n1 2\n1 0\n",
+    "graph 3 2\n0 1\n",
+    "graph 3 2\n0 1\n1 2\nembedding\nrot 0 2 0\nrot 1 2 0 1\nrot 2 1 1\n",
+], ids=["negative-count", "short-rot", "rot-vertex-out-of-range", "edge-three-fields",
+        "reversed-twice", "truncated", "rot-degree-mismatch"])
+def test_malformed_graph_file_is_data_error(tmp_path, capsys, command, text):
     p = tmp_path / "bad.graph"
     p.write_text(text)
     with pytest.raises(SystemExit) as exc:
-        main(["solve-pmc", str(p)])
+        main([command, str(p)])
     assert exc.value.code == 65
     assert capsys.readouterr().err.startswith("error: ")
 
@@ -347,10 +367,10 @@ def test_isolated_vertex_header_is_data_error(tmp_path, capsys, command, header)
 
 def test_verify_gadgets(capsys):
     assert main(["verify-gadgets"]) == 0
-    out = capsys.readouterr().out
-    assert "gadget variable census 1 expected 1 PASS" in out
-    assert "gadget clause census 3 expected 3 PASS" in out
-    assert "gadget crossing census 8 expected 8 PASS" in out
+    assert capsys.readouterr().out.splitlines() == [
+        "gadget variable census 1 expected 1 PASS",
+        "gadget clause census 3 expected 3 PASS",
+        "gadget crossing census 8 expected 8 PASS"]
 
 
 def test_verify_gadgets_fails_on_a_wrong_forced_set(capsys, monkeypatch):
@@ -366,20 +386,22 @@ def test_verify_gadgets_fails_on_a_wrong_forced_set(capsys, monkeypatch):
 
 def test_roundtrip_command(n3_file, tmp_path, capsys):
     assert main(["roundtrip", str(n3_file)]) == 0
-    assert "SAT=yes PMC=yes assignment NAE-valid" in capsys.readouterr().out
+    assert capsys.readouterr().out == "SAT=yes PMC=yes assignment NAE-valid\n"
 
 
 def test_roundtrip_unsat_consistent(tmp_path, capsys):
     p = tmp_path / "ag.nae"
     p.write_text(serialize_formula(ag23_formula()))
     assert main(["roundtrip", str(p)]) == 0
-    assert "SAT=no PMC=no consistent" in capsys.readouterr().out
+    assert capsys.readouterr().out == "SAT=no PMC=no consistent\n"
 
 
 def test_render_svg(n3_file, tmp_path, capsys):
     out = tmp_path / "r"
     assert main(["render", str(n3_file), "--format", "svg", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote {out / 'n3.svg'}\n"
     svg = (out / "n3.svg").read_text()
+    assert hashlib.sha256(svg.encode()).hexdigest() == RENDER_SHA256["n3"][0]
     root = ET.fromstring(svg)
     ns = "{http://www.w3.org/2000/svg}"
     rects = root.findall(f".//{ns}rect")
@@ -389,10 +411,12 @@ def test_render_svg(n3_file, tmp_path, capsys):
     assert classes.count("crossing") == 18
 
 
-def test_render_dot(n3_file, tmp_path, canonical_artifact):
+def test_render_dot(n3_file, tmp_path, capsys, canonical_artifact):
     out = tmp_path / "r"
     assert main(["render", str(n3_file), "--format", "dot", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote {out / 'n3.dot'}\n"
     dot = (out / "n3.dot").read_text()
+    assert hashlib.sha256(dot.encode()).hexdigest() == RENDER_SHA256["n3"][1]
     assert dot.startswith("graph reduction {")
     assert dot.rstrip().endswith("}")
     # node and edge statements follow the plain DOT grammar

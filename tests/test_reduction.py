@@ -22,6 +22,7 @@ from pmcut.graphs import (
 )
 from pmcut.reduction import (
     ReductionError,
+    _layout_order,
     build_h,
     layout,
     reduce_formula,
@@ -169,9 +170,9 @@ def _sweep(f, var_order, clause_order):
 def _check_fixed_point(f):
     """The layout is a fixed point of one more sweep and has no more
     crossings than the index order; returns both crossing counts."""
-    hb = build_h(f)
-    assert _sweep(f, hb.var_order, hb.clause_order) == (hb.var_order, hb.clause_order)
-    q, q0 = _crossings(f, hb.var_order, hb.clause_order), _index_order_crossings(f)
+    order = _layout_order(f)
+    assert _sweep(f, *order) == order
+    q, q0 = _crossings(f, *order), _index_order_crossings(f)
     assert q <= q0
     return q, q0
 

@@ -23,7 +23,7 @@ from pmcut.graphs import (
     is_perfect_matching,
     random_cubic_graph,
 )
-from pmcut.reduction import build_h, reduce_formula
+from pmcut.reduction import _layout_order, reduce_formula
 from pmcut.solver import (
     _IN,
     _OUT,
@@ -512,7 +512,7 @@ def test_witness_maps_under_reordered_layout(n, seed):
     art = reduce_formula(f)
     index_ports = {(i, j): "abc"[k] for j, clause in enumerate(f.clauses, 1)
                    for k, i in enumerate(sorted(clause))}
-    assert build_h(f).var_order != tuple(range(n, 0, -1))
+    assert _layout_order(f)[0] != tuple(range(n, 0, -1))
     assert any(art.plan.slots[ij][1] != p for ij, p in index_ports.items())
     for a in itertools.product((0, 1), repeat=n):
         if not nae_satisfies(f, a):
