@@ -168,7 +168,9 @@ def cmd_roundtrip(args) -> int:
         print("SAT=no PMC=no consistent")
         return 0
     recovered = sv.assignment_from_pmc(art, m)
-    ok = fm.nae_satisfies(f, recovered)
+    # the maps invert each other: the reduction is a bijection between NAE
+    # assignments up to complement and perfect matching cuts
+    ok = fm.nae_satisfies(f, recovered) and sv.pmc_from_assignment(art, recovered) == m
     witness = sv.pmc_from_assignment(art, a)
     ok &= gr.is_perfect_matching(art.graph, witness)
     ok &= gr.cut_from_edge_set(art.graph, witness) is not None

@@ -8,7 +8,7 @@ adjacency multigraph with connector edges labelled by variable.
 
 from __future__ import annotations
 
-from .reduction import ReductionArtifact
+from .reduction import CLAUSE_SIZE, CROSSING_SIZE, VARIABLE_SIZE, ReductionArtifact
 
 _VAR_X = (20.0, 100.0)
 _CLAUSE_X = (320.0, 400.0)
@@ -68,13 +68,23 @@ def render_svg(art: ReductionArtifact) -> str:
 
 def render_dot(art: ReductionArtifact) -> str:
     """Gadget adjacency multigraph; connector edges labelled by variable."""
-    f, info = art.formula, art.vertex_info
-    prefix = {"variable": "x", "clause": "C", "crossing": "X"}
+    f = art.formula
     lines = ["graph reduction {", "  node [shape=box];"]
     for p, count in (("C", f.m), ("X", art.q), ("x", f.n)):
         lines += [f'  "{p}{i}";' for i in range(1, count + 1)]
+    # each block's start, read once, last block first
+    blocks = [(art.vertex_info.start(kind, 1), size, p)
+              for kind, size, count, p in (("crossing", CROSSING_SIZE, art.q, "X"),
+                                           ("clause", CLAUSE_SIZE, f.m, "C"),
+                                           ("variable", VARIABLE_SIZE, f.n, "x")) if count]
+
+    def gadget(v: int) -> str:
+        for start, size, p in blocks:
+            if v >= start:
+                break
+        return f"{p}{(v - start) // size + 1}"
+
     for u, v, var in art.connectors:
-        (ku, iu, _), (kv, iv, _) = info[u], info[v]
-        lines.append(f'  "{prefix[ku]}{iu}" -- "{prefix[kv]}{iv}" [label="x{var}"];')
+        lines.append(f'  "{gadget(u)}" -- "{gadget(v)}" [label="x{var}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

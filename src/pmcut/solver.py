@@ -5,9 +5,12 @@ The complete solver interleaves two closures over a tri-state edge labelling
 
 * matching closure: a matched vertex excludes its other edges, and a vertex
   with a single non-excluded edge left must use it;
-* parity closure: an in-edge makes its endpoints opposite-side, an out-edge
-  makes them same-side, tracked by union-find with parity; once two adjacent
-  vertices are related, the edge between them is decided.
+* parity closure: vertices start in the classes of the vertex rows (each
+  vertex has exactly one neighbour across the cut, one GF(2) equation each,
+  solved once by _parity_classes), an in-edge makes its endpoints
+  opposite-side, an out-edge makes them same-side, tracked by union-find with
+  parity; once two adjacent vertices are related, the edge between them is
+  decided.
 
 These two rules subsume the published 4-cycle and 6-cycle propagation facts,
 which are kept separately as oracles (`lemma_oracles`) and never hand-coded
@@ -20,19 +23,13 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional, TYPE_CHECKING
 
 from .formula import nae_satisfies
-from .graphs import EdgeSet, Graph, cut_from_edge_set, is_perfect_matching
+from .graphs import EdgeSet, Graph, connected_components, cut_from_edge_set, is_perfect_matching
 
 if TYPE_CHECKING:  # pragma: no cover
     from .reduction import ReductionArtifact
 
 DEFAULT_BUDGET = 2_000_000
 MAX_BRUTEFORCE_VERTICES = 24
-#: A search restarts with root probing at its first backtrack after some edge
-#: has been decided In this many times.  Searched without a restart, the 450
-#: seeded n = 3 and n = 6 reductions of the roundtrip benchmark (seeds 1-5)
-#: decide no edge In more than 8 times (6 of them reach 8, 302 never pass 2),
-#: while AG(2,3) reaches 8 at node 204 and 63 in its 1292 nodes.
-PROBE_AFTER_DECISIONS_OF_ONE_EDGE = 8
 
 _UNDEC, _IN, _OUT = 0, 1, 2
 
@@ -41,22 +38,96 @@ class BudgetExhausted(RuntimeError):
     """Search stopped because the node budget ran out: not a 'no' answer."""
 
 
+def _parity_classes(g: Graph) -> Optional[tuple[list[int], bytearray]]:
+    """Each vertex's key and side constant under the vertex rows, or None if
+    no side vector satisfies them.
+
+    A perfect matching cut has exactly one neighbour of each vertex v across,
+    so its side vector s satisfies one row over GF(2) per vertex: the sum over
+    v's neighbours x of s_v ^ s_x is 1.  Positions count down the BFS order of
+    connected_components, and the rows are eliminated in ascending position,
+    pivoting on their lowest position.  A row's vertices are BFS neighbours,
+    so each echelon row spans a window of positions (185 on AG(2,3), 308 on
+    the seeded n = 30 reduction), and it is stored as an int shifted down to
+    its pivot, in a list indexed by position.  Back-substitution from the
+    highest pivot down writes each vertex's side as a constant xor a sum of
+    free variables; that sum, an int with one bit per free variable, is its
+    key.  Two vertices with equal keys have the xor of their constants as
+    their relative side in every solution; two with different keys have both
+    relative sides.
+    """
+    n = g.n
+    order = [v for comp in reversed(connected_components(g)) for v in reversed(comp)]
+    pos = [0] * n
+    for p, v in enumerate(order):
+        pos[v] = p
+    piv = [0] * n
+    rhs = bytearray(n)
+    for v in order:
+        ps = [pos[x] for x in g.adj[v]]
+        if len(ps) & 1:
+            ps.append(pos[v])
+        if not ps:
+            return None  # 0 = 1
+        base = min(ps)
+        r = 0
+        for p in ps:
+            r ^= 1 << (p - base)
+        c = 1
+        while piv[base]:
+            r ^= piv[base]
+            c ^= rhs[base]
+            if not r:
+                if c:
+                    return None
+                break
+            low = (r & -r).bit_length() - 1
+            r >>= low
+            base += low
+        else:
+            piv[base] = r
+            rhs[base] = c
+    key = [0] * n
+    side = bytearray(n)
+    free = 0
+    for p in range(n - 1, -1, -1):
+        r = piv[p]
+        if not r:
+            key[p] = 1 << free
+            free += 1
+            continue
+        r >>= 1
+        kp, c, q = 0, rhs[p], p + 1
+        while r:
+            low = (r & -r).bit_length() - 1
+            q += low
+            kp ^= key[q]
+            c ^= side[q]
+            r >>= low + 1
+            q += 1
+        key[p], side[p] = kp, c
+    return [key[p] for p in pos], bytearray(side[p] for p in pos)
+
+
 class _PmcSearch:
     """Backtracking with unit propagation; branches lowest edge first, In before Out.
-
-    A search that thrashes, deciding one edge In again and again, restarts
-    once after failed-literal probing (_probe) in its last state with no open
-    decision; the rule and why it keeps the solution order are in solutions.
 
     Parity is a weighted quick-find.  Every vertex v holds root[v], the root
     of its component, and par[v], its side relative to that root, so a find is
     one list index.  A component's size is the length of its vertex list
-    comp_verts[r].  A union of roots ru and rv whose list is no longer than
-    ru's relabels rv's side, the list comp_verts[rv], into ru, XOR-ing each
-    par with the union's flip bit; the flip bit stays readable as par[rv],
-    since rv is on its own list with side 0.  ru's list grows by a copy of
-    rv's, and rv keeps its own list intact: no union touches it while rv is
-    not a root.  So undoing the union relabels the last len(comp_verts[rv])
+    comp_verts[r].  The constructor seeds the components with the classes of
+    the vertex rows (_parity_classes), each rooted at its least vertex with
+    side 0, and writes no trail entry for them; comp_verts holds () for every
+    other vertex, which never becomes a root.  AG(2,3)'s 4356 vertices start
+    in 1040 classes.  _root_fixpoint decides what the seeded classes imply,
+    since no union fired the rules below on them.
+
+    A union of roots ru and rv whose list is no longer than ru's relabels
+    rv's side, the list comp_verts[rv], into ru, XOR-ing each par with the
+    union's flip bit; the flip bit stays readable as par[rv], since rv is on
+    its own list with side 0.  ru's list grows by a copy of rv's, and rv
+    keeps its own list intact: no union touches it while rv is not a root.
+    So undoing the union relabels the last len(comp_verts[rv])
     entries of ru's list back to rv, flips them again and cuts them off.
     Each vertex is relabelled O(log n) times along one branch.
 
@@ -121,13 +192,12 @@ class _PmcSearch:
     own edges tuple.  inc[w] lists w's edges in the order of adj[w], so a
     scan visits the incidences a per-vertex tuple of (edge, neighbour) pairs
     would list, in the same order.  One list of m ints takes the place of
-    those tuples: on the seeded n = 30 reduction (23,992 vertices) the
-    constructor leaves 151-156 bytes per vertex allocated on Python 3.10-3.13,
-    where the tuples took it to about 440, and the one-vertex lists of
-    comp_verts share root's int objects.  The stacks and the trail hold ints:
-    a stacked e means e In, ~e means e Out; a trail entry e >= 0 undoes the
-    assignment of e, and ~rv undoes the union of root rv, whose big root is
-    root[rv] and whose flip bit is par[rv].
+    those tuples: on the seeded n = 30 reduction (23,992 vertices, 5347
+    classes) the constructor leaves 128 bytes per vertex allocated on Python
+    3.11, where the tuples took it to about 440.  The stacks and the trail
+    hold ints: a stacked e means e In, ~e means e Out; a trail entry e >= 0
+    undoes the assignment of e, and ~rv undoes the union of root rv, whose big
+    root is root[rv] and whose flip bit is par[rv].
     """
 
     def __init__(self, g: Graph):
@@ -139,8 +209,22 @@ class _PmcSearch:
         self.matched = [False] * n
         self.rem = [len(es) for es in g.inc]
         self.root = root = list(range(n))
-        self.par = [0] * n
-        self.comp_verts: list[list[int]] = [[v] for v in root]
+        self.par = par = [0] * n
+        self.comp_verts = comp_verts = [()] * n
+        classes = _parity_classes(g)
+        self.consistent = classes is not None
+        # rows with no solution leave one class per vertex; the root fixpoint
+        # then answers no
+        key, side = classes or (root, bytes(n))
+        first: dict[int, int] = {}
+        for v in range(n):
+            r = first.setdefault(key[v], v)
+            if r == v:
+                comp_verts[v] = [v]
+            else:
+                root[v] = r
+                par[v] = side[v] ^ side[r]
+                comp_verts[r].append(v)
         self.trail: list[int] = []
         self.queue: list[int] = []
         self.forced: list[int] = []
@@ -316,55 +400,27 @@ class _PmcSearch:
         self.forced.clear()
 
     def _root_fixpoint(self) -> bool:
-        """Propagate a fresh search's root: a vertex with one edge must use it,
-        and one with two puts its two partners on opposite sides.  False means
-        there is no solution."""
-        if not self.rem or 0 in self.rem:
+        """Propagate a fresh search's root: the closing edges and related
+        partners of the seeded classes, found in one pass over every vertex's
+        pairs of edges.  The vertex rows already hold what a vertex with one
+        or two edges implies.  False means there is no solution."""
+        if not (self.consistent and self.rem):
             return False
-        ones = []
-        # by degree: the unions lower rem as they decide closing edges
-        xr = self.xr
-        for w, es in enumerate(self.inc):
-            if len(es) == 1:
-                ones.append(es[0])
-            elif len(es) == 2:
-                e, f = es
-                if not self._union(xr[e] ^ w, xr[f] ^ w, 1):
-                    return False
-        return self._propagate(ones)
-
-    def _mark_in(self, mark: int, implied: bytearray) -> None:
-        """Mark the edges that the conflict-free propagation since mark set In."""
-        state = self.state
-        for t in self.trail[mark:]:
-            if t >= 0 and state[t] == _IN:
-                implied[t] = 1
-
-    def _probe(self, implied: bytearray) -> bool:
-        """One ascending pass of failed-literal probing over the In literals.
-
-        Each undecided edge is propagated In and undone; if that conflicts,
-        the edge is decided Out and propagated at once, and a conflict there
-        means there is no solution (False).  An edge marked in implied is
-        skipped: a conflict-free propagation from the pass's first state, or
-        from a state extending it, has set it In, so its own probe there could
-        only succeed, propagation being monotone.  The pass marks the In edges
-        of each successful probe too.  Probing removes only values under which
-        propagation alone conflicts, and a skip removes fewer, so no solution
-        is lost.
-        """
-        state, trail = self.state, self.trail
-        for e in range(len(state)):
-            if state[e] or implied[e]:
-                continue
-            mark = len(trail)
-            ok = self._propagate([e])
-            if ok:
-                self._mark_in(mark, implied)
-            self._undo_to(mark)
-            if not ok and not self._propagate([~e]):
-                return False
-        return True
+        root, par, xr = self.root, self.par, self.xr
+        lits = []
+        for x, es in enumerate(self.inc):
+            for i, e in enumerate(es):
+                w = xr[e] ^ x
+                if root[w] == root[x]:
+                    lits.append(e if par[w] != par[x] else ~e)
+                for f in es[i + 1:]:
+                    y = xr[f] ^ x
+                    if root[y] == root[w]:
+                        if par[y] == par[w]:
+                            lits += ~e, ~f
+                        else:
+                            lits += [~h for h in es if h != e and h != f]
+        return self._propagate(lits)
 
     def solutions(self, budget: Optional[int]) -> Iterator[EdgeSet]:
         """Every perfect matching cut, depth first in the canonical order.
@@ -372,76 +428,29 @@ class _PmcSearch:
         The stack holds an (edge, trail mark) pair for each In decision whose
         Out branch is still open.  A conflict or a solution pops the deepest
         pair, undoes the trail to its mark and decides that edge Out.
-
-        A search that thrashes restarts once.  It counts the In decisions it
-        makes on each edge, and once one edge has been decided In
-        PROBE_AFTER_DECISIONS_OF_ONE_EDGE times, its next pop restarts
-        instead.  One edge decided In again and again is a direct sign of
-        chronological thrashing.  AG(2,3) restarts at node 204 and is refuted
-        in 220 nodes.
-
-        The restart undoes to the last state in which the stack was empty,
-        the mark of its bottom pair (or of the pair just popped, if that
-        emptied it), runs one _probe pass there, and searches again from an
-        empty stack, skipping the solutions yielded since that state was
-        reached.  The trail below it holds the root fixpoint and Out
-        decisions whose In subtrees were searched completely, so the
-        solutions left are exactly those that extend it.  They come in the
-        lexicographic order of their labels, edge 0 first and In before Out,
-        whatever that state has decided, so the restarted search meets the
-        same ones in the same order.  The nodes count decisions only, across
-        both searches, and the budget applies to them.
-
-        Every state since the stack was last empty extends that state, so
-        until the pass has run, each conflict-free propagation marks in
-        implied the edges it set In, and the pass does not probe them again;
-        implied is emptied at each decision taken with an empty stack.  On AG(2,3) the
-        pass then propagates 207 times and pops 7.7k literals, where probing
-        every undecided edge takes 264 and 15.0k, and it decides the same
-        edges.
         """
         state, trail, m = self.state, self.trail, len(self.state)
         if not self._root_fixpoint():
             return
         stack: list[tuple[int, int]] = []
-        decisions, thrashing, probed, ok = [0] * m, False, False, True
-        yielded = skip = level_yielded = 0
+        ok = True
         while True:
             e = state.find(_UNDEC) if ok else -1
             if e >= 0:
-                if not stack:
-                    level_yielded, implied = yielded, bytearray(m)
-                decisions[e] += 1
-                thrashing |= decisions[e] >= PROBE_AFTER_DECISIONS_OF_ONE_EDGE
                 stack.append((e, len(trail)))
                 lit = e
             else:
                 if ok:
-                    if skip:
-                        skip -= 1
-                    else:
-                        yielded += 1
-                        yield frozenset(i for i in range(m) if state[i] == _IN)
+                    yield frozenset(i for i in range(m) if state[i] == _IN)
                 if not stack:
                     return
                 e, mark = stack.pop()
-                if thrashing and not probed:
-                    probed = True
-                    self._undo_to(stack[0][1] if stack else mark)
-                    stack.clear()
-                    if not self._probe(implied):
-                        return
-                    skip, ok = yielded - level_yielded, True
-                    continue
                 self._undo_to(mark)
                 lit = ~e
             self.nodes += 1
             if budget is not None and self.nodes > budget:
                 raise BudgetExhausted(f"node budget {budget} exhausted")
-            mark = len(trail)
             ok = self._propagate([lit])
-            if ok and not probed:
-                self._mark_in(mark, implied)
 
 
 def find_pmc(g: Graph, budget: Optional[int] = DEFAULT_BUDGET) -> Optional[EdgeSet]:

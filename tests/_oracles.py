@@ -11,6 +11,11 @@ The cycle enumerations ``six_cycles_dfs`` and ``induced_four_cycles_by_edge_set`
 are depth-first forms of the solver's ``six_cycles`` and
 ``induced_four_cycles``, kept as references for the order of their lists.
 
+``vertex_row_classes`` solves the vertex rows of a perfect matching cut,
+one GF(2) equation per vertex, by dense Gauss-Jordan elimination in vertex
+order and compares kernel vectors pairwise, where the solver eliminates
+sparse rows in BFS order and compares keys.
+
 The fixture builders give the small named graphs (cycles, complete and
 complete bipartite graphs) the tests decide by hand, ``complement`` flips
 every variable of an assignment, and ``random_e4_formula_unfiltered`` draws
@@ -42,6 +47,44 @@ def complete_bipartite_graph(a: int, b: int) -> Graph:
 
 def complement(a: tuple) -> tuple:
     return tuple(1 - b for b in a)
+
+
+def vertex_row_classes(g: Graph):
+    """Each vertex's class and side under the vertex rows, or None if no side
+    vector satisfies them.  Row v says that the sum over v's neighbours x of
+    s_v ^ s_x is 1.  label[v] is the least vertex u whose side relative to v
+    is the same in every solution, and side[v] is that relative side."""
+    n = g.n
+    rows: dict[int, int] = {}  # pivot column -> row; bit n is the right-hand side
+    for v in range(n):
+        r = 1 << n
+        for x in g.adj[v]:
+            r ^= 1 << x
+        if len(g.adj[v]) % 2:
+            r ^= 1 << v
+        for c, row in rows.items():
+            if r >> c & 1:
+                r ^= row
+        if not r & ((1 << n) - 1):
+            if r:
+                return None
+            continue
+        c = (r & ((1 << n) - 1)).bit_length() - 1
+        for d, row in rows.items():
+            if row >> c & 1:
+                rows[d] = row ^ r
+        rows[c] = r
+    # the solutions are one particular solution, every free column at 0, plus
+    # the span of one kernel vector per free column
+    particular = [rows[c] >> n & 1 if c in rows else 0 for c in range(n)]
+    kernel = [[int(c == f) if c not in rows else rows[c] >> f & 1 for c in range(n)]
+              for f in range(n) if f not in rows]
+    label, side = [], []
+    for v in range(n):
+        u = next(u for u in range(v + 1) if all(k[u] == k[v] for k in kernel))
+        label.append(u)
+        side.append(particular[u] ^ particular[v])
+    return label, side
 
 
 def random_e4_formula_unfiltered(n: int, rng: random.Random) -> NaeFormula:

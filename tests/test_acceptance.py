@@ -5,12 +5,18 @@ complete.  Shared heavy work (reductions, solver runs, the cubic catalog)
 lives in session fixtures so the criteria can also be run individually.
 """
 
+import itertools
 import random
 import time
 
 import pytest
 
-from pmcut.formula import canonical_n3_formula, nae_satisfies, solve_nae_bruteforce
+from pmcut.formula import (
+    canonical_n3_formula,
+    nae_satisfies,
+    random_e4_formula,
+    solve_nae_bruteforce,
+)
 from pmcut.gadgets import (
     FigureError,
     build_clause_gadget,
@@ -32,7 +38,7 @@ from pmcut.graphs import (
 )
 from pmcut.reduction import reduce_formula
 from pmcut.solver import find_pmc, find_pmc_bruteforce, lemma_oracles, \
-    assignment_from_pmc, pmc_from_assignment
+    assignment_from_pmc, enumerate_pmcs, pmc_from_assignment
 
 from _catalog import KNOWN_COUNTS, connected_cubic_catalog
 from _oracles import (
@@ -250,3 +256,25 @@ def test_criterion_7_lemma_oracle_suite(gadget_censuses, roundtrip_results,
                    == (cut_from_edge_set(g, m) is not None))
             pairs += 1
     _report(f"criterion 7 (lemma oracle suite, {time.time() - t0:.1f}s)", ok)
+
+
+def test_criterion_8_parsimony():
+    """The reduction is a bijection between NAE assignments up to complement
+    and perfect matching cuts: enumerate_pmcs finds half as many cuts as
+    there are NAE assignments, and the two witness maps invert each other on
+    every cut it finds."""
+    t0 = time.time()
+    formulas = [canonical_n3_formula()]
+    formulas += [random_e4_formula(6, random.Random(seed)) for seed in range(1, 6)]
+    formulas += [random_e4_formula(9, random.Random(seed)) for seed in (1, 2)]
+    ok = True
+    cuts = 0
+    for f in formulas:
+        art = reduce_formula(f)
+        nae = sum(nae_satisfies(f, a) for a in itertools.product((0, 1), repeat=f.n))
+        pmcs = enumerate_pmcs(art.graph)
+        ok &= len(pmcs) == nae // 2
+        ok &= all(pmc_from_assignment(art, assignment_from_pmc(art, m)) == m for m in pmcs)
+        cuts += len(pmcs)
+    ok &= cuts > len(formulas)
+    _report(f"criterion 8 (parsimony, {cuts} cuts, {time.time() - t0:.1f}s)", ok)

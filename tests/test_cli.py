@@ -18,6 +18,7 @@ from pmcut.gadgets import build_variable_gadget
 from pmcut.graphs import random_cubic_graph, serialize_graph
 from pmcut.reduction import reduce_formula, serialize_provenance
 from pmcut.render import render_dot, render_svg
+from pmcut.solver import assignment_from_pmc, find_pmc
 
 from _oracles import random_e4_formula_unfiltered
 
@@ -108,16 +109,17 @@ def test_solve_pmc_negative_and_budget(tmp_path, capsys):
     out = tmp_path / "o"
     main(["reduce", str(n3), "--out", str(out)])
     capsys.readouterr()
-    assert main(["solve-pmc", str(out / "n3.graph"), "--budget", "3"]) == 2
+    # the canonical reduction's first witness takes 2 search nodes
+    assert main(["solve-pmc", str(out / "n3.graph"), "--budget", "1"]) == 2
     assert "budget" in capsys.readouterr().out
 
-    # AG(2,3)'s reduction is refuted in exactly 220 search nodes
+    # AG(2,3)'s reduction is refuted in exactly 16 search nodes
     ag = tmp_path / "ag23.nae"
     ag.write_text(serialize_formula(ag23_formula()))
     main(["reduce", str(ag), "--out", str(out)])
     capsys.readouterr()
-    for budget, code, answer in (("220", 1, "no perfect matching cut\n"),
-                                 ("219", 2, "budget exhausted\n")):
+    for budget, code, answer in (("16", 1, "no perfect matching cut\n"),
+                                 ("15", 2, "budget exhausted\n")):
         assert main(["solve-pmc", str(out / "ag23.graph"), "--budget", budget]) == code
         assert capsys.readouterr().out == answer
 
@@ -387,6 +389,18 @@ def test_verify_gadgets_fails_on_a_wrong_forced_set(capsys, monkeypatch):
 def test_roundtrip_command(n3_file, tmp_path, capsys):
     assert main(["roundtrip", str(n3_file)]) == 0
     assert capsys.readouterr().out == "SAT=yes PMC=yes assignment NAE-valid\n"
+
+
+def test_roundtrip_checks_that_the_witness_maps_invert(n3_file, capsys, monkeypatch):
+    """A decoded assignment that is NAE-valid but rebuilds another perfect
+    matching cut than the solver's fails the roundtrip."""
+    art = reduce_formula(canonical_n3_formula())
+    decoded = assignment_from_pmc(art, find_pmc(art.graph))
+    other = next(a for a in ((0, 0, 1), (0, 1, 0), (1, 0, 0))
+                 if decoded not in (a, tuple(1 - x for x in a)))
+    monkeypatch.setattr("pmcut.solver.assignment_from_pmc", lambda art, m: other)
+    assert main(["roundtrip", str(n3_file)]) == 1
+    assert capsys.readouterr().out == "SAT=yes PMC=yes assignment INVALID\n"
 
 
 def test_roundtrip_unsat_consistent(tmp_path, capsys):

@@ -8,6 +8,7 @@ import networkx as nx
 import pytest
 
 from pmcut.formula import (
+    NaeFormula,
     ag23_formula,
     canonical_n3_formula,
     nae_satisfies,
@@ -27,9 +28,9 @@ from pmcut.reduction import _layout_order, reduce_formula
 from pmcut.solver import (
     _IN,
     _OUT,
-    PROBE_AFTER_DECISIONS_OF_ONE_EDGE,
     BudgetExhausted,
     _PmcSearch,
+    _parity_classes,
     assignment_from_pmc,
     enumerate_pmcs,
     find_pmc,
@@ -48,6 +49,7 @@ from _oracles import (
     cycle_graph,
     induced_four_cycles_by_edge_set,
     six_cycles_dfs,
+    vertex_row_classes,
 )
 
 
@@ -57,9 +59,9 @@ CANONICAL_N3_WITNESS_SHA256 = "cbb3dac0569fd98bc2948b9cf8a64e902da59be92bf22d0b7
 # (n, seed) of random_e4_formula(n, Random(seed)) -> node count and witness
 # sha256 of one search of its reduction, stopping at the first witness
 SEEDED_SEARCH_PINS = {
-    (6, 0): (129, "187b56def130d3c83f39e6a3c892944ef860e2340f3bfbd860cfe8c63c62e814"),
-    (9, 9): (210, "f25d0d083ec0819e68b6f062f64a2bb2271b33882cd5fd1b7d67100fb20d23d2"),
-    (12, 12): (180, "964579c46fbf790b689a01b22d448aeea002e615bd87cff9e325e5b6a3b593a8"),
+    (6, 0): (2, "187b56def130d3c83f39e6a3c892944ef860e2340f3bfbd860cfe8c63c62e814"),
+    (9, 9): (3, "f25d0d083ec0819e68b6f062f64a2bb2271b33882cd5fd1b7d67100fb20d23d2"),
+    (12, 12): (6, "964579c46fbf790b689a01b22d448aeea002e615bd87cff9e325e5b6a3b593a8"),
 }
 
 
@@ -119,7 +121,7 @@ def test_find_pmc_requires_connected():
 def test_budget_exhaustion_is_distinct():
     art = reduce_formula(canonical_n3_formula())
     with pytest.raises(BudgetExhausted):
-        find_pmc(art.graph, budget=3)
+        find_pmc(art.graph, budget=1)
     assert find_pmc(art.graph, budget=None) is not None
 
 
@@ -211,7 +213,7 @@ def check_undo_restores_fresh_tables():
     rng = random.Random(7079)
     tables = ("root", "par", "comp_verts", "state", "matched", "rem")
     nodes = 0
-    for k in range(200):
+    for k in range(1000):
         if k % 2:
             g = random_cubic_graph(rng.choice([8, 10, 12, 14, 16]), rng)
         else:
@@ -229,16 +231,92 @@ def check_undo_restores_fresh_tables():
 
 
 def test_undo_restores_fresh_tables():
+    # the root classes leave the first 200 graphs 84 nodes in all
     assert check_undo_restores_fresh_tables() > 300
+
+
+def row_solutions(g):
+    """Every side vector, as an int with bit v for vertex v, that satisfies
+    the vertex rows: each vertex has an odd number of neighbours across."""
+    nbrs = [sum(1 << x for x in g.adj[v]) for v in range(g.n)]
+    return [s for s in range(1 << g.n)
+            if all(((s if s >> v & 1 == 0 else ~s) & nbrs[v]).bit_count() & 1
+                   for v in range(g.n))]
+
+
+def test_parity_classes_agree_with_every_solution_of_the_rows():
+    """Two vertices share a key exactly when their relative side is the same
+    in every side vector that satisfies the vertex rows, and that side is the
+    xor of their constants; None comes exactly when there is no such vector.
+    Half the graphs are drawn edge by edge, so some are disconnected or have
+    isolated vertices."""
+    rng = random.Random(3613)
+    consistent = 0
+    for k in range(300):
+        n = rng.randrange(2, 13)
+        if k % 2:
+            g = random_bounded_graph(n + n % 2, rng.choice([3, 4, 5]), k % 4 == 1, rng)
+        else:
+            p = rng.random()
+            g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+        solutions = row_solutions(g)
+        classes = _parity_classes(g)
+        assert (classes is None) == (not solutions)
+        if classes is None:
+            continue
+        consistent += 1
+        key, side = classes
+        for u, v in itertools.combinations(range(g.n), 2):
+            relative = {(s >> u ^ s >> v) & 1 for s in solutions}
+            assert (key[u] == key[v]) == (len(relative) == 1)
+            if key[u] == key[v]:
+                assert relative == {side[u] ^ side[v]}
+    assert consistent > 60
+
+
+def spliced_formula(n, seed):
+    """The seeded formula and AG(2,3), shifted past it, with the seeded first
+    clause {x, y, z} and AG(2,3)'s first line {a, b, c} swapped for {x, y, c}
+    and {a, b, z}: E4 and unsatisfiable."""
+    f, ag = random_e4_formula(n, random.Random(seed)), ag23_formula()
+    (x, y, z), (a, b, c) = f.clauses[0], tuple(i + n for i in ag.clauses[0])
+    lines = [tuple(i + n for i in line) for line in ag.clauses[1:]]
+    return NaeFormula(n + 9, ((x, y, c), (a, b, z)) + f.clauses[1:] + tuple(lines))
+
+
+@pytest.mark.parametrize("formula", [
+    canonical_n3_formula(),
+    ag23_formula(),
+    random_e4_formula(6, random.Random(1)),
+    random_e4_formula(9, random.Random(1)),
+    random_e4_formula(12, random.Random(1)),
+    random_e4_formula(21, random.Random(1)),
+    spliced_formula(21, 1),
+], ids=["canonical", "ag23", "n6-s1", "n9-s1", "n12-s1", "n21-s1", "spliced-n30-s1"])
+def test_vertex_rows_leave_17_free_variables_per_clause_pair(formula):
+    """The vertex rows of every reduction measured have 17m/2 free
+    variables, so a perfect matching cut's sides have that many degrees of
+    freedom before any edge is decided.  It is a measured invariant of the
+    construction, not a claim of the paper.  Each free variable's key is one
+    bit, and the keys of the others are sums of those bits."""
+    formula.validate_e4()
+    key, _ = _parity_classes(reduce_formula(formula).graph)
+    assert max(key).bit_length() == 17 * formula.m // 2
 
 
 def naive_closure(g, literals):
     """Edge labels of the closure of the four propagation rules over the
-    literals (e In, ~e Out), recomputed from scratch, or None on a conflict.
+    literals (e In, ~e Out) and the classes of the vertex rows, recomputed
+    from scratch, or None on a conflict or when the rows have no solution.
 
-    Each round runs one parity BFS over the decided edges and the pair parity
-    links, then applies matching, parity, pair parity and related partners to
-    the labels the round started with."""
+    Each round runs one parity BFS over the decided edges, the pair parity
+    links and the links of each vertex to its class's least vertex, then
+    applies matching, parity, pair parity and related partners to the labels
+    the round started with."""
+    classes = vertex_row_classes(g)
+    if classes is None:
+        return None
+    label, relative = classes
     state = bytearray(g.m)
     for lit in literals:
         e, val = (lit, _IN) if lit >= 0 else (~lit, _OUT)
@@ -269,6 +347,8 @@ def naive_closure(g, literals):
         for e, (u, v) in enumerate(g.edges):
             if state[e]:
                 link(u, v, int(state[e] == _IN))
+        for v in range(g.n):
+            link(v, label[v], relative[v])
         comp, side = [-1] * g.n, [0] * g.n
         for s in range(g.n):
             if comp[s] != -1:
@@ -341,7 +421,7 @@ def test_propagation_ignores_the_order_of_its_literals():
     each time: pop order moves neither the fixpoint nor the conflict."""
     rng = random.Random(2024)
     clean = conflicts = 0
-    for k in range(500):
+    for k in range(3500):
         g = propagation_graph(k, rng)
         fixpoint = _PmcSearch(g)
         if not fixpoint._root_fixpoint():
@@ -362,7 +442,8 @@ def test_propagation_ignores_the_order_of_its_literals():
             conflicts += 1
         else:
             clean += 1
-    # the root fixpoint leaves few of these small graphs much to decide
+    # the root fixpoint refutes most of these small graphs or leaves them
+    # little to decide: 500 graphs gave 9 clean cases and 46 conflicts
     assert clean > 20 and conflicts > 200
 
 
@@ -375,7 +456,7 @@ def test_undo_after_a_conflict_restores_the_tables():
     rng = random.Random(4242)
     tables = ("root", "par", "comp_verts", "state", "matched", "rem")
     conflicts = in_scan = 0
-    for k in range(300):
+    for k in range(4000):
         g = propagation_graph(k, rng)
         search = _PmcSearch(g)
         union = search._union
@@ -412,12 +493,14 @@ def test_undo_after_a_conflict_restores_the_tables():
             if not (attempt(propagate, literals) or attempt(propagate, literals[:1])
                     or attempt(propagate, [~literals[0]])):
                 break
+    # the root classes refute most of these graphs at the root: the first 300
+    # gave 237 conflicts, 10 of them inside a union's scan
     assert conflicts > 400 and in_scan > 100
 
 
 def test_canonical_search_pinned():
     nodes, m = first_witness(reduce_formula(canonical_n3_formula()).graph)
-    assert nodes == 33
+    assert nodes == 2
     assert witness_sha256(m) == CANONICAL_N3_WITNESS_SHA256
 
 
@@ -550,56 +633,7 @@ def test_unsat_instance_refuted():
     assert art.q == 168  # barycenter layout; 305 under the index order
     nodes, m = first_witness(art.graph)
     assert m is None  # complete refutation, no budget excuse
-    # 1292 without the restart
-    assert nodes == 220
-
-
-def decided(search):
-    return len(search.state) - search.state.count(0)
-
-
-def test_restart_probes_from_the_last_root_level_state(monkeypatch):
-    """The restart keeps the Out decisions taken with an empty decision
-    stack, so its probe pass starts with more edges decided than the root
-    fixpoint decides.  The pass on AG(2,3) is pinned exactly: its node, the
-    edges decided and the trail length before it, its propagations, its trail
-    entries propagated plus undone, and the edges decided after it.  The
-    trigger counts In decisions, so a change to the branching order or to
-    what propagation decides moves these numbers."""
-    g = reduce_formula(ag23_formula()).graph
-    fixpoint = _PmcSearch(g)
-    assert fixpoint._root_fixpoint()
-    assert fixpoint.state.count(0) == len(fixpoint.state) == 6534
-    seen = []
-    probe = _PmcSearch._probe
-
-    def counted(self, implied):
-        propagate, undo = self._propagate, self._undo_to
-        cost = [0, 0]
-
-        def counted_propagate(queue):
-            mark = len(self.trail)
-            ok = propagate(queue)
-            cost[0] += 1
-            cost[1] += len(self.trail) - mark
-            return ok
-
-        def counted_undo(mark):
-            cost[1] += len(self.trail) - mark
-            undo(mark)
-
-        seen.append((self.nodes, decided(self), len(self.trail)))
-        self._propagate, self._undo_to = counted_propagate, counted_undo
-        ok = probe(self, implied)
-        del self._propagate, self._undo_to
-        seen.append((*cost, decided(self)))
-        return ok
-
-    monkeypatch.setattr(_PmcSearch, "_probe", counted)
-    assert first_witness(g)[1] is None
-    # 264 propagations and 40248 entries when the pass probes every
-    # undecided edge; it ends with the same 2694 edges decided
-    assert seen == [(204, 2034, 5517), (207, 22326, 2694)]
+    assert nodes == 16
 
 
 def test_refutation_trail_pinned():
@@ -608,8 +642,7 @@ def test_refutation_trail_pinned():
     conflict, and literals popped.  A literal is decided when it is queued,
     so the trail holds the literals a conflict leaves unpopped too; each
     decided literal is pushed once and popped unless a conflict stops the
-    propagation first.  Deciding each literal at its pop instead popped 65876
-    literals, 31619 of them already decided, and moved 85041 and 9610."""
+    propagation first."""
     g = reduce_formula(ag23_formula()).graph
     search = _PmcSearch(g)
     propagate, undo = search._propagate, search._undo_to
@@ -637,58 +670,7 @@ def test_refutation_trail_pinned():
 
     search._propagate, search._undo_to = counted_propagate, counted_undo
     assert next(search.solutions(None), None) is None
-    assert (search.nodes, moved, conflicting, popped) == (220, 125776, 31285, 31878)
-
-
-@pytest.fixture(params=[0, 2])
-def forced_restart(request, monkeypatch):
-    """Every search restarts with root probing at its first backtrack (0, as
-    1 does: every decision reaches it), or at its first backtrack after some
-    edge has been decided In a second time (2).  Returns the threshold and a
-    list that gets one entry per probe pass run."""
-    passes = []
-    probe = _PmcSearch._probe
-
-    def counted(self, implied):
-        passes.append(1)
-        return probe(self, implied)
-
-    monkeypatch.setattr("pmcut.solver.PROBE_AFTER_DECISIONS_OF_ONE_EDGE", request.param)
-    monkeypatch.setattr(_PmcSearch, "_probe", counted)
-    return request.param, passes
-
-
-def test_restart_keeps_enumeration_order(monkeypatch, forced_restart,
-                                         variable_gadget, clause_gadget, crossing_gadget):
-    graphs = [variable_gadget.graph, clause_gadget.graph, crossing_gadget.graph]
-    graphs += enumeration_graphs()
-    with monkeypatch.context() as never_restart:
-        never_restart.setattr("pmcut.solver.PROBE_AFTER_DECISIONS_OF_ONE_EDGE", float("inf"))
-        plain = [enumerate_pmcs(g) for g in graphs]
-    threshold, passes = forced_restart
-    assert passes == []
-    assert [enumerate_pmcs(g) for g in graphs] == plain
-    assert [len(pmcs) for pmcs in plain[:3]] == [1, 3, 8]
-    # propagation leaves these small graphs few decisions to repeat
-    assert len(passes) > (200 if threshold == 0 else 1)
-
-
-def test_restart_keeps_witness_pins(forced_restart):
-    pins = [(canonical_n3_formula(), CANONICAL_N3_WITNESS_SHA256)]
-    pins += [(random_e4_formula(n, random.Random(seed)), sha)
-             for (n, seed), (_, sha) in SEEDED_SEARCH_PINS.items()]
-    for f, sha in pins:
-        g = reduce_formula(f).graph
-        _, m = first_witness(g)
-        assert verified(g, m) and witness_sha256(m) == sha
-    assert len(forced_restart[1]) == len(pins)
-    assert find_pmc(cube_graph()) == frozenset({0, 2, 4, 6})
-
-
-def test_undo_restores_fresh_tables_after_restart(forced_restart):
-    check_undo_restores_fresh_tables()
-    threshold, passes = forced_restart
-    assert len(passes) > (100 if threshold == 0 else 1)
+    assert (search.nodes, moved, conflicting, popped) == (16, 41199, 18854, 10748)
 
 
 @pytest.mark.parametrize("formula", [
@@ -699,21 +681,22 @@ def test_undo_restores_fresh_tables_after_restart(forced_restart):
     ag23_formula(),
 ], ids=["canonical", "n6-s0", "n6-s1", "n9-s9", "ag23"])
 def test_root_probing_puts_every_connector_out(formula):
-    """No connector edge lies in a perfect matching cut, and one probe pass at
-    the root shows it for each of them without the search knowing connectors."""
+    """No connector edge lies in a perfect matching cut, and the root fixpoint
+    alone shows it for each of them, with no probe and without the search
+    knowing connectors."""
     art = reduce_formula(formula)
     search = _PmcSearch(art.graph)
-    assert search._root_fixpoint() and search._probe(bytearray(len(search.state)))
+    assert search._root_fixpoint()
     connectors = [art.graph.edge_id(u, v) for u, v, _ in art.connectors]
     assert all(search.state[e] == _OUT for e in connectors)
 
 
-# (n, seed) -> node count and witness sha256 of searches that ran out of a
-# 15k-node budget without root probing (n = 24 s = 7 did not, in 1231 nodes).
+# (n, seed) -> node count and witness sha256 of searches on the larger seeded
+# reductions, which a search without the root classes took 492-543 nodes on
 SEEDED_SAT_PINS = {
-    (24, 1): (492, "0a9afd43c227f925a615f7aa99294e4bddae4d46ba0caec9215d233be955d2d2"),
-    (24, 7): (539, "d4a47b0d3caed8afaf49c2ea2eebdb0f97c3dc2a3e4670bdee11805253728891"),
-    (30, 1): (543, "199a4b833c2eec7c62304294eb11b38ea714aa380cf129dfa3945b850431caf9"),
+    (24, 1): (13, "0a9afd43c227f925a615f7aa99294e4bddae4d46ba0caec9215d233be955d2d2"),
+    (24, 7): (10, "d4a47b0d3caed8afaf49c2ea2eebdb0f97c3dc2a3e4670bdee11805253728891"),
+    (30, 1): (84, "199a4b833c2eec7c62304294eb11b38ea714aa380cf129dfa3945b850431caf9"),
 }
 
 
@@ -726,53 +709,16 @@ def test_seeded_sat_search_within_budget(n, seed):
     assert (search.nodes, witness_sha256(m)) == SEEDED_SAT_PINS[(n, seed)]
 
 
-@pytest.fixture(scope="module")
-def restarting_graphs():
-    """AG(2,3) and the SEEDED_SAT_PINS reductions, whose searches restart."""
-    formulas = [ag23_formula()]
-    formulas += [random_e4_formula(n, random.Random(seed)) for n, seed in sorted(SEEDED_SAT_PINS)]
-    return [reduce_formula(f).graph for f in formulas]
-
-
-def searched_with_probes(monkeypatch, g, skip):
-    """Nodes, the state after each probe pass and the first witness of one
-    search of g; without skip, the pass probes every undecided edge."""
-    states = []
-    probe = _PmcSearch._probe
-
-    def recorded(self, implied):
-        ok = probe(self, implied if skip else bytearray(len(implied)))
-        states.append(bytes(self.state))
-        return ok
-
-    with monkeypatch.context() as patched:
-        patched.setattr(_PmcSearch, "_probe", recorded)
-        search = _PmcSearch(g)
-        m = next(search.solutions(15_000), None)
-    return search.nodes, states, m
-
-
-@pytest.mark.parametrize("threshold", [PROBE_AFTER_DECISIONS_OF_ONE_EDGE, 0, 2])
-def test_probe_skips_change_only_cost(monkeypatch, restarting_graphs, threshold):
-    """Skipping the edges that the search already propagated In, since the
-    stack was last empty, leaves the probe pass's result and the search as
-    they are when the pass probes every undecided edge."""
-    monkeypatch.setattr("pmcut.solver.PROBE_AFTER_DECISIONS_OF_ONE_EDGE", threshold)
-    for g in restarting_graphs:
-        skipping = searched_with_probes(monkeypatch, g, True)
-        assert len(skipping[1]) == 1
-        assert skipping == searched_with_probes(monkeypatch, g, False)
-
-
-def test_search_tables_stay_small(restarting_graphs):
+def test_search_tables_stay_small():
     """A search holds under 170 bytes per vertex on the seeded n = 30
     reduction, as tracemalloc counts what its constructor leaves allocated:
-    flat tables, one flag per vertex for matched and one one-vertex list per
-    vertex, with an edge's far end read from the xor of its ends and its two
-    ends from the graph's edges.  Copying those ends into two lists and
+    flat tables, one flag per vertex for matched and one vertex list per
+    class of the vertex rows, with an edge's far end read from the xor of its
+    ends and its two ends from the graph's edges.  One one-vertex list per
+    vertex, before the classes, held 151-156.  Copying those ends into two lists and
     keeping a size per vertex took it to 185-190; a tuple of (edge,
     neighbour) pairs per vertex would raise it to about 440."""
-    g = restarting_graphs[-1]
+    g = reduce_formula(random_e4_formula(30, random.Random(1))).graph
     assert g.n == 23_992
     tracemalloc.start()
     try:
