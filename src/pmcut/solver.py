@@ -119,8 +119,7 @@ class _PmcSearch:
     the vertex rows (_parity_classes), each rooted at its least vertex with
     side 0, and writes no trail entry for them; comp_verts holds () for every
     other vertex, which never becomes a root.  AG(2,3)'s 4356 vertices start
-    in 1040 classes.  _root_fixpoint decides what the seeded classes imply,
-    since no union fired the rules below on them.
+    in 1040 classes.
 
     A union of roots ru and rv whose list is no longer than ru's relabels
     rv's side, the list comp_verts[rv], into ru, XOR-ing each par with the
@@ -131,7 +130,7 @@ class _PmcSearch:
     entries of ru's list back to rv, flips them again and cuts them off.
     Each vertex is relabelled O(log n) times along one branch.
 
-    A union fires two rules, both from one scan over the small side's
+    A union fires two rules, both from one scan (_scan) over the small side's
     incidences, run before the relabel so that root[y] == ru means exactly
     "y was on the old big side":
 
@@ -158,32 +157,32 @@ class _PmcSearch:
       edge count as matched during its union: the matching rule puts all
       their other edges Out anyway.
 
+    No union fired the rules on the seeded classes, so _root_fixpoint runs
+    the same scan on each class of two or more vertices, against the class's
+    own root with flip 0: its closing edges are the edges inside the class,
+    and its related pairs are the pairs inside it.  A singleton class has no
+    closing edge and no related pair.
+
     A literal is decided when it is queued, as MiniSat's uncheckedEnqueue
     does (Eén & Sörensson, SAT 2003): its state and trail entry are written
     at once, an Out lowers rem at both ends, and an In sets the flag
     matched[v] at both ends, a conflict if either is matched already.  An In
     is only ever assigned with both ends unmatched, so undoing it clears both
     flags.  Both rules decide what they find as they scan, so an edge that
-    one of them has decided is skipped by every later test of state.  Two stacks hold the decided
-    literals whose steps are still to run: the parity step at the edge's ends
-    (a union or a check), then the matching rule.  queue holds the caller's
-    literals and what _union decides; forced holds the matching rule's
-    consequences, the Outs that an In edge forces at its two ends and the In
-    that a vertex with one live edge must take.  Each literal is pushed and
-    popped at most once.  The loop pops forced first: a wrong In decision
-    mostly conflicts at or next to its own ends, where the matching rule sees
-    it in O(1), before the loop starts the unions of what queue holds, each
-    of which scans the smaller component (Schulte & Stuckey, TOPLAS 2008:
-    cheap propagators before costly ones).  rem and matched count decided
-    literals whose steps have not run yet, which only brings a consequence
-    forward.  The loop runs both stacks until they are empty or a conflict
-    shows, so the order of the pops changes neither the fixpoint nor whether
-    there is a conflict; the node counts and witnesses pinned in the tests
-    check that.  A conflict leaves the literals it did not reach on the
-    stacks, and _undo_to drops them with their assignments.  On AG(2,3) the
-    whole refutation pops 31.9k literals, where deciding each literal at its
-    pop popped 65.9k, about half of them already decided.  The loop tests
-    roots itself and calls _union only to join two components.
+    one of them has decided is skipped by every later test of state.  One
+    stack, queue, holds the decided literals whose steps are still to run:
+    the parity step at the edge's ends (a union or a check), then the
+    matching rule.  The caller's literals, what the scans decide and the
+    matching rule's consequences all go on it, and each literal is pushed
+    and popped at most once.  rem and matched count decided literals whose
+    steps have not run yet, which only brings a consequence forward.  The
+    loop runs until the stack is empty or a conflict shows, so the order of
+    the pops changes neither the fixpoint nor whether there is a conflict;
+    the node counts and witnesses pinned in the tests check that.  A
+    conflict leaves the literals it did not reach on the stack, and _undo_to
+    drops them with their assignments.  On AG(2,3) the whole refutation pops
+    10.2k literals.  The loop tests roots itself and calls _union only to
+    join two components.
 
     Edges and vertices are ints in flat tables, and the search builds no table
     of neighbours: each scan walks the graph's own incidence tuple inc[w] and
@@ -194,7 +193,7 @@ class _PmcSearch:
     would list, in the same order.  One list of m ints takes the place of
     those tuples: on the seeded n = 30 reduction (23,992 vertices, 5347
     classes) the constructor leaves 128 bytes per vertex allocated on Python
-    3.11, where the tuples took it to about 440.  The stacks and the trail
+    3.11, where the tuples took it to about 440.  The stack and the trail
     hold ints: a stacked e means e In, ~e means e Out; a trail entry e >= 0
     undoes the assignment of e, and ~rv undoes the union of root rv, whose big
     root is root[rv] and whose flip bit is par[rv].
@@ -227,22 +226,33 @@ class _PmcSearch:
                 comp_verts[r].append(v)
         self.trail: list[int] = []
         self.queue: list[int] = []
-        self.forced: list[int] = []
         self.nodes = 0
 
     def _union(self, u: int, v: int, parity: int) -> bool:
-        root, par = self.root, self.par
+        """Join the components of u and v, which the caller has found to have
+        different roots, with parity as u's side relative to v's."""
+        root, par, comp_verts = self.root, self.par, self.comp_verts
         ru, rv = root[u], root[v]
         flip = par[u] ^ par[v] ^ parity
-        if ru == rv:
-            return not flip
-        comp_verts = self.comp_verts
         if len(comp_verts[ru]) < len(comp_verts[rv]):
             ru, rv = rv, ru
-        state, matched, inc, xr, rem = self.state, self.matched, self.inc, self.xr, self.rem
-        trail, queue = self.trail, self.queue
         small = comp_verts[rv]
+        if not self._scan(small, ru, flip):
+            return False
         for w in small:
+            root[w] = ru
+            par[w] ^= flip
+        comp_verts[ru] += small
+        self.trail.append(~rv)
+        return True
+
+    def _scan(self, verts: list, ru: int, flip: int) -> bool:
+        """Fire the closing-edge and related-partner rules for the vertices
+        verts, with sides par[w] ^ flip, against the component of root ru;
+        False on a conflict."""
+        state, matched, inc, xr, rem = self.state, self.matched, self.inc, self.xr, self.rem
+        root, par, trail, queue = self.root, self.par, self.trail, self.queue
+        for w in verts:
             pw = par[w] ^ flip
             for e in inc[w]:
                 if state[e]:
@@ -261,7 +271,7 @@ class _PmcSearch:
                         rem[x] -= 1
                         queue.append(~e)
                     trail.append(e)
-                    continue  # x's edges into the big side are decided
+                    continue  # x's edges into ru's component are decided
                 if matched[x] or rem[x] < 3:
                     continue
                 for f in inc[x]:
@@ -286,24 +296,16 @@ class _PmcSearch:
                         trail += e, f
                         queue += ~e, ~f
                     break
-        for w in small:
-            root[w] = ru
-            par[w] ^= flip
-        comp_verts[ru] += small
-        trail.append(~rv)
         return True
 
     def _propagate(self, lits: list) -> bool:
+        """Decide the caller's literals, which are distinct and undecided, and
+        run every step until the stack is empty; False on a conflict."""
         state, edges, inc, xr = self.state, self.edges, self.inc, self.xr
         matched, rem, trail = self.matched, self.rem, self.trail
-        root, par, union = self.root, self.par, self._union
-        queue, forced = self.queue, self.forced
+        root, par, union, queue = self.root, self.par, self._union, self.queue
         for lit in lits:
             e, val = (lit, _IN) if lit >= 0 else (~lit, _OUT)
-            if state[e]:
-                if state[e] != val:
-                    return False
-                continue
             u, v = edges[e]
             if val == _IN:
                 if matched[u] or matched[v]:
@@ -315,8 +317,8 @@ class _PmcSearch:
             state[e] = val
             trail.append(e)
             queue.append(lit)
-        while forced or queue:
-            e = forced.pop() if forced else queue.pop()
+        while queue:
+            e = queue.pop()
             if e >= 0:
                 u, v = edges[e]
                 if root[u] != root[v]:
@@ -331,7 +333,7 @@ class _PmcSearch:
                             rem[w] -= 1
                             rem[xr[e2] ^ w] -= 1
                             trail.append(e2)
-                            forced.append(~e2)
+                            queue.append(~e2)
             else:
                 u, v = edges[~e]
                 if root[u] != root[v]:
@@ -353,7 +355,7 @@ class _PmcSearch:
                                     state[e2] = _IN
                                     matched[w] = matched[x] = True
                                     trail.append(e2)
-                                    forced.append(e2)
+                                    queue.append(e2)
                                     break
                         elif r == 2:
                             # pair parity: whichever edge w takes, the other
@@ -395,32 +397,22 @@ class _PmcSearch:
                     par[w] ^= flip
                 del verts[k:]
         del trail[mark:]
-        # a conflict leaves the literals it did not reach on the stacks
+        # a conflict leaves the literals it did not reach on the stack
         self.queue.clear()
-        self.forced.clear()
 
     def _root_fixpoint(self) -> bool:
-        """Propagate a fresh search's root: the closing edges and related
-        partners of the seeded classes, found in one pass over every vertex's
-        pairs of edges.  The vertex rows already hold what a vertex with one
-        or two edges implies.  False means there is no solution."""
+        """Propagate a fresh search's root: run the union's scan on each
+        seeded class of two or more vertices against its own root, which
+        decides its closing edges and related partners, then propagate.  A
+        singleton class has neither, and the vertex rows already hold what a
+        vertex with one or two edges implies.  False means there is no
+        solution."""
         if not (self.consistent and self.rem):
             return False
-        root, par, xr = self.root, self.par, self.xr
-        lits = []
-        for x, es in enumerate(self.inc):
-            for i, e in enumerate(es):
-                w = xr[e] ^ x
-                if root[w] == root[x]:
-                    lits.append(e if par[w] != par[x] else ~e)
-                for f in es[i + 1:]:
-                    y = xr[f] ^ x
-                    if root[y] == root[w]:
-                        if par[y] == par[w]:
-                            lits += ~e, ~f
-                        else:
-                            lits += [~h for h in es if h != e and h != f]
-        return self._propagate(lits)
+        for r, verts in enumerate(self.comp_verts):
+            if len(verts) > 1 and not self._scan(verts, r, 0):
+                return False
+        return self._propagate([])
 
     def solutions(self, budget: Optional[int]) -> Iterator[EdgeSet]:
         """Every perfect matching cut, depth first in the canonical order.

@@ -37,10 +37,15 @@ def test_validate_formula(n3_file, capsys):
 
 def test_validate_formula_bad_input(tmp_path, capsys):
     p = tmp_path / "bad.nae"
-    p.write_text("nae3sat-e4 3 4\n1 1 2\n1 2 3\n1 2 3\n1 2 3\n")
-    with pytest.raises(SystemExit) as exc:
-        main(["validate-formula", str(p)])
-    assert exc.value.code == 65
+    for text, error in (("nae3sat-e4 3 4\n1 1 2\n1 2 3\n1 2 3\n1 2 3\n",
+                         "line 2: clause literals must be distinct"),
+                        ("# only\n# comments\n", "empty formula file"),
+                        ("nae3sat-e4 x 4\n", "line 1: bad header numbers")):
+        p.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            main(["validate-formula", str(p)])
+        assert exc.value.code == 65
+        assert capsys.readouterr().err == f"error: {error}\n"
 
 
 def test_missing_file_is_io_error(capsys):
@@ -96,6 +101,13 @@ def test_reduce_solve_verify_pipeline(n3_file, tmp_path, capsys, canonical_artif
     assert capsys.readouterr().out == "perfect matching cut with 422 edges\n"
     assert witness.read_text().startswith("matching 422\n")
     assert cut.read_text().startswith("cut 422\n")
+
+    # a witness path below a regular file cannot be written: an I/O error
+    with pytest.raises(SystemExit) as exc:
+        main(["solve-pmc", str(graph_file), "--witness", str(witness / "w.matching")])
+    assert exc.value.code == 74
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_solve_pmc_negative_and_budget(tmp_path, capsys):
@@ -389,6 +401,8 @@ def test_verify_gadgets_fails_on_a_wrong_forced_set(capsys, monkeypatch):
 def test_roundtrip_command(n3_file, tmp_path, capsys):
     assert main(["roundtrip", str(n3_file)]) == 0
     assert capsys.readouterr().out == "SAT=yes PMC=yes assignment NAE-valid\n"
+    assert main(["roundtrip", str(n3_file), "--budget", "0"]) == 2
+    assert capsys.readouterr().out == "budget exhausted\n"
 
 
 def test_roundtrip_checks_that_the_witness_maps_invert(n3_file, capsys, monkeypatch):

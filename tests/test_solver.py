@@ -463,9 +463,8 @@ def test_undo_after_a_conflict_restores_the_tables():
 
         def watched(u, v, parity):
             nonlocal in_scan
-            joining = search.root[u] != search.root[v]
             ok = union(u, v, parity)
-            in_scan += joining and not ok
+            in_scan += not ok
             return ok
 
         def attempt(propagate, *literals):
@@ -477,7 +476,7 @@ def test_undo_after_a_conflict_restores_the_tables():
             conflicts += 1
             search._undo_to(mark)
             assert len(search.trail) == mark
-            assert search.queue == search.forced == []
+            assert search.queue == []
             for name in tables:
                 assert getattr(search, name) == before[name], name
             return False
@@ -586,6 +585,15 @@ def test_assignment_from_non_pmc_rejected():
     corrupted = frozenset(set(m) ^ {next(iter(m))})
     with pytest.raises(ValueError):
         assignment_from_pmc(art, corrupted)
+    # switching a square with two opposite edges in m gives another perfect
+    # matching, which is no cutset
+    g = art.graph
+    switched = next(m ^ square for square in (
+        frozenset(g.edge_id(*pair) for pair in zip(cyc, cyc[1:] + cyc[:1]))
+        for cyc in induced_four_cycles(g)) if len(m & square) == 2)
+    assert is_perfect_matching(g, switched) and cut_from_edge_set(g, switched) is None
+    with pytest.raises(ValueError, match="witness is not a cutset"):
+        assignment_from_pmc(art, switched)
 
 
 @pytest.mark.parametrize("n,seed", [(6, 0), (6, 1), (9, 1)])
@@ -642,25 +650,24 @@ def test_refutation_trail_pinned():
     conflict, and literals popped.  A literal is decided when it is queued,
     so the trail holds the literals a conflict leaves unpopped too; each
     decided literal is pushed once and popped unless a conflict stops the
-    propagation first."""
+    propagation first.  The root's scan of the seeded classes writes its
+    entries before the first propagation, so they count as popped but not
+    as propagated."""
     g = reduce_formula(ag23_formula()).graph
     search = _PmcSearch(g)
     propagate, undo = search._propagate, search._undo_to
     moved = conflicting = popped = 0
 
-    def pending():
-        return len(search.queue) + len(search.forced)
-
     def counted_propagate(queue):
         nonlocal moved, conflicting, popped
-        mark, before = len(search.trail), pending()
+        mark, before = len(search.trail), len(search.queue)
         ok = propagate(queue)
         written = search.trail[mark:]
         moved += len(written)
         if not ok:
             conflicting += len(written)
         # entries >= 0 are decided literals, the rest unions
-        popped += before + sum(t >= 0 for t in written) - pending()
+        popped += before + sum(t >= 0 for t in written) - len(search.queue)
         return ok
 
     def counted_undo(mark):
@@ -670,7 +677,7 @@ def test_refutation_trail_pinned():
 
     search._propagate, search._undo_to = counted_propagate, counted_undo
     assert next(search.solutions(None), None) is None
-    assert (search.nodes, moved, conflicting, popped) == (16, 41199, 18854, 10748)
+    assert (search.nodes, moved, conflicting, popped) == (16, 36721, 16564, 10194)
 
 
 @pytest.mark.parametrize("formula", [
@@ -709,7 +716,7 @@ def test_seeded_sat_search_within_budget(n, seed):
     assert (search.nodes, witness_sha256(m)) == SEEDED_SAT_PINS[(n, seed)]
 
 
-def test_search_tables_stay_small():
+def test_search_tables_stay_small(monkeypatch):
     """A search holds under 170 bytes per vertex on the seeded n = 30
     reduction, as tracemalloc counts what its constructor leaves allocated:
     flat tables, one flag per vertex for matched and one vertex list per
@@ -717,9 +724,13 @@ def test_search_tables_stay_small():
     ends and its two ends from the graph's edges.  One one-vertex list per
     vertex, before the classes, held 151-156.  Copying those ends into two lists and
     keeping a size per vertex took it to 185-190; a tuple of (edge,
-    neighbour) pairs per vertex would raise it to about 440."""
+    neighbour) pairs per vertex would raise it to about 440.  The classes are
+    solved before tracing starts, since the constructor keeps none of the
+    elimination's temporaries and tracing them takes most of the time."""
     g = reduce_formula(random_e4_formula(30, random.Random(1))).graph
     assert g.n == 23_992
+    classes = _parity_classes(g)
+    monkeypatch.setattr("pmcut.solver._parity_classes", lambda g: classes)
     tracemalloc.start()
     try:
         search = _PmcSearch(g)
@@ -795,6 +806,13 @@ def test_oracles_reject_corrupted_witness():
     m.add(1)
     with pytest.raises(ValueError):
         lemma_oracles(q3, frozenset(m))
+    k4 = complete_graph(4)
+    matching = frozenset({k4.edge_id(0, 1), k4.edge_id(2, 3)})
+    assert is_perfect_matching(k4, matching)
+    with pytest.raises(ValueError, match="m is not a cutset"):
+        lemma_oracles(k4, matching)
+    with pytest.raises(ValueError, match="maximum degree 3"):
+        lemma_oracles(complete_graph(5), frozenset())
 
 
 def test_each_lemma_report_can_fire(monkeypatch):
