@@ -464,12 +464,9 @@ def enumerate_local_pmcs(gadget: Gadget) -> list[EdgeSet]:
     """All restrictions that perfectly match the fragment and respect parity.
 
     Connector edges do not exist in the fragment, so ports must be matched
-    internally.  The search yields in ascending order of the sorted edge
-    indices: all perfect matchings of one graph have the same size, and
-    taking the lowest open edge In before Out lists sets of one size in
-    that order.
+    internally.  The census is in ascending order of the sorted edge indices.
     """
-    return enumerate_pmcs(gadget.graph)
+    return sorted(enumerate_pmcs(gadget.graph), key=sorted)
 
 
 # Number of admissible local restrictions of each gadget, by the census theorem.

@@ -38,26 +38,27 @@ class BudgetExhausted(RuntimeError):
     """Search stopped because the node budget ran out: not a 'no' answer."""
 
 
-def _parity_classes(g: Graph) -> Optional[tuple[list[int], bytearray]]:
+def _parity_classes(g: Graph, order: list[int]) -> Optional[tuple[list[int], bytearray]]:
     """Each vertex's key and side constant under the vertex rows, or None if
     no side vector satisfies them.
 
     A perfect matching cut has exactly one neighbour of each vertex v across,
     so its side vector s satisfies one row over GF(2) per vertex: the sum over
-    v's neighbours x of s_v ^ s_x is 1.  Positions count down the BFS order of
-    connected_components, and the rows are eliminated in ascending position,
-    pivoting on their lowest position.  A row's vertices are BFS neighbours,
-    so each echelon row spans a window of positions (185 on AG(2,3), 308 on
-    the seeded n = 30 reduction), and it is stored as an int shifted down to
-    its pivot, in a list indexed by position.  Back-substitution from the
-    highest pivot down writes each vertex's side as a constant xor a sum of
-    free variables; that sum, an int with one bit per free variable, is its
-    key.  Two vertices with equal keys have the xor of their constants as
-    their relative side in every solution; two with different keys have both
+    v's neighbours x of s_v ^ s_x is 1.  order is the search's BFS order of
+    every vertex (connected_components, concatenated); positions count down
+    it, and the rows are eliminated in ascending position, pivoting on their
+    lowest position.  A row's vertices are BFS neighbours, so each echelon
+    row spans a window of positions (185 on AG(2,3), 308 on the seeded
+    n = 30 reduction), and it is stored as an int shifted down to its pivot,
+    in a list indexed by position.  Back-substitution from the highest pivot
+    down writes each vertex's side as a constant xor a sum of free
+    variables; that sum, an int with one bit per free variable, is its key.
+    Two vertices with equal keys have the xor of their constants as their
+    relative side in every solution; two with different keys have both
     relative sides.
     """
     n = g.n
-    order = [v for comp in reversed(connected_components(g)) for v in reversed(comp)]
+    order = order[::-1]
     pos = [0] * n
     for p, v in enumerate(order):
         pos[v] = p
@@ -110,7 +111,16 @@ def _parity_classes(g: Graph) -> Optional[tuple[list[int], bytearray]]:
 
 
 class _PmcSearch:
-    """Backtracking with unit propagation; branches lowest edge first, In before Out.
+    """Backtracking with unit propagation; branches along the BFS, In before Out.
+
+    The constructor walks the graph once, with connected_components, and
+    keeps the number of components, which find_pmc checks, and the
+    concatenated vertex order, order.  The vertex rows are eliminated along
+    it, and solutions branches along it, so the decisions follow the edges
+    in the order the BFS first meets them.  The reduction joins each gadget
+    copy only to its neighbours, so consecutive decisions stay in one gadget
+    or the next; on AG(2,3) that takes the refutation from 16 nodes,
+    branching by edge id, to 6.
 
     Parity is a weighted quick-find.  Every vertex v holds root[v], the root
     of its component, and par[v], its side relative to that root, so a find is
@@ -192,11 +202,11 @@ class _PmcSearch:
     scan visits the incidences a per-vertex tuple of (edge, neighbour) pairs
     would list, in the same order.  One list of m ints takes the place of
     those tuples: on the seeded n = 30 reduction (23,992 vertices, 5347
-    classes) the constructor leaves 128 bytes per vertex allocated on Python
-    3.11, where the tuples took it to about 440.  The stack and the trail
-    hold ints: a stacked e means e In, ~e means e Out; a trail entry e >= 0
-    undoes the assignment of e, and ~rv undoes the union of root rv, whose big
-    root is root[rv] and whose flip bit is par[rv].
+    classes) the constructor leaves 136 bytes per vertex allocated on Python
+    3.11, 8 of them for order, where the tuples took it to about 440.  The
+    stack and the trail hold ints: a stacked e means e In, ~e means e Out; a
+    trail entry e >= 0 undoes the assignment of e, and ~rv undoes the union
+    of root rv, whose big root is root[rv] and whose flip bit is par[rv].
     """
 
     def __init__(self, g: Graph):
@@ -210,7 +220,10 @@ class _PmcSearch:
         self.root = root = list(range(n))
         self.par = par = [0] * n
         self.comp_verts = comp_verts = [()] * n
-        classes = _parity_classes(g)
+        comps = connected_components(g)
+        self.components = len(comps)
+        self.order = order = [v for comp in comps for v in comp]
+        classes = _parity_classes(g, order)
         self.consistent = classes is not None
         # rows with no solution leave one class per vertex; the root fixpoint
         # then answers no
@@ -417,26 +430,44 @@ class _PmcSearch:
     def solutions(self, budget: Optional[int]) -> Iterator[EdgeSet]:
         """Every perfect matching cut, depth first in the canonical order.
 
-        The stack holds an (edge, trail mark) pair for each In decision whose
-        Out branch is still open.  A conflict or a solution pops the deepest
-        pair, undoes the trail to its mark and decides that edge Out.
+        A decision takes the first undecided edge, in inc order, of the first
+        vertex in the BFS order that has one, and tries it In before Out.
+        Every edge at a vertex before that one is decided, so the decisions
+        follow one fixed edge order, each edge ranked where the BFS first
+        meets it, and the cuts come out in ascending order of the sorted
+        ranks of their edges.  After a propagation without conflict a vertex
+        has an undecided edge exactly when it is unmatched: the matching
+        rule has put a matched vertex's other edges Out, and an unmatched
+        vertex with one edge left that is not Out has been matched along it,
+        with none, refuted.  So the cursor i, a position in the BFS order,
+        skips matched vertices; it only moves forward along a branch, and
+        when it runs off the end every edge is decided.
+
+        The stack holds an (edge, trail mark, cursor) triple for each In
+        decision whose Out branch is still open.  A conflict or a solution
+        pops the deepest triple, undoes the trail to its mark, restores its
+        cursor and decides that edge Out.
         """
-        state, trail, m = self.state, self.trail, len(self.state)
+        state, trail, inc, order = self.state, self.trail, self.inc, self.order
+        matched = self.matched
         if not self._root_fixpoint():
             return
-        stack: list[tuple[int, int]] = []
-        ok = True
+        stack: list[tuple[int, int, int]] = []
+        i, nv, ok = 0, len(order), True
         while True:
-            e = state.find(_UNDEC) if ok else -1
-            if e >= 0:
-                stack.append((e, len(trail)))
+            if ok:
+                while i < nv and matched[order[i]]:
+                    i += 1
+            if ok and i < nv:
+                e = next(e for e in inc[order[i]] if not state[e])
+                stack.append((e, len(trail), i))
                 lit = e
             else:
                 if ok:
-                    yield frozenset(i for i in range(m) if state[i] == _IN)
+                    yield frozenset(e for e, s in enumerate(state) if s == _IN)
                 if not stack:
                     return
-                e, mark = stack.pop()
+                e, mark, i = stack.pop()
                 self._undo_to(mark)
                 lit = ~e
             self.nodes += 1
@@ -446,15 +477,18 @@ class _PmcSearch:
 
 
 def find_pmc(g: Graph, budget: Optional[int] = DEFAULT_BUDGET) -> Optional[EdgeSet]:
-    """First perfect matching cut in the canonical search order, or None.
+    """First perfect matching cut in the canonical search order, or None:
+    of all the cuts, the one whose edges' ranks in the BFS edge order of
+    _PmcSearch.solutions, sorted, come first.
 
     Raises BudgetExhausted when the node budget runs out, which is a distinct
     outcome from a completed 'no', and RuntimeError if the witness found fails
     its independent perfect matching cut check, which would be a solver bug.
     """
-    if not g.is_connected():
+    search = _PmcSearch(g)
+    if search.components > 1:
         raise ValueError("find_pmc requires a connected graph")
-    m = next(_PmcSearch(g).solutions(budget), None)
+    m = next(search.solutions(budget), None)
     if m is not None and not (is_perfect_matching(g, m) and cut_from_edge_set(g, m) is not None):
         raise RuntimeError("find_pmc's witness is not a perfect matching cut")
     return m
@@ -462,7 +496,9 @@ def find_pmc(g: Graph, budget: Optional[int] = DEFAULT_BUDGET) -> Optional[EdgeS
 
 def enumerate_pmcs(g: Graph, budget: Optional[int] = DEFAULT_BUDGET) -> list[EdgeSet]:
     """Every perfect matching cut of g (cutset understood per component), in
-    the canonical search order; raises BudgetExhausted as find_pmc does."""
+    the canonical search order: ascending in the sorted ranks of their edges
+    in the BFS edge order of _PmcSearch.solutions.  Raises BudgetExhausted as
+    find_pmc does."""
     return list(_PmcSearch(g).solutions(budget))
 
 

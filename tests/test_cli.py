@@ -125,13 +125,13 @@ def test_solve_pmc_negative_and_budget(tmp_path, capsys):
     assert main(["solve-pmc", str(out / "n3.graph"), "--budget", "1"]) == 2
     assert "budget" in capsys.readouterr().out
 
-    # AG(2,3)'s reduction is refuted in exactly 16 search nodes
+    # AG(2,3)'s reduction is refuted in exactly 6 search nodes
     ag = tmp_path / "ag23.nae"
     ag.write_text(serialize_formula(ag23_formula()))
     main(["reduce", str(ag), "--out", str(out)])
     capsys.readouterr()
-    for budget, code, answer in (("16", 1, "no perfect matching cut\n"),
-                                 ("15", 2, "budget exhausted\n")):
+    for budget, code, answer in (("6", 1, "no perfect matching cut\n"),
+                                 ("5", 2, "budget exhausted\n")):
         assert main(["solve-pmc", str(out / "ag23.graph"), "--budget", budget]) == code
         assert capsys.readouterr().out == answer
 

@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 
 from pmcut.gadgets import (
+    CENSUS_SIZES,
     FigureError,
     census_types,
     clause_type,
@@ -142,6 +143,15 @@ def test_clause_census_three_types(clause_gadget):
     assert list(census_types(clause_gadget, census).values()) == census
     for c in census:
         assert clause_gadget.red_edges <= c  # D block red edges always selected
+
+
+def test_censuses_ascend(variable_gadget, clause_gadget, crossing_gadget):
+    """Every census lists distinct restrictions in ascending order of their
+    sorted edge indices, whatever order the search finds them in."""
+    for gadget in (variable_gadget, clause_gadget, crossing_gadget):
+        census = enumerate_local_pmcs(gadget)
+        assert len(set(census)) == len(census) == CENSUS_SIZES[gadget.kind]
+        assert census == sorted(census, key=sorted), gadget.kind
 
 
 def test_type1_square_orientations_match_drawing(clause_gadget):

@@ -19,6 +19,7 @@ from pmcut.gadgets import build_clause_gadget, build_variable_gadget, enumerate_
 from pmcut.graphs import (
     Cut,
     Graph,
+    connected_components,
     cube_graph,
     cut_from_edge_set,
     is_perfect_matching,
@@ -54,14 +55,14 @@ from _oracles import (
 
 
 # sha256 of the comma-joined sorted edge ids of find_pmc's canonical n=3 witness
-CANONICAL_N3_WITNESS_SHA256 = "cbb3dac0569fd98bc2948b9cf8a64e902da59be92bf22d0b74d3f754843d2466"
+CANONICAL_N3_WITNESS_SHA256 = "963f956df4fe0cf333d87a9889451f6ce8ecfff879803d8e3a8ff4d7c83bd0e2"
 
 # (n, seed) of random_e4_formula(n, Random(seed)) -> node count and witness
 # sha256 of one search of its reduction, stopping at the first witness
 SEEDED_SEARCH_PINS = {
-    (6, 0): (2, "187b56def130d3c83f39e6a3c892944ef860e2340f3bfbd860cfe8c63c62e814"),
-    (9, 9): (3, "f25d0d083ec0819e68b6f062f64a2bb2271b33882cd5fd1b7d67100fb20d23d2"),
-    (12, 12): (6, "964579c46fbf790b689a01b22d448aeea002e615bd87cff9e325e5b6a3b593a8"),
+    (6, 0): (4, "d1dd84183c1fca1f11ae72e794822e188dcd9c5b204f894ca8bae9ac19687d83"),
+    (9, 9): (3, "073fb6ca6224ae146ee89622af3fc8ead3ae5ad076f2f1606674d20625b88b59"),
+    (12, 12): (5, "41fb5e68c29c10ef3520cafe3e025e7fec2847c5adb8ad71d546a2979882b217"),
 }
 
 
@@ -78,6 +79,21 @@ def first_witness(g):
 
 def witness_sha256(m):
     return hashlib.sha256(",".join(map(str, sorted(m))).encode()).hexdigest()
+
+
+def bfs_order(g):
+    """Every vertex, component by component, in BFS order."""
+    return [v for comp in connected_components(g) for v in comp]
+
+
+def bfs_edge_rank(g):
+    """Each edge's rank in the order the BFS first meets it: along the BFS
+    order, each vertex's edges in inc order."""
+    rank = {}
+    for v in bfs_order(g):
+        for e in g.inc[v]:
+            rank.setdefault(e, len(rank))
+    return rank
 
 
 def test_fixed_fixtures():
@@ -197,7 +213,8 @@ def test_enumeration_agrees_with_bruteforce_beyond_degree_3():
         assert g.is_connected()
         pmcs = enumerate_pmcs(g)
         assert len(set(pmcs)) == len(pmcs)
-        assert pmcs == sorted(pmcs, key=lambda s: tuple(sorted(s)))
+        rank = bfs_edge_rank(g)
+        assert pmcs == sorted(pmcs, key=lambda s: sorted(rank[e] for e in s))
         assert set(pmcs) == set(pmcs_bruteforce(g))
         if pmcs:
             assert find_pmc(g) == pmcs[0]
@@ -260,7 +277,7 @@ def test_parity_classes_agree_with_every_solution_of_the_rows():
             p = rng.random()
             g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
         solutions = row_solutions(g)
-        classes = _parity_classes(g)
+        classes = _parity_classes(g, bfs_order(g))
         assert (classes is None) == (not solutions)
         if classes is None:
             continue
@@ -300,7 +317,8 @@ def test_vertex_rows_leave_17_free_variables_per_clause_pair(formula):
     construction, not a claim of the paper.  Each free variable's key is one
     bit, and the keys of the others are sums of those bits."""
     formula.validate_e4()
-    key, _ = _parity_classes(reduce_formula(formula).graph)
+    g = reduce_formula(formula).graph
+    key, _ = _parity_classes(g, bfs_order(g))
     assert max(key).bit_length() == 17 * formula.m // 2
 
 
@@ -641,7 +659,7 @@ def test_unsat_instance_refuted():
     assert art.q == 168  # barycenter layout; 305 under the index order
     nodes, m = first_witness(art.graph)
     assert m is None  # complete refutation, no budget excuse
-    assert nodes == 16
+    assert nodes == 6
 
 
 def test_refutation_trail_pinned():
@@ -677,7 +695,7 @@ def test_refutation_trail_pinned():
 
     search._propagate, search._undo_to = counted_propagate, counted_undo
     assert next(search.solutions(None), None) is None
-    assert (search.nodes, moved, conflicting, popped) == (16, 36721, 16564, 10194)
+    assert (search.nodes, moved, conflicting, popped) == (6, 19008, 8463, 6200)
 
 
 @pytest.mark.parametrize("formula", [
@@ -699,11 +717,12 @@ def test_root_probing_puts_every_connector_out(formula):
 
 
 # (n, seed) -> node count and witness sha256 of searches on the larger seeded
-# reductions, which a search without the root classes took 492-543 nodes on
+# reductions, which branching by edge id took 13, 10, 84 and 101 nodes on
 SEEDED_SAT_PINS = {
-    (24, 1): (13, "0a9afd43c227f925a615f7aa99294e4bddae4d46ba0caec9215d233be955d2d2"),
-    (24, 7): (10, "d4a47b0d3caed8afaf49c2ea2eebdb0f97c3dc2a3e4670bdee11805253728891"),
-    (30, 1): (84, "199a4b833c2eec7c62304294eb11b38ea714aa380cf129dfa3945b850431caf9"),
+    (24, 1): (12, "9a93f265dc716c8fc8a98c0f704e6a21546f2a14bcd484f3f1fb090ee87810d9"),
+    (24, 7): (10, "e88eeb03bb02a4ae3f499783705a68873294ce40e4ece99b73e8c9370d2080c0"),
+    (30, 1): (16, "35118c856c797459c03d65aae1475b6c5aa0999c03750a6290fed909f496cea7"),
+    (48, 2): (13, "615778b75f51763fc99cdd20dbed0057206504b86cfc693b92703fbc77a0def3"),
 }
 
 
@@ -719,9 +738,10 @@ def test_seeded_sat_search_within_budget(n, seed):
 def test_search_tables_stay_small(monkeypatch):
     """A search holds under 170 bytes per vertex on the seeded n = 30
     reduction, as tracemalloc counts what its constructor leaves allocated:
-    flat tables, one flag per vertex for matched and one vertex list per
-    class of the vertex rows, with an edge's far end read from the xor of its
-    ends and its two ends from the graph's edges.  One one-vertex list per
+    flat tables, one flag per vertex for matched, one vertex list per class
+    of the vertex rows and the BFS order it branches along, with an edge's
+    far end read from the xor of its ends and its two ends from the graph's
+    edges; it measures about 136.  One one-vertex list per
     vertex, before the classes, held 151-156.  Copying those ends into two lists and
     keeping a size per vertex took it to 185-190; a tuple of (edge,
     neighbour) pairs per vertex would raise it to about 440.  The classes are
@@ -729,8 +749,8 @@ def test_search_tables_stay_small(monkeypatch):
     elimination's temporaries and tracing them takes most of the time."""
     g = reduce_formula(random_e4_formula(30, random.Random(1))).graph
     assert g.n == 23_992
-    classes = _parity_classes(g)
-    monkeypatch.setattr("pmcut.solver._parity_classes", lambda g: classes)
+    classes = _parity_classes(g, bfs_order(g))
+    monkeypatch.setattr("pmcut.solver._parity_classes", lambda g, order: classes)
     tracemalloc.start()
     try:
         search = _PmcSearch(g)
