@@ -8,6 +8,7 @@ and verify every structural property of the construction mechanically.
 from .formula import (
     NaeFormula,
     ag23_formula,
+    ag23_spliced,
     canonical_n3_formula,
     nae_satisfies,
     parse_formula,

@@ -300,3 +300,17 @@ def ag23_formula() -> NaeFormula:
         for b in range(3):
             clauses.append(tuple(sorted(var(r, (s * r + b) % 3) for r in range(3))))
     return NaeFormula(9, tuple(clauses))
+
+
+def ag23_spliced(n: int, rng: random.Random) -> NaeFormula:
+    """random_e4_formula(n, rng) and AG(2,3) on variables n+1..n+9, joined by
+    swapping one clause end each: the random first clause {x, y, z} and
+    AG(2,3)'s first line {a, b, c} become {x, y, c} and {a, b, z}, which
+    come first, then the random formula's other clauses, then AG(2,3)'s
+    other lines.  It is E4, and unsatisfiable because AG(2,3)'s other eleven
+    lines already are: each of the 512 bipartitions of its points leaves a
+    line other than the first on one side."""
+    f, ag = random_e4_formula(n, rng), ag23_formula()
+    (x, y, z), (a, b, c) = f.clauses[0], tuple(i + n for i in ag.clauses[0])
+    lines = tuple(tuple(i + n for i in line) for line in ag.clauses[1:])
+    return NaeFormula(n + 9, ((x, y, c), (a, b, z)) + f.clauses[1:] + lines)

@@ -167,11 +167,11 @@ class _PmcSearch:
       edge count as matched during its union: the matching rule puts all
       their other edges Out anyway.
 
-    No union fired the rules on the seeded classes, so _root_fixpoint runs
-    the same scan on each class of two or more vertices, against the class's
-    own root with flip 0: its closing edges are the edges inside the class,
-    and its related pairs are the pairs inside it.  A singleton class has no
-    closing edge and no related pair.
+    No union fired the rules on the seeded classes.  _root_fixpoint decides
+    their closing edges, the edges inside a class, in one pass over the
+    edges.  At a vertex of degree 3 or less the vertex rows make those
+    decisions and the matching rule settle every related pair, so the root
+    runs the scan only around vertices of degree 4 or more.
 
     A literal is decided when it is queued, as MiniSat's uncheckedEnqueue
     does (Eén & Sörensson, SAT 2003): its state and trail entry are written
@@ -191,7 +191,7 @@ class _PmcSearch:
     the node counts and witnesses pinned in the tests check that.  A
     conflict leaves the literals it did not reach on the stack, and _undo_to
     drops them with their assignments.  On AG(2,3) the whole refutation pops
-    10.2k literals.  The loop tests roots itself and calls _union only to
+    6.2k literals.  The loop tests roots itself and calls _union only to
     join two components.
 
     Edges and vertices are ints in flat tables, and the search builds no table
@@ -414,17 +414,31 @@ class _PmcSearch:
         self.queue.clear()
 
     def _root_fixpoint(self) -> bool:
-        """Propagate a fresh search's root: run the union's scan on each
-        seeded class of two or more vertices against its own root, which
-        decides its closing edges and related partners, then propagate.  A
-        singleton class has neither, and the vertex rows already hold what a
-        vertex with one or two edges implies.  False means there is no
-        solution."""
+        """Propagate a fresh search's root; False means there is no solution.
+
+        One pass over the edges decides every edge whose ends share a seeded
+        class, In if their sides differ and Out otherwise, and propagates.
+        At a vertex x of degree 3 that also fires the related-partner rule:
+        if neighbours w and y share a class, row x (s_x ^ s_w ^ s_y ^ s_z
+        = 1) puts x and its third neighbour z in one class, so deciding the
+        closing edge xz, then the matching rule, makes exactly the rule's
+        decisions (xz In and xw, xy Out if w and y are same-side, xz Out if
+        not).  At degree 2 the rule decides nothing.  At degree 4 or more
+        the rows do not imply it, so the union's scan fires it from each
+        neighbour of x against that neighbour's own component, and the root
+        propagates again."""
         if not (self.consistent and self.rem):
             return False
-        for r, verts in enumerate(self.comp_verts):
-            if len(verts) > 1 and not self._scan(verts, r, 0):
-                return False
+        root, par, xr = self.root, self.par, self.xr
+        if not self._propagate([e if par[u] != par[v] else ~e
+                                for e, (u, v) in enumerate(self.edges) if root[u] == root[v]]):
+            return False
+        for x, es in enumerate(self.inc):
+            if len(es) > 3:
+                for e in es:
+                    w = xr[e] ^ x
+                    if not self._scan([w], root[w], 0):
+                        return False
         return self._propagate([])
 
     def solutions(self, budget: Optional[int]) -> Iterator[EdgeSet]:

@@ -12,6 +12,7 @@ from pmcut.formula import (
     FormulaError,
     NaeFormula,
     ag23_formula,
+    ag23_spliced,
     canonical_n3_formula,
     incidence_graph,
     nae_satisfies,
@@ -142,6 +143,18 @@ def test_ag23_is_unsat_e4():
     assert solve_nae_bruteforce(ag) is None
     assert incidence_graph(ag).is_connected()
     assert variable_cutvertices(ag) == ()
+
+
+def test_ag23_spliced_is_unsat_e4():
+    """AG(2,3) spliced into seeded n = 21 formulas is E4, and the DPLL
+    refutes it, as brute force refutes AG(2,3)'s eleven lines other than
+    the first."""
+    assert solve_nae_bruteforce(NaeFormula(9, ag23_formula().clauses[1:])) is None
+    for seed in (1, 2, 3):
+        f = ag23_spliced(21, random.Random(seed))
+        f.validate_e4()
+        assert f.n == 30
+        assert solve_nae(f) is None
 
 
 def test_no_unsat_e4_instance_below_nine_variables():

@@ -8,8 +8,8 @@ import networkx as nx
 import pytest
 
 from pmcut.formula import (
-    NaeFormula,
     ag23_formula,
+    ag23_spliced,
     canonical_n3_formula,
     nae_satisfies,
     random_e4_formula,
@@ -291,16 +291,6 @@ def test_parity_classes_agree_with_every_solution_of_the_rows():
     assert consistent > 60
 
 
-def spliced_formula(n, seed):
-    """The seeded formula and AG(2,3), shifted past it, with the seeded first
-    clause {x, y, z} and AG(2,3)'s first line {a, b, c} swapped for {x, y, c}
-    and {a, b, z}: E4 and unsatisfiable."""
-    f, ag = random_e4_formula(n, random.Random(seed)), ag23_formula()
-    (x, y, z), (a, b, c) = f.clauses[0], tuple(i + n for i in ag.clauses[0])
-    lines = [tuple(i + n for i in line) for line in ag.clauses[1:]]
-    return NaeFormula(n + 9, ((x, y, c), (a, b, z)) + f.clauses[1:] + tuple(lines))
-
-
 @pytest.mark.parametrize("formula", [
     canonical_n3_formula(),
     ag23_formula(),
@@ -308,7 +298,7 @@ def spliced_formula(n, seed):
     random_e4_formula(9, random.Random(1)),
     random_e4_formula(12, random.Random(1)),
     random_e4_formula(21, random.Random(1)),
-    spliced_formula(21, 1),
+    ag23_spliced(21, random.Random(1)),
 ], ids=["canonical", "ag23", "n6-s1", "n9-s1", "n12-s1", "n21-s1", "spliced-n30-s1"])
 def test_vertex_rows_leave_17_free_variables_per_clause_pair(formula):
     """The vertex rows of every reduction measured have 17m/2 free
@@ -433,6 +423,39 @@ def test_propagation_reaches_the_naive_fixpoint():
     assert clean > 300
 
 
+@pytest.mark.parametrize("formula", [
+    canonical_n3_formula(),
+    ag23_formula(),
+    *(random_e4_formula(6, random.Random(seed)) for seed in range(1, 6)),
+], ids=["canonical", "ag23", "n6-s1", "n6-s2", "n6-s3", "n6-s4", "n6-s5"])
+def test_root_decides_every_edge_inside_a_seeded_class(formula):
+    """After the root fixpoint, every edge whose ends share a class of the
+    vertex rows is decided, In exactly when their seeded sides differ."""
+    g = reduce_formula(formula).graph
+    search = _PmcSearch(g)
+    root, par = search.root[:], search.par[:]
+    assert search._root_fixpoint()
+    inside = [(e, par[u] != par[v]) for e, (u, v) in enumerate(g.edges) if root[u] == root[v]]
+    assert inside
+    assert all(search.state[e] == (_IN if opposite else _OUT) for e, opposite in inside)
+
+
+def test_root_fires_related_partners_beyond_degree_3():
+    """Vertices 0 and 1 are joined by an edge and by three paths of length
+    three.  The vertex rows put each of them in one class with the other's
+    three path neighbours, so no edge lies inside a class.  0's four
+    neighbours share a class, but with degree 4 its row does not tie 0 to
+    any of them, and likewise at 1: only the related-partner rule at 0 and
+    1 decides anything, and with it the root decides every edge."""
+    g = Graph(8, [(0, 1), (0, 2), (2, 3), (3, 1), (0, 4), (4, 5), (5, 1), (0, 6), (6, 7), (7, 1)])
+    search = _PmcSearch(g)
+    assert all(search.root[u] != search.root[v] for u, v in g.edges)
+    assert search._root_fixpoint()
+    assert search.state == naive_closure(g, [])
+    assert {e for e in range(g.m) if search.state[e] == _IN} == {
+        g.edge_id(0, 1), g.edge_id(2, 3), g.edge_id(4, 5), g.edge_id(6, 7)}
+
+
 def test_propagation_ignores_the_order_of_its_literals():
     """The root fixpoint plus the same one to six literals, propagated in
     three shuffled orders, ends with the same labels each time or conflicts
@@ -511,7 +534,8 @@ def test_undo_after_a_conflict_restores_the_tables():
                     or attempt(propagate, [~literals[0]])):
                 break
     # the root classes refute most of these graphs at the root: the first 300
-    # gave 237 conflicts, 10 of them inside a union's scan
+    # gave 237 conflicts, 59 of them inside a union's scan; all 4000 gave
+    # 3057 and 646
     assert conflicts > 400 and in_scan > 100
 
 
@@ -668,9 +692,10 @@ def test_refutation_trail_pinned():
     conflict, and literals popped.  A literal is decided when it is queued,
     so the trail holds the literals a conflict leaves unpopped too; each
     decided literal is pushed once and popped unless a conflict stops the
-    propagation first.  The root's scan of the seeded classes writes its
-    entries before the first propagation, so they count as popped but not
-    as propagated."""
+    propagation first.  AG(2,3)'s reduction is cubic, so the root runs no
+    scan of its own: its pass hands every edge inside a seeded class to the
+    first propagation, and the root's entries count as propagated and
+    popped."""
     g = reduce_formula(ag23_formula()).graph
     search = _PmcSearch(g)
     propagate, undo = search._propagate, search._undo_to
@@ -695,7 +720,7 @@ def test_refutation_trail_pinned():
 
     search._propagate, search._undo_to = counted_propagate, counted_undo
     assert next(search.solutions(None), None) is None
-    assert (search.nodes, moved, conflicting, popped) == (6, 19008, 8463, 6200)
+    assert (search.nodes, moved, conflicting, popped) == (6, 18936, 8186, 6167)
 
 
 @pytest.mark.parametrize("formula", [
